@@ -11,13 +11,12 @@
 //   (c) the isolated gate-network path, whose per-session cost drops by a
 //       factor equal to the session length (the >10x claim for their
 //       10+-item sessions);
-//   (d) the legacy RankingService path, as the pre-engine baseline;
-//   (e) the async Submit() front in closed-loop mode (one request in
+//   (d) the async Submit() front in closed-loop mode (one request in
 //       flight: per-request latency including the queue-delay bound a
 //       lone request pays) and open-loop burst mode (many requests in
 //       flight: the time-bounded queue coalesces them into shared
 //       forward passes; batch occupancy is reported as a counter);
-//   (f) the replica scaling sweep: a multi-client closed-loop storm on
+//   (e) the replica scaling sweep: a multi-client closed-loop storm on
 //       ONE hot model with replicas = {1, 2, 4} pool lanes (and as many
 //       async flush lanes), reporting throughput, p99, and the
 //       per-replica lane-occupancy counters — so the replica speedup is
@@ -35,7 +34,6 @@
 #include "common/experiment_lib.h"
 #include "serving/ab_test.h"
 #include "serving/model_pool.h"
-#include "serving/ranking_service.h"
 #include "serving/serving_engine.h"
 
 namespace {
@@ -294,24 +292,6 @@ BENCHMARK(BM_AsyncSubmit_ClosedLoopReplicas)
     ->Arg(2)
     ->Arg(4)
     ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/// Pre-engine baseline: the legacy single-session RankingService with
-/// §III-F sharing on.
-void BM_Legacy_RankingService_SharedGate(benchmark::State& state) {
-  ServingFixture& fixture = ServingFixture::Get();
-  RankingService service(fixture.model.get(), fixture.data.meta,
-                         &fixture.standardizer, /*share_gate=*/true);
-  size_t i = 0;
-  for (auto _ : state) {
-    auto scores =
-        service.RankSession(fixture.sessions[i % fixture.sessions.size()]);
-    benchmark::DoNotOptimize(scores);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Legacy_RankingService_SharedGate)
     ->Unit(benchmark::kMillisecond);
 
 /// Isolated gate path: per-item (session-length gate batch) vs shared

@@ -5,6 +5,7 @@
 # Usage:
 #   scripts/check.sh [build_dir]           # full build + ctest + bench smoke
 #                                          # (bench JSON into build_dir/bench_smoke/)
+#                                          # + perfbench self-test
 #   scripts/check.sh --tsan [build_dir]    # ThreadSanitizer build of the
 #                                          # serving concurrency suites
 #   scripts/check.sh --asan [build_dir]    # AddressSanitizer build of the
@@ -232,6 +233,14 @@ if [ -x "$BUILD_DIR/bench_rerank" ]; then
 else
   echo "bench_rerank not built; skipped"
 fi
+
+# Repository benchmark self-test: every BENCHMARK.json workload at tiny
+# size, untraced and traced, must build, read correct with no failures
+# and report exactly the declared metrics. Catches a benchmark that
+# would read `correct: false` before merge.
+echo "== perfbench self-test =="
+CARGO_TARGET_DIR="$BUILD_DIR/perfbench_build" \
+  python3 "$REPO_ROOT/perfbench/selftest.py"
 
 echo "== docs link check =="
 "$REPO_ROOT/scripts/check_docs.sh"

@@ -55,11 +55,6 @@ std::future<RankResponse> AsyncBatchQueue::Submit(
     Reject(std::move(promise), std::move(status), request.session_id,
            resolved_model);
   };
-  if (request.items.empty()) {
-    reject(Status::InvalidArgument("Submit: empty candidate list for session " +
-                                   std::to_string(request.session_id)));
-    return future;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {

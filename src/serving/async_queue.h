@@ -97,7 +97,8 @@ class AsyncBatchQueue {
   /// Failure responses always report `resolved_model`, never the key.
   /// Returns a future that resolves when the request's micro-batch has
   /// been scored — or immediately with a non-OK status when the request
-  /// is rejected (queue full, empty candidate list, queue stopped).
+  /// is rejected (queue full, queue stopped). Request validation is the
+  /// caller's: the engine admits a request before it reaches the queue.
   /// When `sync_reject` is non-null it receives that immediate-reject
   /// status (OK when the request was accepted), so the caller can
   /// attribute the reject — e.g. to a rollout arm's health window —

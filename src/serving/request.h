@@ -51,9 +51,9 @@ struct RankResponse {
   /// rejected (queue full -> kResourceExhausted, empty candidate list
   /// or a slate longer than a slate-scoring model's max slate length ->
   /// kInvalidArgument) or abandoned (engine stopped without drain ->
-  /// kUnavailable). The synchronous path returns non-OK only for the
-  /// oversized-slate rejection (`scores` stays empty); its other client
-  /// errors CHECK-fail as before.
+  /// kUnavailable). The synchronous path returns the same
+  /// kInvalidArgument admission failures (`scores` stays empty); an
+  /// unknown model name still CHECK-fails on both paths.
   Status status;
   int64_t session_id = 0;
   /// Resolved model name (never empty).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -15,6 +16,117 @@
 #include "util/hash.h"
 
 namespace awmoe {
+
+namespace {
+
+/// The probe forward of a session-row stage: Ranker::GateInto or
+/// Ranker::EncodeSessionInto (one row per probe example).
+using SessionProbe = void (Ranker::*)(const Batch&, InferenceWorkspace*,
+                                      std::span<float>);
+
+/// What both session-row stages of one micro-batch share: the miss
+/// requests in collation order, their context hashes, and the leased
+/// lane's model and workspace.
+struct SessionRowInputs {
+  const std::vector<const RankRequest*>& requests;
+  const std::vector<uint64_t>& context_hash;
+  const DatasetMeta& meta;
+  const Standardizer* standardizer;
+  Ranker& model;
+  InferenceWorkspace& workspace;
+  int64_t batch_rows;  // Candidates over all `requests`.
+};
+
+/// §III-F behind the API, for one kind of session-constant row — the
+/// gate, or the level-2 behaviour-sequence encoding. Each request's row
+/// comes from `cache` when the session was served before under the same
+/// context hash; every other row comes from ONE fused `probe` forward
+/// with one probe example per distinct (session id, context hash) —
+/// not per session id alone, so two same-session requests with
+/// different inputs in one micro-batch each get their own probe,
+/// mirroring the cache's staleness check. Fresh rows fill the cache,
+/// then each request's row is replicated across its candidates into
+/// staging slot `rows_slot`, which is returned (batch_rows x width).
+/// `lookup[k]` receives request k's cache outcome in RequestSample
+/// encoding (1 hit, 2 stale, 0 miss or caching off). Caller holds the
+/// lane lock.
+std::span<const float> RunSessionRowStage(
+    const SessionRowInputs& in, int64_t width, SessionGateCache& cache,
+    int64_t capacity, InferenceWorkspace::StagingSlot probe_slot,
+    InferenceWorkspace::StagingSlot rows_slot, SessionProbe probe,
+    std::vector<int>& lookup) {
+  const size_t m = in.requests.size();
+  std::vector<std::vector<float>> cached(m);
+  std::map<std::pair<int64_t, uint64_t>, size_t> probe_row;
+  std::vector<const Example*> probes;
+  for (size_t k = 0; k < m; ++k) {
+    const RankRequest& request = *in.requests[k];
+    const CacheLookup outcome =
+        capacity > 0 ? cache.Lookup(request.session_id, in.context_hash[k],
+                                    &cached[k])
+                     : CacheLookup::kMiss;
+    lookup[k] = outcome == CacheLookup::kHit    ? 1
+                : outcome == CacheLookup::kStale ? 2
+                                                 : 0;
+    if (outcome == CacheLookup::kHit) continue;
+    auto [slot, inserted] = probe_row.try_emplace(
+        {request.session_id, in.context_hash[k]}, probes.size());
+    if (inserted) probes.push_back(request.items[0]);
+  }
+  std::span<float> fresh;
+  if (!probes.empty()) {
+    Batch probe_batch = CollateBatch(probes, in.meta, in.standardizer);
+    fresh = in.workspace.Staging(probe_slot, probe_batch.size * width);
+    (in.model.*probe)(probe_batch, &in.workspace, fresh);
+    if (capacity > 0) {
+      for (const auto& [key, row] : probe_row) {
+        const float* src = fresh.data() + row * width;
+        cache.Put(key.first, key.second,
+                  std::vector<float>(src, src + width), capacity);
+      }
+    }
+  }
+  std::span<float> rows = in.workspace.Staging(rows_slot,
+                                               in.batch_rows * width);
+  float* dst = rows.data();
+  for (size_t k = 0; k < m; ++k) {
+    const RankRequest& request = *in.requests[k];
+    const float* src =
+        lookup[k] == 1
+            ? cached[k].data()
+            : fresh.data() +
+                  probe_row.at({request.session_id, in.context_hash[k]}) *
+                      width;
+    for (size_t j = 0; j < request.items.size(); ++j, dst += width) {
+      std::copy(src, src + width, dst);
+    }
+  }
+  return rows;
+}
+
+/// The response of a request refused at admission: identical on every
+/// path (RankBatch, Submit, the pinned-snapshot backstop) — no scores,
+/// no lane.
+RankResponse RejectedResponse(const RankRequest& request,
+                              const ModelSnapshot& snapshot, RolloutArm arm,
+                              Status status) {
+  RankResponse response;
+  response.status = std::move(status);
+  response.session_id = request.session_id;
+  response.model = snapshot.name();
+  response.model_version = snapshot.version();
+  response.arm = arm;
+  response.replica = -1;
+  return response;
+}
+
+std::future<RankResponse> ReadyFuture(RankResponse response) {
+  std::promise<RankResponse> promise;
+  promise.set_value(std::move(response));
+  return promise.get_future();
+}
+
+}  // namespace
 
 ServingEngine::ServingEngine(ModelPool* pool, ServingEngineOptions options)
     : pool_(pool), options_(options) {
@@ -99,6 +211,25 @@ RolloutArm ServingEngine::RouteArm(const std::string& resolved,
   return router_.Route(resolved, request.session_id);
 }
 
+Status ServingEngine::Admit(const RankRequest& request,
+                            const ModelSnapshot& snapshot) {
+  const int64_t items = static_cast<int64_t>(request.items.size());
+  if (items == 0) {
+    return Status::InvalidArgument("Rank: empty candidate list for session " +
+                                   std::to_string(request.session_id));
+  }
+  // Retrieval sets larger than a listwise model's position table are
+  // ordinary client input; they must never reach the slate forward.
+  const int64_t max_slate = snapshot.max_slate_items();  // 0 = unlimited.
+  if (max_slate > 0 && items > max_slate) {
+    return Status::InvalidArgument(
+        "Rank: slate of " + std::to_string(items) +
+        " candidates exceeds model '" + snapshot.name() +
+        "' max slate length " + std::to_string(max_slate));
+  }
+  return Status::OK();
+}
+
 void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
                                       const std::vector<RankRequest>& requests,
                                       const std::vector<double>* queue_delays_ms,
@@ -132,21 +263,16 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   const bool slate = snapshot.slate_scoring();
   const bool score_cache_on = options_.score_cache_capacity > 0 && !slate;
 
-  // Slate-length admission backstop against the PINNED snapshot.
-  // RankBatch and Submit already rejected oversized requests against
-  // the snapshot current at admission time; a hot swap to a model with
-  // a smaller cap between admission and this lease still lands here.
-  // An oversized slate must never reach ScoreSlateInto, whose slate-
-  // length CHECK treats it as a programmer error and aborts — data-
-  // dependent input resolves as a per-request kInvalidArgument instead.
-  const int64_t max_slate = snapshot.max_slate_items();
-  std::vector<bool> rejected(n, false);
-  if (slate && max_slate > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      rejected[i] = static_cast<int64_t>(
-                        requests[micro.request_indices[i]].items.size()) >
-                    max_slate;
-    }
+  // Admission backstop against the PINNED snapshot. RankBatch and
+  // Submit already admitted each request against the snapshot current
+  // at admission time; a hot swap to a model with a smaller slate cap
+  // between admission and this lease still lands here. An oversized
+  // slate must never reach ScoreSlateInto, whose slate-length CHECK
+  // treats it as a programmer error and aborts.
+  std::vector<Status> admission;
+  admission.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    admission.push_back(Admit(requests[micro.request_indices[i]], snapshot));
   }
   std::vector<int> score_lookup(n, -1);  // RequestSample encoding.
   std::vector<uint64_t> history_hash(n, 0);
@@ -156,6 +282,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   if (score_cache_on) {
     SessionScoreCache& cache = snapshot.score_cache();
     for (size_t i = 0; i < n; ++i) {
+      if (!admission[i].ok()) continue;
       const RankRequest& request = requests[micro.request_indices[i]];
       history_hash[i] = SessionHistoryHash(*request.items[0]);
       std::vector<uint64_t>& hashes = item_hashes[i];
@@ -179,7 +306,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   std::vector<size_t> miss;  // Positions in [0, n) that need compute.
   miss.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (score_lookup[i] != 1 && !rejected[i]) miss.push_back(i);
+    if (score_lookup[i] != 1 && admission[i].ok()) miss.push_back(i);
   }
 
   // Gate/encoding sharing is a pointwise-path optimisation; a slate
@@ -188,8 +315,10 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       options_.share_gate && snapshot.gate_shareable() && !slate;
   const bool encode = options_.share_session_encoding &&
                       snapshot.encoding_shareable() && !slate;
-  std::vector<bool> cache_hit(n, false);       // Gate-cache outcome.
-  std::vector<int> encoding_lookup(n, -1);     // RequestSample encoding.
+  // Per miss request: gate / encoding cache outcome of the session-row
+  // stages (RequestSample encoding; -1 when the stage did not run).
+  std::vector<int> gate_lookup(miss.size(), -1);
+  std::vector<int> encoding_lookup(miss.size(), -1);
   // Logits of the MISS portion land here straight from the model — the
   // whole forward is allocation-free against the lane's workspace; only
   // this engine-side collation layer still allocates (batch, response
@@ -205,10 +334,12 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
     ReplicaLane& lane = lease.lane();
     const size_t m = miss.size();
 
+    std::vector<const RankRequest*> miss_requests(m);
     std::vector<const Example*> items;
     items.reserve(static_cast<size_t>(micro.total_items));
     for (size_t k = 0; k < m; ++k) {
       const RankRequest& request = requests[micro.request_indices[miss[k]]];
+      miss_requests[k] = &request;
       logits_row[k] = static_cast<int64_t>(items.size());
       items.insert(items.end(), request.items.begin(), request.items.end());
     }
@@ -229,62 +360,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
     std::vector<uint64_t> request_hash(m, 0);
     if (shared || encode) {
       for (size_t k = 0; k < m; ++k) {
-        const RankRequest& request = requests[micro.request_indices[miss[k]]];
-        request_hash[k] = GateContextHash(*request.items[0]);
-      }
-    }
-
-    // §III-F behind the API: one gate row per session. Rows come from
-    // the snapshot's LRU when the session was served before, otherwise
-    // from a single fused probe pass (one row per missed session).
-    // Probe dedup key is (session id, context hash), not session id
-    // alone: two same-session requests with *different* gate inputs in
-    // one micro-batch must each get their own probe, mirroring the
-    // staleness check the cross-request cache does.
-    const int64_t gate_width = snapshot.gate_width();
-    std::vector<std::vector<float>> session_gates(m);
-    std::map<std::pair<int64_t, uint64_t>, size_t> gate_probe_slot;
-    std::vector<const Example*> gate_probes;
-    if (shared) {
-      SessionGateCache& cache = snapshot.gate_cache();
-      for (size_t k = 0; k < m; ++k) {
-        const RankRequest& request = requests[micro.request_indices[miss[k]]];
-        if (options_.gate_cache_capacity > 0 &&
-            cache.Lookup(request.session_id, request_hash[k],
-                         &session_gates[k]) == CacheLookup::kHit) {
-          cache_hit[miss[k]] = true;
-          continue;
-        }
-        auto [slot, inserted] = gate_probe_slot.try_emplace(
-            {request.session_id, request_hash[k]}, gate_probes.size());
-        if (inserted) gate_probes.push_back(request.items[0]);
-      }
-    }
-
-    // Level 2, same probe-dedup-replicate shape as the gate: one
-    // candidate-independent encoding row per session, cached across
-    // requests under the context stamp.
-    const int64_t enc_width = snapshot.encoding_width();
-    std::vector<std::vector<float>> session_encodings(m);
-    std::map<std::pair<int64_t, uint64_t>, size_t> enc_probe_slot;
-    std::vector<const Example*> enc_probes;
-    if (encode) {
-      SessionGateCache& cache = snapshot.encoding_cache();
-      for (size_t k = 0; k < m; ++k) {
-        const RankRequest& request = requests[micro.request_indices[miss[k]]];
-        if (options_.encoding_cache_capacity > 0) {
-          const CacheLookup outcome = cache.Lookup(
-              request.session_id, request_hash[k], &session_encodings[k]);
-          encoding_lookup[miss[k]] = outcome == CacheLookup::kHit    ? 1
-                                     : outcome == CacheLookup::kStale ? 2
-                                                                      : 0;
-          if (outcome == CacheLookup::kHit) continue;
-        } else {
-          encoding_lookup[miss[k]] = 0;  // Cross-request reuse disabled.
-        }
-        auto [slot, inserted] = enc_probe_slot.try_emplace(
-            {request.session_id, request_hash[k]}, enc_probes.size());
-        if (inserted) enc_probes.push_back(request.items[0]);
+        request_hash[k] = GateContextHash(*miss_requests[k]->items[0]);
       }
     }
 
@@ -301,90 +377,36 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       const Stopwatch rerank_watch;
       InferenceWorkspace* workspace =
           lane.EnsureWorkspace(workspace_candidates);
-      if (!gate_probes.empty()) {
-        Batch probe_batch =
-            CollateBatch(gate_probes, meta, pool_->standardizer());
-        std::span<float> fresh = workspace->Staging(
-            InferenceWorkspace::kGateProbe, probe_batch.size * gate_width);
-        lane.model->GateInto(probe_batch, workspace, fresh);
-        for (size_t k = 0; k < m; ++k) {
-          if (cache_hit[miss[k]] || !session_gates[k].empty()) continue;
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          const size_t row =
-              gate_probe_slot.at({request.session_id, request_hash[k]});
-          const float* src = fresh.data() + row * gate_width;
-          session_gates[k].assign(src, src + gate_width);
-        }
-        if (options_.gate_cache_capacity > 0) {
-          for (const auto& [key, row] : gate_probe_slot) {
-            const float* src = fresh.data() + row * gate_width;
-            snapshot.gate_cache().Put(key.first, key.second,
-                                      std::vector<float>(src, src + gate_width),
-                                      options_.gate_cache_capacity);
-          }
-        }
-      }
-      if (!enc_probes.empty()) {
-        Batch probe_batch =
-            CollateBatch(enc_probes, meta, pool_->standardizer());
-        std::span<float> fresh = workspace->Staging(
-            InferenceWorkspace::kSessionProbe, probe_batch.size * enc_width);
-        lane.model->EncodeSessionInto(probe_batch, workspace, fresh);
-        for (size_t k = 0; k < m; ++k) {
-          if (!session_encodings[k].empty()) continue;
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          const size_t row =
-              enc_probe_slot.at({request.session_id, request_hash[k]});
-          const float* src = fresh.data() + row * enc_width;
-          session_encodings[k].assign(src, src + enc_width);
-        }
-        if (options_.encoding_cache_capacity > 0) {
-          for (const auto& [key, row] : enc_probe_slot) {
-            const float* src = fresh.data() + row * enc_width;
-            snapshot.encoding_cache().Put(
-                key.first, key.second,
-                std::vector<float>(src, src + enc_width),
-                options_.encoding_cache_capacity);
-          }
-        }
-      }
-      // Replicate each session's gate/encoding row across its
-      // candidates into the workspace's persistent staging buffers,
-      // then run the candidate-dependent forward with both supplied —
-      // the generic ScoreWithSessionInto contract (a null gate or
-      // encoding degrades to the respective fused path).
+      // The session-row stage, once for the gate and once for the
+      // level-2 encoding; then the candidate-dependent forward runs
+      // with both supplied — the generic ScoreWithSessionInto contract
+      // (a null gate or encoding degrades to the respective fused path).
+      const SessionRowInputs rows_in{miss_requests, request_hash, meta,
+                                     pool_->standardizer(), *lane.model,
+                                     *workspace, batch.size};
       SessionGate gate;
       if (shared) {
-        std::span<float> gate_rows = workspace->Staging(
-            InferenceWorkspace::kGateRows, batch.size * gate_width);
-        float* dst = gate_rows.data();
-        for (size_t k = 0; k < m; ++k) {
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          for (size_t j = 0; j < request.items.size();
-               ++j, dst += gate_width) {
-            std::copy(session_gates[k].begin(), session_gates[k].end(), dst);
-          }
-        }
-        gate = SessionGate{gate_rows.data(), batch.size, gate_width};
+        const int64_t width = snapshot.gate_width();
+        gate = SessionGate{
+            RunSessionRowStage(rows_in, width, snapshot.gate_cache(),
+                               options_.gate_cache_capacity,
+                               InferenceWorkspace::kGateProbe,
+                               InferenceWorkspace::kGateRows,
+                               &Ranker::GateInto, gate_lookup)
+                .data(),
+            batch.size, width};
       }
       SessionEncoding encoding;
       if (encode) {
-        std::span<float> enc_rows = workspace->Staging(
-            InferenceWorkspace::kSessionRows, batch.size * enc_width);
-        float* dst = enc_rows.data();
-        for (size_t k = 0; k < m; ++k) {
-          const RankRequest& request =
-              requests[micro.request_indices[miss[k]]];
-          for (size_t j = 0; j < request.items.size();
-               ++j, dst += enc_width) {
-            std::copy(session_encodings[k].begin(), session_encodings[k].end(),
-                      dst);
-          }
-        }
-        encoding = SessionEncoding{enc_rows.data(), batch.size, enc_width};
+        const int64_t width = snapshot.encoding_width();
+        encoding = SessionEncoding{
+            RunSessionRowStage(rows_in, width, snapshot.encoding_cache(),
+                               options_.encoding_cache_capacity,
+                               InferenceWorkspace::kSessionProbe,
+                               InferenceWorkspace::kSessionRows,
+                               &Ranker::EncodeSessionInto, encoding_lookup)
+                .data(),
+            batch.size, width};
       }
       if (slate) {
         // Collation inserted each request's items as one contiguous
@@ -408,8 +430,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       // critical section above), one stats lock for the micro-batch.
       std::vector<int64_t> slate_sizes(m);
       for (size_t k = 0; k < m; ++k) {
-        slate_sizes[k] = static_cast<int64_t>(
-            requests[micro.request_indices[miss[k]]].items.size());
+        slate_sizes[k] = static_cast<int64_t>(miss_requests[k]->items.size());
       }
       stats_.RecordSlateBatch(slate_sizes, rerank_ms);
     }
@@ -427,7 +448,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       SessionScoreCache& cache = snapshot.score_cache();
       for (size_t k = 0; k < m; ++k) {
         const size_t i = miss[k];
-        const RankRequest& request = requests[micro.request_indices[i]];
+        const RankRequest& request = *miss_requests[k];
         const float* first = logits.data() + logits_row[k];
         cache.Put(request.session_id, set_hash[i], history_hash[i],
                   item_hashes[i],
@@ -440,8 +461,6 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   const double service_ms = service_watch.ElapsedMillis();
   std::vector<RequestSample> samples;
   samples.reserve(n);
-  std::vector<int64_t> next_row(miss.size());
-  for (size_t k = 0; k < miss.size(); ++k) next_row[k] = logits_row[k];
   size_t miss_cursor = 0;
   for (size_t i = 0; i < n; ++i) {
     const size_t idx = micro.request_indices[i];
@@ -449,18 +468,11 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
     RankResponse& response = (*responses)[idx];
     const double queue_ms =
         queue_delays_ms == nullptr ? 0.0 : (*queue_delays_ms)[idx];
-    if (rejected[i]) {
+    if (!admission[i].ok()) {
       // Client error, not a serve: no scores, no request sample (the
       // latency/occupancy metrics count served traffic only).
-      response.status = Status::InvalidArgument(
-          "Rank: slate of " + std::to_string(request.items.size()) +
-          " candidates exceeds model '" + snapshot.name() +
-          "' max slate length " + std::to_string(max_slate));
-      response.session_id = request.session_id;
-      response.model = snapshot.name();
-      response.model_version = snapshot.version();
-      response.arm = granted;
-      response.replica = -1;
+      response = RejectedResponse(request, snapshot, granted,
+                                  std::move(admission[i]));
       response.latency_ms = service_ms + queue_ms;
       response.queue_ms = queue_ms;
       continue;
@@ -475,6 +487,11 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
     response.queue_ms = queue_ms;
     response.score_cache_hit = served_from_cache;
     response.scores.resize(request.items.size());
+    RequestSample& sample = samples.emplace_back();
+    sample.items = static_cast<int64_t>(request.items.size());
+    sample.latency_ms = response.latency_ms;
+    if (queue_delays_ms != nullptr) sample.queue_ms = queue_ms;
+    sample.score_lookup = score_lookup[i];
     if (served_from_cache) {
       response.gate_shared = false;
       response.gate_cache_hit = false;
@@ -483,27 +500,21 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
         response.scores[j] = hit_scores[i][j];
       }
     } else {
+      const size_t k = miss_cursor++;
       response.gate_shared = shared;
-      response.gate_cache_hit = cache_hit[i];
-      response.encoding_cache_hit = encoding_lookup[i] == 1;
-      int64_t row = next_row[miss_cursor];
-      ++miss_cursor;
+      response.gate_cache_hit = gate_lookup[k] == 1;
+      response.encoding_cache_hit = encoding_lookup[k] == 1;
+      int64_t row = logits_row[k];
       for (size_t j = 0; j < request.items.size(); ++j, ++row) {
         response.scores[j] = logits[static_cast<size_t>(row)];
       }
+      // Gate counters split hit vs miss only: a stale row is a miss.
+      if (shared) sample.gate_lookup = gate_lookup[k] == 1 ? 1 : 0;
+      sample.encoding_lookup = encoding_lookup[k];
     }
-    RequestSample& sample = samples.emplace_back();
-    sample.items = static_cast<int64_t>(request.items.size());
-    sample.latency_ms = response.latency_ms;
-    if (queue_delays_ms != nullptr) sample.queue_ms = queue_ms;
-    if (!served_from_cache && shared) {
-      sample.gate_lookup = cache_hit[i] ? 1 : 0;
-    }
-    sample.score_lookup = score_lookup[i];
-    sample.encoding_lookup = encoding_lookup[i];
   }
-  // Every request rejected at the slate backstop: nothing was served,
-  // so there is no micro-batch to account.
+  // Every request rejected at the admission backstop: nothing was
+  // served, so there is no micro-batch to account.
   if (samples.empty()) return;
   // One lock acquisition for the whole micro-batch: workers and the
   // async flusher lanes contend on the stats mutex, so the hot path
@@ -580,52 +591,37 @@ std::vector<RankResponse> ServingEngine::RankBatch(
   // Route: group request indices by (resolved model, rollout arm) —
   // encoded as one route key — keeping first-seen route order and
   // request order within a route. Splitting by arm keeps the invariant
-  // that one micro-batch runs on exactly one snapshot.
+  // that one micro-batch runs on exactly one snapshot. Each request is
+  // admitted against its route's snapshot, pinned once per route for
+  // this pass only (ExecuteMicroBatch re-admits against the snapshot it
+  // actually pins, covering a hot swap between here and the lease).
   std::vector<std::string> route_order;
   std::unordered_map<std::string, std::vector<size_t>> by_route;
-  // Slate-length admission, resolved once per route: a request with
-  // more candidates than the route snapshot's max_slate_items is
-  // rejected with kInvalidArgument here — retrieval sets larger than a
-  // listwise model's position table are ordinary client input, and they
-  // must never reach a forward whose slate-length CHECK would abort the
-  // process. (ExecuteMicroBatch re-validates against the snapshot it
-  // actually pins, covering a hot swap between here and the lease.)
-  struct RouteAdmission {
-    int64_t max_slate = 0;  // 0 = pointwise / unlimited.
-    int64_t version = 0;
-  };
-  std::unordered_map<std::string, RouteAdmission> admission;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    AWMOE_CHECK(!requests[i].items.empty())
-        << "RankBatch: empty candidate list for session "
-        << requests[i].session_id;
-    const std::string name = pool_->ResolveName(requests[i].model);
-    const RolloutArm arm = RouteArm(name, requests[i]);
-    const std::string key = EncodeRouteKey(name, arm);
-    auto [limit_it, limit_new] = admission.try_emplace(key);
-    if (limit_new) {
-      std::shared_ptr<const ModelSnapshot> snapshot =
-          pool_->SnapshotForArm(name, arm, nullptr);
-      limit_it->second.max_slate = snapshot->max_slate_items();
-      limit_it->second.version = snapshot->version();
+  {
+    struct RouteSnapshot {
+      std::shared_ptr<const ModelSnapshot> snapshot;
+      RolloutArm granted = RolloutArm::kStable;
+    };
+    std::unordered_map<std::string, RouteSnapshot> route_snapshots;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const std::string name = pool_->ResolveName(requests[i].model);
+      const RolloutArm arm = RouteArm(name, requests[i]);
+      const std::string key = EncodeRouteKey(name, arm);
+      auto [route_it, route_new] = route_snapshots.try_emplace(key);
+      RouteSnapshot& route = route_it->second;
+      if (route_new) {
+        route.snapshot = pool_->SnapshotForArm(name, arm, &route.granted);
+      }
+      Status admitted = Admit(requests[i], *route.snapshot);
+      if (!admitted.ok()) {
+        responses[i] = RejectedResponse(requests[i], *route.snapshot,
+                                        route.granted, std::move(admitted));
+        continue;
+      }
+      auto [it, inserted] = by_route.try_emplace(key);
+      if (inserted) route_order.push_back(key);
+      it->second.push_back(i);
     }
-    const RouteAdmission& limit = limit_it->second;
-    if (limit.max_slate > 0 &&
-        static_cast<int64_t>(requests[i].items.size()) > limit.max_slate) {
-      RankResponse& response = responses[i];
-      response.status = Status::InvalidArgument(
-          "Rank: slate of " + std::to_string(requests[i].items.size()) +
-          " candidates exceeds model '" + name + "' max slate length " +
-          std::to_string(limit.max_slate));
-      response.session_id = requests[i].session_id;
-      response.model = name;
-      response.model_version = limit.version;
-      response.replica = -1;
-      continue;
-    }
-    auto [it, inserted] = by_route.try_emplace(key);
-    if (inserted) route_order.push_back(key);
-    it->second.push_back(i);
   }
 
   // Micro-batch: pack whole sessions per route until the item cap.
@@ -678,27 +674,17 @@ std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
   const std::string resolved = pool_->ResolveName(request.model);
   const RolloutArm arm = RouteArm(resolved, request);
   const std::string route_key = EncodeRouteKey(resolved, arm);
-  // Slate-length admission, mirroring RankBatch: reject before the
-  // request ever occupies queue space. A client error like the empty
-  // candidate list below — no version health sample is recorded.
+  // Admission, as in RankBatch: reject before the request ever
+  // occupies queue space. A client error — no version health sample is
+  // recorded.
   {
+    RolloutArm granted = arm;
     std::shared_ptr<const ModelSnapshot> snapshot =
-        pool_->SnapshotForArm(resolved, arm, nullptr);
-    const int64_t max_slate = snapshot->max_slate_items();
-    if (max_slate > 0 &&
-        static_cast<int64_t>(request.items.size()) > max_slate) {
-      std::promise<RankResponse> promise;
-      RankResponse response;
-      response.status = Status::InvalidArgument(
-          "Submit: slate of " + std::to_string(request.items.size()) +
-          " candidates exceeds model '" + resolved + "' max slate length " +
-          std::to_string(max_slate));
-      response.session_id = request.session_id;
-      response.model = resolved;
-      response.model_version = snapshot->version();
-      response.replica = -1;
-      promise.set_value(std::move(response));
-      return promise.get_future();
+        pool_->SnapshotForArm(resolved, arm, &granted);
+    Status admitted = Admit(request, *snapshot);
+    if (!admitted.ok()) {
+      return ReadyFuture(RejectedResponse(request, *snapshot, granted,
+                                          std::move(admitted)));
     }
   }
   AsyncBatchQueue* queue = nullptr;
@@ -729,13 +715,11 @@ std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
   }
   if (queue == nullptr) {
     // Stopped before the async front ever started.
-    std::promise<RankResponse> promise;
     RankResponse response;
     response.status = Status::Unavailable("Submit: serving engine is stopped");
     response.session_id = request.session_id;
     response.model = resolved;
-    promise.set_value(std::move(response));
-    return promise.get_future();
+    return ReadyFuture(std::move(response));
   }
   Status sync_reject;
   std::future<RankResponse> future =
@@ -743,8 +727,7 @@ std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
   // Serving-side rejects (backpressure, stopped) are failures of the
   // arm the request was routed to — feed them to that version's health
   // window so the rollout error-rate gate sees real overload, not just
-  // hand-recorded test samples. Client errors (empty candidate list)
-  // are not the model's fault and stay unattributed.
+  // hand-recorded test samples.
   if (sync_reject.code() == StatusCode::kResourceExhausted ||
       sync_reject.code() == StatusCode::kUnavailable) {
     int64_t version = arm == RolloutArm::kCandidate

@@ -129,11 +129,10 @@ class ServingEngine {
   /// and dispatching micro-batches over the worker pool. Responses are
   /// returned in request order. Request latency is measured from call
   /// entry to that request's micro-batch completing, so queueing behind
-  /// other micro-batches shows up in the percentiles. A request whose
-  /// candidate count exceeds its route model's max slate length (slate-
-  /// scoring models only) is rejected at admission: its response
-  /// carries kInvalidArgument and no scores, and the rest of the batch
-  /// is served normally.
+  /// other micro-batches shows up in the percentiles. A request that
+  /// fails admission (empty candidate list, or more candidates than its
+  /// route model's max slate length) gets kInvalidArgument and no
+  /// scores; the rest of the batch is served normally.
   std::vector<RankResponse> RankBatch(
       const std::vector<RankRequest>& requests);
 
@@ -212,6 +211,13 @@ class ServingEngine {
   /// router's sticky session bucket.
   RolloutArm RouteArm(const std::string& resolved,
                       const RankRequest& request) const;
+
+  /// The single admission check, shared by RankBatch, Submit and the
+  /// pinned-snapshot backstop in ExecuteMicroBatch: kInvalidArgument for
+  /// an empty candidate list or a slate longer than `snapshot`'s
+  /// max_slate_items. Client errors, so the process never aborts on them.
+  static Status Admit(const RankRequest& request,
+                      const ModelSnapshot& snapshot);
 
   /// Scores one micro-batch under a snapshot+replica lease and fills
   /// the matching responses. `queue_delays_ms`, when non-null, is

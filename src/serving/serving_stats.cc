@@ -448,11 +448,6 @@ int64_t ServingStats::slate_items() const {
   return slate_items_;
 }
 
-double ServingStats::MeanSessionLatencyMs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return requests_ == 0 ? 0.0 : total_ms_ / static_cast<double>(requests_);
-}
-
 double ServingStats::LatencyPercentileMs(double pct) const {
   std::vector<double> sorted;
   {

@@ -334,14 +334,8 @@ class ServingStats {
                         const LeaseSample* lease = nullptr);
 
   int64_t requests() const;
-  /// Backward-compatible alias from the RankingService era, where one
-  /// request always carried one session.
-  int64_t sessions() const { return requests(); }
   int64_t items() const;
   double total_ms() const;
-
-  /// Backward-compatible mean accessor (total latency / requests).
-  double MeanSessionLatencyMs() const;
 
   /// Nearest-rank percentile over the retained samples (exact until
   /// kMaxSamples requests, reservoir-estimated beyond); `pct` in

@@ -16,8 +16,8 @@
 #include "core/aw_moe.h"
 #include "data/batcher.h"
 #include "data/jd_synthetic.h"
+#include "mat/kernels.h"
 #include "serving/model_pool.h"
-#include "serving/ranking_service.h"
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
@@ -25,8 +25,8 @@
 namespace awmoe {
 namespace {
 
-// The async suite cross-checks engine scores against the synchronous
-// legacy RankingService bitwise, so it pins the reference kernel tier
+// The async suite cross-checks engine scores against the autograd
+// (Var-graph) forward bitwise, so it pins the reference kernel tier
 // (fast-tier agreement is epsilon-bounded; see kernel_tier_test.cc).
 const bool kPinnedReferenceTier = [] {
   SetKernelTier(KernelTier::kReference);
@@ -94,6 +94,24 @@ class AsyncServingTest : public ::testing::Test {
     return static_cast<int64_t>((*sessions_)[s % sessions_->size()].size());
   }
 
+  /// The autograd reference scores of session `s` under §III-F gate
+  /// sharing: one gate row from a 1-row probe, the Var-graph forward
+  /// with that gate under NoGradGuard, then Sigmoid.
+  static std::vector<double> ReferenceScores(size_t s) {
+    const auto& session = (*sessions_)[s];
+    NoGradGuard guard;
+    Batch batch = CollateBatch(session, data_->meta, standardizer_);
+    Batch probe = CollateBatch({session[0]}, data_->meta, standardizer_);
+    const Matrix probs = Sigmoid(
+        model_->ForwardLogitsWithGate(batch, model_->GateRepresentation(probe))
+            .value());
+    std::vector<double> scores(static_cast<size_t>(probs.rows()));
+    for (int64_t i = 0; i < probs.rows(); ++i) {
+      scores[static_cast<size_t>(i)] = probs(i, 0);
+    }
+    return scores;
+  }
+
   static JdDataset* data_;
   static Standardizer* standardizer_;
   static AwMoeRanker* model_;
@@ -107,16 +125,14 @@ std::vector<std::vector<const Example*>>* AsyncServingTest::sessions_ =
     nullptr;
 
 // ---------------------------------------------------------------------
-// Bitwise equivalence to the synchronous legacy path under contention.
+// Bitwise equivalence to the autograd reference under contention.
 // ---------------------------------------------------------------------
 
 TEST_F(AsyncServingTest, ConcurrentSubmitsMatchLegacyServiceBitwise) {
-  // Expected scores from the pre-engine synchronous reference.
-  RankingService legacy(model_, data_->meta, standardizer_,
-                        /*share_gate=*/true);
+  // Expected scores from the synchronous Var-graph reference.
   std::vector<std::vector<double>> expected(sessions_->size());
   for (size_t s = 0; s < sessions_->size(); ++s) {
-    expected[s] = legacy.RankSession((*sessions_)[s]);
+    expected[s] = ReferenceScores(s);
   }
 
   auto registry_owner = MakeRegistry();

@@ -1,17 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <memory>
 #include <vector>
 
 #include "core/aw_moe.h"
 #include "data/batcher.h"
 #include "data/jd_synthetic.h"
+#include "mat/kernels.h"
 #include "models/category_moe.h"
 #include "models/dnn_ranker.h"
 #include "serving/ab_test.h"
 #include "serving/model_pool.h"
-#include "serving/ranking_service.h"
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
@@ -19,9 +20,9 @@
 namespace awmoe {
 namespace {
 
-// These tests compare engine scores against the legacy Var-graph
-// RankingService bitwise, which only holds on the reference kernel
-// tier (the fast tier is epsilon-bounded; see kernel_tier_test.cc).
+// These tests compare engine scores against the autograd (Var-graph)
+// forward bitwise, which only holds on the reference kernel tier (the
+// fast tier is epsilon-bounded; see kernel_tier_test.cc).
 const bool kPinnedReferenceTier = [] {
   SetKernelTier(KernelTier::kReference);
   return true;
@@ -100,6 +101,30 @@ class ServingTest : public ::testing::Test {
     return grown;
   }
 
+  /// The autograd reference scores of one session: the Var-graph
+  /// forward under NoGradGuard, then Sigmoid. With `share_gate`, the
+  /// §III-F form: the gate is evaluated once on a 1-row probe of the
+  /// session and reused for every item.
+  static std::vector<double> ReferenceScores(
+      const std::vector<const Example*>& session, bool share_gate) {
+    NoGradGuard guard;
+    Batch batch = CollateBatch(session, data_->meta, standardizer_);
+    Var logits;
+    if (share_gate) {
+      Batch probe = CollateBatch({session[0]}, data_->meta, standardizer_);
+      logits = model_->ForwardLogitsWithGate(
+          batch, model_->GateRepresentation(probe));
+    } else {
+      logits = model_->ForwardLogits(batch);
+    }
+    const Matrix probs = Sigmoid(logits.value());
+    std::vector<double> scores(static_cast<size_t>(probs.rows()));
+    for (int64_t i = 0; i < probs.rows(); ++i) {
+      scores[static_cast<size_t>(i)] = probs(i, 0);
+    }
+    return scores;
+  }
+
   static JdDataset* data_;
   static Standardizer* standardizer_;
   static AwMoeRanker* model_;
@@ -174,13 +199,12 @@ TEST_F(ServingTest, GroupBySessionInterleavedPreservesWithinSessionOrder) {
 }
 
 // ---------------------------------------------------------------------
-// Engine vs legacy RankingService: the regression anchor. The engine
-// must reproduce the pre-redesign scores bit for bit.
+// Engine vs the autograd reference: the regression anchor. The
+// engine's workspace path must reproduce the Var-graph scores bit for
+// bit.
 // ---------------------------------------------------------------------
 
 TEST_F(ServingTest, EngineMatchesLegacyServiceBitwisePerItemGate) {
-  RankingService legacy(model_, data_->meta, standardizer_,
-                        /*share_gate=*/false);
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
   ServingEngineOptions options;
@@ -189,7 +213,8 @@ TEST_F(ServingTest, EngineMatchesLegacyServiceBitwisePerItemGate) {
 
   auto sessions = GroupBySession(data_->full_test);
   for (const auto& session : sessions) {
-    std::vector<double> expected = legacy.RankSession(session);
+    std::vector<double> expected =
+        ReferenceScores(session, /*share_gate=*/false);
     RankRequest request;
     request.session_id = session[0]->session_id;
     request.items = session;
@@ -203,9 +228,6 @@ TEST_F(ServingTest, EngineMatchesLegacyServiceBitwisePerItemGate) {
 }
 
 TEST_F(ServingTest, EngineMatchesLegacyServiceBitwiseSharedGate) {
-  RankingService legacy(model_, data_->meta, standardizer_,
-                        /*share_gate=*/true);
-  ASSERT_TRUE(legacy.gate_sharing_active());
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
   ServingEngine engine(&registry);
@@ -213,7 +235,8 @@ TEST_F(ServingTest, EngineMatchesLegacyServiceBitwiseSharedGate) {
 
   auto sessions = GroupBySession(data_->full_test);
   for (const auto& session : sessions) {
-    std::vector<double> expected = legacy.RankSession(session);
+    std::vector<double> expected =
+        ReferenceScores(session, /*share_gate=*/true);
     RankRequest request;
     request.session_id = session[0]->session_id;
     request.items = session;
@@ -224,6 +247,49 @@ TEST_F(ServingTest, EngineMatchesLegacyServiceBitwiseSharedGate) {
       EXPECT_EQ(response.scores[i], expected[i]) << "item " << i;
     }
   }
+}
+
+// An empty candidate list is a client error on both fronts: that one
+// request comes back kInvalidArgument (same response fields as every
+// admission rejection) and the rest of the batch is served.
+TEST_F(ServingTest, EmptyCandidateListRejectedNotAborted) {
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  auto sessions = GroupBySession(data_->full_test);
+  ASSERT_GE(sessions.size(), 2u);
+  std::vector<RankRequest> mixed(3);
+  mixed[0].session_id = sessions[0][0]->session_id;
+  mixed[0].items = sessions[0];
+  mixed[1].session_id = 4242;  // No candidates.
+  mixed[2].session_id = sessions[1][0]->session_id;
+  mixed[2].items = sessions[1];
+
+  auto expect_mixed = [&](const std::vector<RankResponse>& responses) {
+    ASSERT_EQ(responses.size(), 3u);
+    for (size_t r : {size_t{0}, size_t{2}}) {
+      ASSERT_TRUE(responses[r].status.ok()) << responses[r].status;
+      EXPECT_EQ(responses[r].scores.size(), mixed[r].items.size());
+    }
+    const RankResponse& rejected = responses[1];
+    EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(rejected.scores.empty());
+    EXPECT_EQ(rejected.session_id, 4242);
+    EXPECT_EQ(rejected.model, "aw-moe");
+    EXPECT_EQ(rejected.model_version, 1);
+    EXPECT_EQ(rejected.arm, RolloutArm::kStable);
+    EXPECT_EQ(rejected.replica, -1);
+  };
+
+  expect_mixed(engine.RankBatch(mixed));
+  EXPECT_EQ(engine.stats().requests(), 2);  // Rejects are not serves.
+
+  std::vector<std::future<RankResponse>> futures;
+  for (const RankRequest& request : mixed) {
+    futures.push_back(engine.Submit(request));
+  }
+  std::vector<RankResponse> async_responses;
+  for (auto& future : futures) async_responses.push_back(future.get());
+  expect_mixed(async_responses);
 }
 
 // §III-F is exact, not approximate: sharing the gate must not change a
@@ -1058,9 +1124,8 @@ TEST(ServingStatsTest, PercentilesAreExactOverSamples) {
     stats.RecordRequest(/*items=*/2, static_cast<double>(ms));
   }
   EXPECT_EQ(stats.requests(), 100);
-  EXPECT_EQ(stats.sessions(), 100);  // Backward-compatible alias.
   EXPECT_EQ(stats.items(), 200);
-  EXPECT_DOUBLE_EQ(stats.MeanSessionLatencyMs(), 50.5);
+  EXPECT_DOUBLE_EQ(stats.total_ms() / stats.requests(), 50.5);
   EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(50.0), 50.0);
   EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(95.0), 95.0);
   EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(99.0), 99.0);
@@ -1073,7 +1138,7 @@ TEST(ServingStatsTest, PercentilesAreExactOverSamples) {
   EXPECT_GT(snap.qps, 0.0);
   stats.Reset();
   EXPECT_EQ(stats.requests(), 0);
-  EXPECT_DOUBLE_EQ(stats.MeanSessionLatencyMs(), 0.0);
+  EXPECT_DOUBLE_EQ(stats.total_ms(), 0.0);
   EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(99.0), 0.0);
 }
 

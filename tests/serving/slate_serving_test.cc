@@ -124,6 +124,20 @@ class SlateServingTest : public ::testing::Test {
     return static_cast<int64_t>((*sessions_)[s % sessions_->size()].size());
   }
 
+  /// The fields every admission rejection carries, identical on the
+  /// sync, async and pinned-snapshot backstop paths.
+  static void ExpectRejected(const RankResponse& response,
+                             const RankRequest& request, int64_t version,
+                             RolloutArm arm = RolloutArm::kStable) {
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(response.scores.empty());
+    EXPECT_EQ(response.session_id, request.session_id);
+    EXPECT_EQ(response.model, request.model);
+    EXPECT_EQ(response.model_version, version);
+    EXPECT_EQ(response.arm, arm);
+    EXPECT_EQ(response.replica, -1);
+  }
+
   static JdDataset* data_;
   static Standardizer* standardizer_;
   static AwMoeRanker* pointwise_;
@@ -209,10 +223,7 @@ TEST_F(SlateServingTest, OversizedSlateRejectedNotAborted) {
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_TRUE(responses[0].status.ok()) << responses[0].status;
   EXPECT_EQ(responses[0].scores.size(), mixed[0].items.size());
-  EXPECT_EQ(responses[1].status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(responses[1].scores.empty());
-  EXPECT_EQ(responses[1].replica, -1);
-  EXPECT_EQ(responses[1].model, "listwise");
+  ExpectRejected(responses[1], oversized, /*version=*/1);
   EXPECT_TRUE(responses[2].status.ok()) << responses[2].status;
   EXPECT_EQ(responses[2].scores.size(), mixed[2].items.size());
   // Only the served slates hit the counters.
@@ -221,9 +232,7 @@ TEST_F(SlateServingTest, OversizedSlateRejectedNotAborted) {
   // Async front: rejected before occupying queue space, future resolves
   // with the same status.
   RankResponse async_response = engine.Submit(oversized).get();
-  EXPECT_EQ(async_response.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(async_response.scores.empty());
-  EXPECT_EQ(async_response.model, "listwise");
+  ExpectRejected(async_response, oversized, /*version=*/1);
 
   // The engine survives both rejections and keeps serving.
   RankResponse after = engine.Rank(RequestFor(3, "listwise"));
@@ -237,6 +246,52 @@ TEST_F(SlateServingTest, OversizedSlateRejectedNotAborted) {
   RankResponse served = engine.Rank(pointwise);
   ASSERT_TRUE(served.status.ok()) << served.status;
   EXPECT_EQ(served.scores.size(), pointwise.items.size());
+
+  // Forced onto a staged candidate, the rejection reports the arm and
+  // version it was admitted against, on both fronts.
+  Rng rng(37);
+  const int64_t candidate = registry->StageCandidate(
+      "listwise", std::make_unique<ListwiseReranker>(
+                      data_->meta, SmallAwMoeConfig().dims,
+                      SmallListwiseDims(), &rng));
+  RankRequest routed = oversized;
+  routed.arm_policy = ArmPolicy::kForceCandidate;
+  ExpectRejected(engine.Rank(routed), routed, candidate,
+                 RolloutArm::kCandidate);
+  ExpectRejected(engine.Submit(routed).get(), routed, candidate,
+                 RolloutArm::kCandidate);
+}
+
+// The backstop path: a request admitted under one slate cap, then a hot
+// swap to a model with a smaller cap before its micro-batch pins a
+// snapshot. The flush re-admits against the pinned snapshot and rejects
+// with the same response fields as the two front doors.
+TEST_F(SlateServingTest, OversizedSlateRejectedAtPinnedSnapshotBackstop) {
+  auto registry = MakeRegistry();
+  ServingEngineOptions options;
+  options.max_queue_delay_ms = 10000.0;  // Held until Stop drains it.
+  options.max_batch_candidates = 1 << 30;
+  ServingEngine engine(registry.get(), options);
+
+  RankRequest request = RequestFor(0, "listwise");
+  const Example* filler = request.items[0];
+  while (request.items.size() < 10) request.items.push_back(filler);
+  std::future<RankResponse> queued = engine.Submit(request);
+  ASSERT_EQ(engine.pending_async_requests(), 1);
+
+  ListwiseDims capped = SmallListwiseDims();
+  capped.max_slate_len = 5;
+  Rng rng(41);
+  const int64_t version = registry->UpdateModel(
+      "listwise", std::make_unique<ListwiseReranker>(
+                      data_->meta, SmallAwMoeConfig().dims, capped, &rng));
+  ASSERT_EQ(version, 2);
+
+  engine.Stop(/*drain=*/true);
+  ExpectRejected(queued.get(), request, version);
+  // Nothing was served: no slate reached the forward.
+  EXPECT_EQ(engine.stats().slates(), 0);
+  EXPECT_EQ(engine.stats().requests(), 0);
 }
 
 // ---------------------------------------------------------------------
