@@ -75,10 +75,12 @@ if [ "$TSAN" = 1 ]; then
   # models_listwise rides along too: ParallelTrainer workers share the
   # listwise graph ops, and serving_slate_serving (matched by the
   # serving_ prefix) storms the slate path from four threads.
-  echo "== ctest (serving + kernel-tier + listwise suites under TSan) =="
+  # core_parallel_trainer: its workers run the tier-dispatched training
+  # GEMMs concurrently and read the shared kernel-tier state.
+  echo "== ctest (serving + kernel-tier + listwise + trainer suites under TSan) =="
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R "^(serving_|models_kernel_tier|models_listwise)"
+    -R "^(serving_|models_kernel_tier|models_listwise|core_parallel_trainer)"
 
   echo "== check.sh --tsan OK =="
   exit 0
@@ -135,6 +137,13 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+# Training runs the active kernel tier's GEMMs, so on an AVX2 runner the
+# pass above trains only on the fast tier. Re-run the kernel, autograd,
+# nn and training suites pinned to the scalar reference tier.
+echo "== ctest (training suites, AWMOE_FORCE_SCALAR=1) =="
+AWMOE_FORCE_SCALAR=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
+  -j "$(nproc)" -R "^(mat_|autograd_|nn_|core_)"
 
 # Bench smoke set: a ~10ms-per-case pass over the serving benches, with
 # machine-readable output kept in $BUILD_DIR/bench_smoke/ (the CI check

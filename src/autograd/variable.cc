@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "mat/kernels.h"
 #include "util/check.h"
@@ -10,17 +11,31 @@ namespace awmoe {
 
 namespace internal_ag {
 
-void AccumulateGrad(VarImpl* node, const Matrix& g) {
-  if (!node->requires_grad) return;
+namespace {
+
+/// Shape-checks `g`; adds it to an existing gradient and returns true,
+/// or returns false when `node` holds no gradient yet.
+bool AddToExistingGrad(VarImpl* node, const Matrix& g) {
   AWMOE_CHECK(g.rows() == node->value.rows() && g.cols() == node->value.cols())
       << "grad shape " << g.ShapeString() << " vs value "
       << node->value.ShapeString() << " for op " << node->op;
-  if (!node->has_grad) {
-    node->grad = g;
-    node->has_grad = true;
-  } else {
-    AddInPlace(&node->grad, g);
-  }
+  if (!node->has_grad) return false;
+  AddInPlace(&node->grad, g);
+  return true;
+}
+
+}  // namespace
+
+void AccumulateGrad(VarImpl* node, const Matrix& g) {
+  if (!node->requires_grad || AddToExistingGrad(node, g)) return;
+  node->grad = g;
+  node->has_grad = true;
+}
+
+void AccumulateGrad(VarImpl* node, Matrix&& g) {
+  if (!node->requires_grad || AddToExistingGrad(node, g)) return;
+  node->grad = std::move(g);
+  node->has_grad = true;
 }
 
 void EnsureGrad(VarImpl* node) {

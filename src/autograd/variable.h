@@ -28,6 +28,9 @@ struct VarImpl {
 /// Accumulates `g` into `node`'s gradient (no-op if the node does not
 /// require grad).
 void AccumulateGrad(VarImpl* node, const Matrix& g);
+/// Same, but a first accumulation takes ownership of `g` instead of
+/// copying it — backward closures pass freshly computed temporaries.
+void AccumulateGrad(VarImpl* node, Matrix&& g);
 
 /// Ensures `node->grad` is allocated (zeros, value-shaped) so ops can
 /// accumulate into it sparsely (embedding scatter-add).

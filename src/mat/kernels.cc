@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mat/kernel_tier.h"
+
 namespace awmoe {
 
 namespace {
@@ -27,36 +29,18 @@ Matrix ElementwiseUnary(const Matrix& a, Fn fn) {
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   AWMOE_CHECK(a.cols() == b.rows())
       << "MatMul: " << a.ShapeString() << " * " << b.ShapeString();
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (int64_t p = 0; p < k; ++p) {
-      const float aip = arow[p];
-      if (aip == 0.0f) continue;
-      const float* brow = b.row(p);
-      for (int64_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-    }
-  }
+  Matrix c(a.rows(), b.cols());
+  ActiveKernels().matmul_nn(MatrixView(a), MatrixView(b),
+                            MutableMatrixView(c));
   return c;
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   AWMOE_CHECK(a.rows() == b.rows())
       << "MatMulTransA: " << a.ShapeString() << "^T * " << b.ShapeString();
-  const int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = a.row(p);
-    const float* brow = b.row(p);
-    for (int64_t i = 0; i < m; ++i) {
-      const float api = arow[i];
-      if (api == 0.0f) continue;
-      float* crow = c.row(i);
-      for (int64_t j = 0; j < n; ++j) crow[j] += api * brow[j];
-    }
-  }
+  Matrix c(a.cols(), b.cols());
+  ActiveKernels().matmul_tn(MatrixView(a), MatrixView(b),
+                            MutableMatrixView(c));
   return c;
 }
 
@@ -64,18 +48,9 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   AWMOE_CHECK(a.cols() == b.cols())
       << "MatMulTransB: " << a.ShapeString() << " * " << b.ShapeString()
       << "^T";
-  const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  Matrix c(m, n);
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b.row(j);
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
-    }
-  }
+  Matrix c(a.rows(), b.rows());
+  ActiveKernels().matmul_nt(MatrixView(a), MatrixView(b),
+                            MutableMatrixView(c));
   return c;
 }
 
@@ -165,22 +140,17 @@ Matrix ReluBackward(const Matrix& grad, const Matrix& input) {
   const float* pg = grad.data();
   const float* pi = input.data();
   float* po = out.data();
-  for (int64_t i = 0; i < grad.size(); ++i) {
-    po[i] = pi[i] > 0.0f ? pg[i] : 0.0f;
+  const int64_t n = grad.size();
+  for (int64_t i = 0; i < n; ++i) {
+    // Unconditional load: a plain select the compiler vectorises.
+    const float g = pg[i];
+    po[i] = pi[i] > 0.0f ? g : 0.0f;
   }
   return out;
 }
 
 Matrix Sigmoid(const Matrix& a) {
-  return ElementwiseUnary(a, [](float x) {
-    // Split by sign for numerical stability.
-    if (x >= 0.0f) {
-      float z = std::exp(-x);
-      return 1.0f / (1.0f + z);
-    }
-    float z = std::exp(x);
-    return z / (1.0f + z);
-  });
+  return ElementwiseUnary(a, StableSigmoid);
 }
 
 Matrix Tanh(const Matrix& a) {

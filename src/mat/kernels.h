@@ -14,7 +14,11 @@ namespace awmoe {
 // place and end in `InPlace`.
 
 // ---------------------------------------------------------------------------
-// GEMM family.
+// GEMM family. Each call shape-checks, allocates the result and runs
+// the matching row (NN / TN / NT) of the active kernel tier
+// (mat/kernel_tier.h), serially: the fast tier is epsilon-close to the
+// reference tier, and ScopedKernelTier(kReference) or
+// AWMOE_FORCE_SCALAR gives the bitwise scalar results.
 // ---------------------------------------------------------------------------
 
 /// C = A[m,k] * B[k,n].

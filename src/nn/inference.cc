@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -9,8 +10,6 @@
 #include <new>
 #include <thread>
 #include <vector>
-
-#include "nn/kernels_fast.h"
 
 namespace awmoe {
 
@@ -82,72 +81,7 @@ std::span<float> InferenceWorkspace::Staging(StagingSlot slot, int64_t n) {
   return std::span<float>(buffer.data(), static_cast<size_t>(n));
 }
 
-// ---------------------------------------------------------------------
-// Reference-tier kernels: bitwise mirrors of mat/kernels.cc.
-// ---------------------------------------------------------------------
-
 namespace {
-
-void MatMulReference(const ConstMatView& a, const Matrix& w, MatView out) {
-  const int64_t m = a.rows, k = a.cols, n = w.cols();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = out.row(i);
-    std::fill(crow, crow + n, 0.0f);
-    for (int64_t p = 0; p < k; ++p) {
-      const float aip = arow[p];
-      if (aip == 0.0f) continue;
-      const float* brow = w.row(p);
-      for (int64_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-    }
-  }
-}
-
-void AddBiasReference(MatView a, const Matrix& bias) {
-  const float* pb = bias.data();
-  for (int64_t r = 0; r < a.rows; ++r) {
-    float* arow = a.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) arow[c] = arow[c] + pb[c];
-  }
-}
-
-void ReluReference(MatView a) {
-  for (int64_t r = 0; r < a.rows; ++r) {
-    float* arow = a.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) {
-      arow[c] = arow[c] > 0.0f ? arow[c] : 0.0f;
-    }
-  }
-}
-
-void SigmoidSpanReference(const float* x, float* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) out[i] = StableSigmoid(x[i]);
-}
-
-constexpr KernelDispatchTable kReferenceTable = {
-    /*name=*/"reference-scalar",
-    /*bitwise_reference=*/true,
-    /*matmul=*/MatMulReference,
-    /*add_bias=*/AddBiasReference,
-    /*relu=*/ReluReference,
-    /*sigmoid_span=*/SigmoidSpanReference,
-};
-
-// ---------------------------------------------------------------------
-// Tier resolution and dispatch state.
-// ---------------------------------------------------------------------
-
-bool CpuSupportsAvx2Fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-/// Active tier; -1 = not resolved yet. Benign first-use race: every
-/// resolver computes the same value.
-std::atomic<int> g_active_tier{-1};
 
 /// Row-parallelism thread budget; -1 = not resolved from the
 /// environment yet, 0/1 = off.
@@ -158,52 +92,6 @@ constexpr int kMaxRowThreads = 64;
 constexpr int64_t kMinRowsPerChunk = 16;
 
 }  // namespace
-
-bool FastKernelTierAvailable() {
-  return FastKernelTableOrNull() != nullptr && CpuSupportsAvx2Fma();
-}
-
-KernelTier ResolveKernelTier(const char* force_scalar, bool fast_available) {
-  const bool forced = force_scalar != nullptr && force_scalar[0] != '\0' &&
-                      !(force_scalar[0] == '0' && force_scalar[1] == '\0');
-  if (forced || !fast_available) return KernelTier::kReference;
-  return KernelTier::kFast;
-}
-
-KernelTier ActiveKernelTier() {
-  int tier = g_active_tier.load(std::memory_order_acquire);
-  if (tier < 0) {
-    tier = static_cast<int>(ResolveKernelTier(
-        std::getenv("AWMOE_FORCE_SCALAR"), FastKernelTierAvailable()));
-    g_active_tier.store(tier, std::memory_order_release);
-  }
-  return static_cast<KernelTier>(tier);
-}
-
-void SetKernelTier(KernelTier tier) {
-  if (tier == KernelTier::kFast) {
-    AWMOE_CHECK(FastKernelTierAvailable())
-        << "fast kernel tier not available on this build/CPU";
-  }
-  g_active_tier.store(static_cast<int>(tier), std::memory_order_release);
-}
-
-const char* KernelTierName(KernelTier tier) {
-  return GetKernelTable(tier).name;
-}
-
-const KernelDispatchTable& GetKernelTable(KernelTier tier) {
-  if (tier == KernelTier::kFast) {
-    const KernelDispatchTable* fast = FastKernelTableOrNull();
-    AWMOE_CHECK(fast != nullptr) << "fast kernel tier not compiled in";
-    return *fast;
-  }
-  return kReferenceTable;
-}
-
-const KernelDispatchTable& ActiveKernels() {
-  return GetKernelTable(ActiveKernelTier());
-}
 
 // ---------------------------------------------------------------------
 // Optional intra-batch row parallelism.
@@ -330,7 +218,7 @@ void RunMatMulChunk(void* raw, int chunk) {
                              end - begin, task.a->cols, task.a->stride);
   const MatView out_slice{task.out->data + begin * task.out->stride,
                           end - begin, task.out->cols, task.out->stride};
-  task.table->matmul(a_slice, *task.w, out_slice);
+  task.table->matmul_nn(a_slice, MatrixView(*task.w), out_slice);
 }
 
 }  // namespace
@@ -389,7 +277,7 @@ void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out) {
       return;
     }
   }
-  table.matmul(a, w, out);
+  table.matmul_nn(a, MatrixView(w), out);
 }
 
 void AddBiasInPlace(MatView a, const Matrix& bias) {
@@ -488,18 +376,7 @@ void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
       << "x" << b.cols;
   AWMOE_CHECK(out.rows == a.rows && out.cols == b.cols)
       << "MatMulViewInto: out " << out.rows << "x" << out.cols;
-  const int64_t m = a.rows, k = a.cols, n = b.cols;
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = out.row(i);
-    std::fill(crow, crow + n, 0.0f);
-    for (int64_t p = 0; p < k; ++p) {
-      const float aip = arow[p];
-      if (aip == 0.0f) continue;
-      const float* brow = b.row(p);
-      for (int64_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-    }
-  }
+  GetKernelTable(KernelTier::kReference).matmul_nn(a, b, out);
 }
 
 void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
@@ -509,17 +386,7 @@ void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
       << "x" << b.cols << "^T";
   AWMOE_CHECK(out.rows == a.rows && out.cols == b.rows)
       << "MatMulNTViewInto: out " << out.rows << "x" << out.cols;
-  const int64_t m = a.rows, k = a.cols, n = b.rows;
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = out.row(i);
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = b.row(j);
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
-    }
-  }
+  GetKernelTable(KernelTier::kReference).matmul_nt(a, b, out);
 }
 
 void ScaleInPlace(MatView a, float s) {

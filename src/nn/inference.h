@@ -1,11 +1,11 @@
 #ifndef AWMOE_NN_INFERENCE_H_
 #define AWMOE_NN_INFERENCE_H_
 
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "mat/kernel_tier.h"
 #include "mat/matrix.h"
 
 namespace awmoe {
@@ -20,82 +20,31 @@ namespace awmoe {
 // caller-provided buffer.
 //
 // KERNEL TIERS: the hot kernels (MatMulInto, ReluInPlace,
-// AddBiasInPlace, SigmoidSpanInto) dispatch through a process-global
-// KernelDispatchTable with two tiers.
+// AddBiasInPlace, SigmoidSpanInto) dispatch through the process-global
+// KernelDispatchTable of mat/kernel_tier.h. The same table carries the
+// NN/TN/NT GEMM rows behind the mat MatMul family, so training (every
+// autograd forward and backward product) runs on the active tier too.
 //
 //  - kReference — BITWISE CONTRACT: performs exactly the per-element
 //    arithmetic, in exactly the accumulation order, of its
-//    mat/kernels.cc counterpart (which the autograd ops forward to).
-//    The module-level InferInto methods materialise one buffer per op
-//    of the original Var expression instead of fusing, so ScoreInto
-//    reproduces InferenceLogits bit for bit — regression-tested in
-//    tests/models/inference_path_test.cc.
-//  - kFast — EPSILON CONTRACT: AVX2/FMA cache-tiled kernels
-//    (src/nn/kernels_fast.cc). FMA contraction and register-blocked
-//    accumulation reassociate the float sums, so results agree with
-//    the reference tier only to an epsilon/ULP bound
-//    (tests/models/kernel_tier_test.cc). Per-row / per-element
-//    arithmetic is still independent of micro-batch composition (the
-//    tail lanes run the SAME vector arithmetic through a masked
-//    staging buffer), so a given row scores bitwise-identically no
-//    matter how the serving engine fuses sessions — the invariant the
-//    shard/rollout bitwise storm tests rely on.
+//    mat/kernels.cc counterpart at the reference tier. The
+//    module-level InferInto methods materialise one buffer per op of
+//    the original Var expression instead of fusing, so ScoreInto
+//    reproduces the autograd forward bit for bit — regression-tested
+//    in tests/models/inference_path_test.cc. AWMOE_FORCE_SCALAR pins
+//    this tier, for serving and for bitwise reference training.
+//  - kFast — EPSILON CONTRACT: AVX2/FMA register-blocked kernels
+//    (src/nn/kernels_fast.cc), within an epsilon/ULP bound of the
+//    reference tier (tests/models/kernel_tier_test.cc). Per-row /
+//    per-element arithmetic is still independent of micro-batch
+//    composition (the tail lanes run the SAME vector arithmetic through
+//    masked lanes or a padded staging buffer), so a given row scores
+//    bitwise-identically no matter how the serving engine fuses
+//    sessions — the invariant the shard/rollout bitwise storm tests
+//    rely on.
 //
-// The tier is resolved once per process: AWMOE_FORCE_SCALAR (any value
-// but "" or "0") pins the reference tier; otherwise the fast tier is
-// used when the binary carries it and CPUID reports AVX2+FMA. Tests
-// pin tiers explicitly with ScopedKernelTier.
-
-/// Non-owning, mutable view of a row-major [rows, cols] block whose rows
-/// are `stride` floats apart (stride >= cols; a column block of a wider
-/// buffer keeps the parent's stride).
-struct MatView {
-  float* data = nullptr;
-  int64_t rows = 0;
-  int64_t cols = 0;
-  int64_t stride = 0;
-
-  float* row(int64_t r) const { return data + r * stride; }
-
-  /// Columns [begin, begin + width) as a sub-view (same rows).
-  MatView ColBlock(int64_t begin, int64_t width) const {
-    AWMOE_DCHECK(begin >= 0 && width >= 0 && begin + width <= cols)
-        << "ColBlock [" << begin << "," << begin + width << ") of " << cols;
-    return MatView{data + begin, rows, width, stride};
-  }
-};
-
-/// Read-only view; converts implicitly from MatView and wraps const
-/// Matrix storage (batch features, cached gate rows) without copying.
-/// A broadcast row is expressed as stride == 0.
-struct ConstMatView {
-  const float* data = nullptr;
-  int64_t rows = 0;
-  int64_t cols = 0;
-  int64_t stride = 0;
-
-  ConstMatView() = default;
-  ConstMatView(const float* data, int64_t rows, int64_t cols, int64_t stride)
-      : data(data), rows(rows), cols(cols), stride(stride) {}
-  ConstMatView(const MatView& v)  // NOLINT(google-explicit-constructor)
-      : data(v.data), rows(v.rows), cols(v.cols), stride(v.stride) {}
-
-  const float* row(int64_t r) const { return data + r * stride; }
-};
-
-/// Whole-matrix read view.
-inline ConstMatView MatrixView(const Matrix& m) {
-  return ConstMatView(m.data(), m.rows(), m.cols(), m.cols());
-}
-
-/// Columns [begin, begin + width) of a matrix as a read view.
-inline ConstMatView MatrixColsView(const Matrix& m, int64_t begin,
-                                   int64_t width) {
-  AWMOE_DCHECK(begin >= 0 && width >= 0 && begin + width <= m.cols())
-      << "MatrixColsView [" << begin << "," << begin + width << ") of "
-      << m.cols();
-  return ConstMatView(m.data() + begin, m.rows(), width, m.cols());
-}
+// MatView / ConstMatView, the tier table, tier resolution and
+// ScopedKernelTier live in mat/kernel_tier.h (included here).
 
 /// A 64-byte-aligned float buffer that only ever grows (no content
 /// preservation across grows — it backs scratch slabs). Alignment is an
@@ -225,76 +174,8 @@ class InferenceWorkspace {
 };
 
 // ---------------------------------------------------------------------
-// Kernel tiers (see the file comment for the exact-vs-epsilon
-// contract).
+// Row parallelism.
 // ---------------------------------------------------------------------
-
-enum class KernelTier {
-  kReference = 0,  // Scalar, bitwise-identical to mat/kernels.cc.
-  kFast = 1,       // AVX2/FMA cache-tiled; epsilon-bounded.
-};
-
-/// Function-pointer table of one tier's hot kernels (H2Pack-style: the
-/// variants and their metadata live in one place, callers dispatch
-/// through ActiveKernels()). Shape checks stay in the public wrappers,
-/// so implementations assume validated views.
-struct KernelDispatchTable {
-  const char* name = "";     // "reference-scalar" / "avx2-fma".
-  bool bitwise_reference = false;
-
-  /// out = a[m,k] * w[k,n] (out fully overwritten).
-  void (*matmul)(const ConstMatView& a, const Matrix& w, MatView out) =
-      nullptr;
-  /// a[m,n] += bias[1,n] broadcast over rows.
-  void (*add_bias)(MatView a, const Matrix& bias) = nullptr;
-  /// a = max(a, 0) elementwise.
-  void (*relu)(MatView a) = nullptr;
-  /// out[i] = sigmoid(x[i]) over a contiguous span (x and out may
-  /// alias exactly).
-  void (*sigmoid_span)(const float* x, float* out, int64_t n) = nullptr;
-};
-
-/// True when the fast tier is both compiled in (kernels_fast.cc built
-/// with AVX2/FMA) and runnable on this CPU (CPUID reports avx2+fma).
-bool FastKernelTierAvailable();
-
-/// The active tier. Resolved once on first kernel use:
-/// AWMOE_FORCE_SCALAR in the environment pins kReference, otherwise
-/// kFast when available.
-KernelTier ActiveKernelTier();
-
-/// Overrides the active tier process-wide. CHECK-fails when asked for
-/// kFast on a machine/build without it. Intended for tests and
-/// benches; not synchronised against in-flight forwards, so call it
-/// only while no other thread is scoring.
-void SetKernelTier(KernelTier tier);
-
-const char* KernelTierName(KernelTier tier);
-
-/// The dispatch table of `tier` (CHECK-fails for an unavailable tier)
-/// / of the active tier.
-const KernelDispatchTable& GetKernelTable(KernelTier tier);
-const KernelDispatchTable& ActiveKernels();
-
-/// Pure tier-resolution rule, exposed for unit tests: `force_scalar`
-/// is the raw AWMOE_FORCE_SCALAR value (nullptr = unset; "" and "0"
-/// mean unset).
-KernelTier ResolveKernelTier(const char* force_scalar, bool fast_available);
-
-/// RAII tier pin for tests/benches: sets `tier` for its scope and
-/// restores the previous one.
-class ScopedKernelTier {
- public:
-  explicit ScopedKernelTier(KernelTier tier) : previous_(ActiveKernelTier()) {
-    SetKernelTier(tier);
-  }
-  ~ScopedKernelTier() { SetKernelTier(previous_); }
-  ScopedKernelTier(const ScopedKernelTier&) = delete;
-  ScopedKernelTier& operator=(const ScopedKernelTier&) = delete;
-
- private:
-  KernelTier previous_;
-};
 
 /// Optional intra-batch row parallelism for MatMulInto: when `threads`
 /// > 1, matmuls with enough rows split their row range over a
@@ -306,12 +187,6 @@ class ScopedKernelTier {
 void SetKernelRowParallelism(int threads);
 int KernelRowParallelism();
 
-/// FLOP count of one MatMul (for GFLOPS reporting in benches).
-constexpr double MatMulFlops(int64_t m, int64_t k, int64_t n) {
-  return 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-         static_cast<double>(n);
-}
-
 // ---------------------------------------------------------------------
 // Kernels. In the reference tier each mirrors the arithmetic of its
 // mat/kernels.cc namesake; MatMulInto / AddBiasInPlace / ReluInPlace /
@@ -321,8 +196,9 @@ constexpr double MatMulFlops(int64_t m, int64_t k, int64_t n) {
 /// out = src (element copy).
 void CopyInto(const ConstMatView& src, MatView out);
 
-/// out = a[m,k] * w[k,n]. Zeroes `out`, then accumulates in the ikj
-/// order of kernels.cc MatMul (including its skip of zero a elements).
+/// out = a[m,k] * w[k,n] through the active tier's NN row — the same
+/// row kernels.cc MatMul runs, so at either tier a layer's workspace
+/// output equals its autograd forward bitwise.
 void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out);
 
 /// a[m,n] += bias[1,n] broadcast over rows (AddRowBroadcast, in place).
@@ -354,17 +230,15 @@ void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out);
 /// SoftmaxRows).
 void SoftmaxRowsInPlace(MatView a);
 
-/// out = a[m,k] * b[k,n] over views. Scalar-only (NOT tier-dispatched):
-/// zeroes `out`, then accumulates in the exact ikj order of kernels.cc
-/// MatMul, including its skip of zero `a` elements — the attention
-/// probs * V product of the listwise reranker, whose bitwise contract
-/// against the graph path holds at every tier because the slate core
-/// always runs these scalar kernels.
+/// out = a[m,k] * b[k,n] over views. Pinned to the reference tier's NN
+/// row (NOT dispatched on the active tier) — the attention probs * V
+/// product of the listwise reranker, whose slate core always runs the
+/// scalar GEMMs so its serving scores do not depend on the tier.
 void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
                     MatView out);
 
-/// out = a[m,k] * b[n,k]^T over views (Q K^T). Scalar-only, mirroring
-/// kernels.cc MatMulTransB's i/j/p dot-product order bitwise.
+/// out = a[m,k] * b[n,k]^T over views (Q K^T). Pinned to the reference
+/// tier's NT row, like MatMulViewInto.
 void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
                       MatView out);
 
@@ -391,18 +265,6 @@ void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
 /// whose per-element result is independent of the element's position
 /// in the span.
 void SigmoidSpanInto(std::span<const float> x, std::span<float> out);
-
-/// The Sigmoid kernel's per-element form (sign-split for stability),
-/// exposed so the serving engine converts ScoreInto logits to
-/// probabilities with arithmetic identical to Sigmoid(Matrix).
-inline float StableSigmoid(float x) {
-  if (x >= 0.0f) {
-    float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  float z = std::exp(x);
-  return z / (1.0f + z);
-}
 
 }  // namespace awmoe
 

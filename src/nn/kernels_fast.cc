@@ -1,26 +1,32 @@
-// The fast kernel tier: AVX2/FMA cache-tiled implementations of the
-// hot inference kernels. This is the ONLY translation unit compiled
-// with -mavx2 -mfma (CMake scopes the flags to it); the dispatch layer
-// in inference.cc checks CPUID before ever jumping through the table
-// below, so the binary stays runnable on plain x86-64.
+// The fast kernel tier: AVX2/FMA register-blocked implementations of
+// the GEMM rows (NN, TN, NT — the products of every autograd forward
+// and backward op, and of the inference path) and the hot elementwise
+// kernels. This is the ONLY translation unit compiled with -mavx2
+// -mfma (CMake scopes the flags to this path, which is the only reason
+// the file lives in nn/ while the tier table it fills lives in
+// mat/kernel_tier.h); tier resolution checks CPUID before ever jumping
+// through the table below, so the binary stays runnable on plain
+// x86-64.
 //
 // Numerics: FMA contraction and register-blocked accumulation
 // reassociate float sums, so this tier matches the reference tier only
 // to the epsilon/ULP bound pinned by tests/models/kernel_tier_test.cc.
-// What IS preserved exactly is batch-composition independence: a row's
-// (or span element's) arithmetic depends only on the layer shape
-// (k, n), never on the batch size or the row's position —
-//   - the 4-row and 1-row matmul micro-kernels issue the SAME per-row
-//     FMA sequence (same column blocks, same p order), so a row scores
-//     identically whether it lands in a quad or the row tail;
+// What IS preserved exactly is composition independence: an output
+// element's arithmetic depends only on the reduction length k, never
+// on the row count, the row's position or the other rows and columns —
+//   - every GEMM form runs one micro-kernel whose 4-row and 1-row
+//     variants issue the SAME per-row FMA sequence (p ascending from a
+//     zero accumulator), so a row computes identically whether it lands
+//     in a quad or the row tail;
 //   - column tails run the same vector arithmetic through lane masks;
 //   - the sigmoid span tail runs the same vector polynomial through a
 //     padded staging vector.
-// This is the invariant that keeps serving scores bitwise-stable under
-// micro-batch fusion (shard/rollout storm tests compare scores across
-// differently composed batches) even on the epsilon tier.
+// This keeps serving scores bitwise-stable under micro-batch fusion
+// (shard/rollout storm tests compare scores across differently
+// composed batches) and data-parallel training bitwise independent of
+// the worker count, even on the epsilon tier.
 
-#include "nn/kernels_fast.h"
+#include "mat/kernel_tier.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -42,127 +48,221 @@ inline __m256i TailMask(int64_t lanes) {
 }
 
 // ---------------------------------------------------------------------
-// MatMul: out = a[m,k] * w[k,n].
+// GEMM: out = A * B for the three operand layouts.
 //
-// Cache tiling: the outer loop walks 16-column panels of w; one panel
-// (k x 16 floats, <= 32 KiB even at the paper-scale k = 512) stays in
-// L1 while EVERY row of a streams against it. Register blocking: four
-// rows x 16 columns of out live in 8 ymm accumulators across the whole
-// k loop, so out is touched once per panel instead of once per k step
-// (the reference kernel's store-per-p pattern), and each loaded w
-// vector feeds four rows' FMAs.
+// One micro-kernel serves every form. Row r of a register block reads
+// A(i + r, p) at a + (i + r) * a_row + p * a_step (a_step = 1 for a
+// row-major A; a_row = 1, a_step = lda for the transposed A of TN) and
+// B(p, j..j+15) at b + p * ldb. Cache tiling: the outer loop walks
+// 16-column panels of B; one panel (k x 16 floats, <= 32 KiB even at
+// the paper-scale k = 512) stays in L1 while EVERY row of A streams
+// against it. Register blocking: four rows x 16 columns of out live in
+// 8 ymm accumulators across the whole k loop, so out is touched once
+// per panel, and each loaded B vector feeds four rows' FMAs.
 // ---------------------------------------------------------------------
 
 /// One row x one 16-column panel; identical FMA sequence to Rows4's
-/// per-row arithmetic. kFull avoids the mask loads on interior panels.
-template <bool kFull>
-inline void MatMulRows1(const float* arow, const Matrix& w, int64_t k,
-                        int64_t j, __m256i mask0, __m256i mask1,
-                        float* orow) {
+/// per-row arithmetic. kFull avoids the mask loads on interior panels;
+/// kAccumulate continues the FMA chain from the partial sums already in
+/// `o0` instead of from zero.
+template <bool kFull, bool kAccumulate>
+inline void MatMulRows1(const float* a0, int64_t a_step, const float* b,
+                        int64_t ldb, int64_t k, __m256i mask0,
+                        __m256i mask1, float* o0) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
+  if (kAccumulate) {
+    acc0 = kFull ? _mm256_loadu_ps(o0) : _mm256_maskload_ps(o0, mask0);
+    acc1 = kFull ? _mm256_loadu_ps(o0 + 8)
+                 : _mm256_maskload_ps(o0 + 8, mask1);
+  }
   for (int64_t p = 0; p < k; ++p) {
-    const float* wrow = w.row(p) + j;
+    const float* brow = b + p * ldb;
     const __m256 b0 =
-        kFull ? _mm256_loadu_ps(wrow) : _mm256_maskload_ps(wrow, mask0);
-    const __m256 b1 = kFull ? _mm256_loadu_ps(wrow + 8)
-                            : _mm256_maskload_ps(wrow + 8, mask1);
-    const __m256 av = _mm256_broadcast_ss(arow + p);
+        kFull ? _mm256_loadu_ps(brow) : _mm256_maskload_ps(brow, mask0);
+    const __m256 b1 = kFull ? _mm256_loadu_ps(brow + 8)
+                            : _mm256_maskload_ps(brow + 8, mask1);
+    const __m256 av = _mm256_broadcast_ss(a0 + p * a_step);
     acc0 = _mm256_fmadd_ps(av, b0, acc0);
     acc1 = _mm256_fmadd_ps(av, b1, acc1);
   }
   if (kFull) {
-    _mm256_storeu_ps(orow + j, acc0);
-    _mm256_storeu_ps(orow + j + 8, acc1);
+    _mm256_storeu_ps(o0, acc0);
+    _mm256_storeu_ps(o0 + 8, acc1);
   } else {
-    _mm256_maskstore_ps(orow + j, mask0, acc0);
-    _mm256_maskstore_ps(orow + j + 8, mask1, acc1);
+    _mm256_maskstore_ps(o0, mask0, acc0);
+    _mm256_maskstore_ps(o0 + 8, mask1, acc1);
   }
 }
 
-/// Four rows x one 16-column panel.
-template <bool kFull>
-inline void MatMulRows4(const float* a0, const float* a1, const float* a2,
-                        const float* a3, const Matrix& w, int64_t k,
-                        int64_t j, __m256i mask0, __m256i mask1, float* o0,
-                        float* o1, float* o2, float* o3) {
+/// Four rows x one 16-column panel (rows a_row apart in A, o_stride
+/// apart in out).
+template <bool kFull, bool kAccumulate>
+inline void MatMulRows4(const float* a0, int64_t a_row, int64_t a_step,
+                        const float* b, int64_t ldb, int64_t k,
+                        __m256i mask0, __m256i mask1, float* o0,
+                        int64_t o_stride) {
+  const float* a1 = a0 + a_row;
+  const float* a2 = a1 + a_row;
+  const float* a3 = a2 + a_row;
+  float* o1 = o0 + o_stride;
+  float* o2 = o1 + o_stride;
+  float* o3 = o2 + o_stride;
   __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
   __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
   __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
   __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+  if (kAccumulate) {
+    if (kFull) {
+      acc00 = _mm256_loadu_ps(o0), acc01 = _mm256_loadu_ps(o0 + 8);
+      acc10 = _mm256_loadu_ps(o1), acc11 = _mm256_loadu_ps(o1 + 8);
+      acc20 = _mm256_loadu_ps(o2), acc21 = _mm256_loadu_ps(o2 + 8);
+      acc30 = _mm256_loadu_ps(o3), acc31 = _mm256_loadu_ps(o3 + 8);
+    } else {
+      acc00 = _mm256_maskload_ps(o0, mask0);
+      acc01 = _mm256_maskload_ps(o0 + 8, mask1);
+      acc10 = _mm256_maskload_ps(o1, mask0);
+      acc11 = _mm256_maskload_ps(o1 + 8, mask1);
+      acc20 = _mm256_maskload_ps(o2, mask0);
+      acc21 = _mm256_maskload_ps(o2 + 8, mask1);
+      acc30 = _mm256_maskload_ps(o3, mask0);
+      acc31 = _mm256_maskload_ps(o3 + 8, mask1);
+    }
+  }
   for (int64_t p = 0; p < k; ++p) {
-    const float* wrow = w.row(p) + j;
+    const float* brow = b + p * ldb;
     const __m256 b0 =
-        kFull ? _mm256_loadu_ps(wrow) : _mm256_maskload_ps(wrow, mask0);
-    const __m256 b1 = kFull ? _mm256_loadu_ps(wrow + 8)
-                            : _mm256_maskload_ps(wrow + 8, mask1);
-    __m256 av = _mm256_broadcast_ss(a0 + p);
+        kFull ? _mm256_loadu_ps(brow) : _mm256_maskload_ps(brow, mask0);
+    const __m256 b1 = kFull ? _mm256_loadu_ps(brow + 8)
+                            : _mm256_maskload_ps(brow + 8, mask1);
+    const int64_t ap = p * a_step;
+    __m256 av = _mm256_broadcast_ss(a0 + ap);
     acc00 = _mm256_fmadd_ps(av, b0, acc00);
     acc01 = _mm256_fmadd_ps(av, b1, acc01);
-    av = _mm256_broadcast_ss(a1 + p);
+    av = _mm256_broadcast_ss(a1 + ap);
     acc10 = _mm256_fmadd_ps(av, b0, acc10);
     acc11 = _mm256_fmadd_ps(av, b1, acc11);
-    av = _mm256_broadcast_ss(a2 + p);
+    av = _mm256_broadcast_ss(a2 + ap);
     acc20 = _mm256_fmadd_ps(av, b0, acc20);
     acc21 = _mm256_fmadd_ps(av, b1, acc21);
-    av = _mm256_broadcast_ss(a3 + p);
+    av = _mm256_broadcast_ss(a3 + ap);
     acc30 = _mm256_fmadd_ps(av, b0, acc30);
     acc31 = _mm256_fmadd_ps(av, b1, acc31);
   }
   if (kFull) {
-    _mm256_storeu_ps(o0 + j, acc00);
-    _mm256_storeu_ps(o0 + j + 8, acc01);
-    _mm256_storeu_ps(o1 + j, acc10);
-    _mm256_storeu_ps(o1 + j + 8, acc11);
-    _mm256_storeu_ps(o2 + j, acc20);
-    _mm256_storeu_ps(o2 + j + 8, acc21);
-    _mm256_storeu_ps(o3 + j, acc30);
-    _mm256_storeu_ps(o3 + j + 8, acc31);
+    _mm256_storeu_ps(o0, acc00);
+    _mm256_storeu_ps(o0 + 8, acc01);
+    _mm256_storeu_ps(o1, acc10);
+    _mm256_storeu_ps(o1 + 8, acc11);
+    _mm256_storeu_ps(o2, acc20);
+    _mm256_storeu_ps(o2 + 8, acc21);
+    _mm256_storeu_ps(o3, acc30);
+    _mm256_storeu_ps(o3 + 8, acc31);
   } else {
-    _mm256_maskstore_ps(o0 + j, mask0, acc00);
-    _mm256_maskstore_ps(o0 + j + 8, mask1, acc01);
-    _mm256_maskstore_ps(o1 + j, mask0, acc10);
-    _mm256_maskstore_ps(o1 + j + 8, mask1, acc11);
-    _mm256_maskstore_ps(o2 + j, mask0, acc20);
-    _mm256_maskstore_ps(o2 + j + 8, mask1, acc21);
-    _mm256_maskstore_ps(o3 + j, mask0, acc30);
-    _mm256_maskstore_ps(o3 + j + 8, mask1, acc31);
+    _mm256_maskstore_ps(o0, mask0, acc00);
+    _mm256_maskstore_ps(o0 + 8, mask1, acc01);
+    _mm256_maskstore_ps(o1, mask0, acc10);
+    _mm256_maskstore_ps(o1 + 8, mask1, acc11);
+    _mm256_maskstore_ps(o2, mask0, acc20);
+    _mm256_maskstore_ps(o2 + 8, mask1, acc21);
+    _mm256_maskstore_ps(o3, mask0, acc30);
+    _mm256_maskstore_ps(o3 + 8, mask1, acc31);
   }
 }
 
-void MatMulFast(const ConstMatView& a, const Matrix& w, MatView out) {
-  const int64_t m = a.rows;
-  const int64_t k = a.cols;
-  const int64_t n = w.cols();
+template <bool kFull, bool kAccumulate>
+void PanelRows(const float* a, int64_t a_row, int64_t a_step, int64_t m,
+               const float* b, int64_t ldb, int64_t k, __m256i mask0,
+               __m256i mask1, float* out, int64_t out_stride) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    MatMulRows4<kFull, kAccumulate>(a + i * a_row, a_row, a_step, b, ldb, k,
+                                    mask0, mask1, out + i * out_stride,
+                                    out_stride);
+  }
+  for (; i < m; ++i) {
+    MatMulRows1<kFull, kAccumulate>(a + i * a_row, a_step, b, ldb, k, mask0,
+                                    mask1, out + i * out_stride);
+  }
+}
+
+/// out[0..m, 0..lanes) (+)= A * B over one panel of at most 16 columns;
+/// `b` and `out` point at the panel's first column.
+template <bool kAccumulate>
+void MatMulPanel(const float* a, int64_t a_row, int64_t a_step, int64_t m,
+                 const float* b, int64_t ldb, int64_t k, int64_t lanes,
+                 float* out, int64_t out_stride) {
+  const int64_t lanes0 = std::min<int64_t>(8, lanes);
+  const int64_t lanes1 = std::max<int64_t>(0, lanes - 8);
+  // Masked lanes of a vmaskmovps neither fault nor touch memory, so
+  // the tail panel may run the full two-vector arithmetic with the
+  // second vector entirely masked off.
+  const __m256i mask0 = TailMask(lanes0);
+  const __m256i mask1 = TailMask(lanes1);
+  if (lanes == 16) {
+    PanelRows<true, kAccumulate>(a, a_row, a_step, m, b, ldb, k, mask0,
+                                 mask1, out, out_stride);
+  } else {
+    PanelRows<false, kAccumulate>(a, a_row, a_step, m, b, ldb, k, mask0,
+                                  mask1, out, out_stride);
+  }
+}
+
+/// NN: out[m,n] = a[m,k] * b[k,n].
+void MatMulNNFast(const ConstMatView& a, const ConstMatView& b,
+                  MatView out) {
+  const int64_t n = b.cols;
   for (int64_t j = 0; j < n; j += 16) {
-    const int64_t lanes0 = std::min<int64_t>(8, n - j);
-    const int64_t lanes1 = std::max<int64_t>(
-        0, std::min<int64_t>(8, n - j - 8));
-    const bool full = lanes0 == 8 && lanes1 == 8;
-    // Masked lanes of a vmaskmovps neither fault nor touch memory, so
-    // the tail panel may run the full two-vector arithmetic with the
-    // second vector entirely masked off.
-    const __m256i mask0 = TailMask(lanes0);
-    const __m256i mask1 = TailMask(lanes1);
-    int64_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      if (full) {
-        MatMulRows4<true>(a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3),
-                          w, k, j, mask0, mask1, out.row(i), out.row(i + 1),
-                          out.row(i + 2), out.row(i + 3));
-      } else {
-        MatMulRows4<false>(a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3),
-                           w, k, j, mask0, mask1, out.row(i), out.row(i + 1),
-                           out.row(i + 2), out.row(i + 3));
+    MatMulPanel<false>(a.data, a.stride, 1, a.rows, b.data + j, b.stride,
+                       a.cols, std::min<int64_t>(16, n - j), out.data + j,
+                       out.stride);
+  }
+}
+
+/// TN: out[m,n] = a[k,m]^T * b[k,n] — the NN micro-kernel reading
+/// A(i,p) = a[p * lda + i].
+void MatMulTNFast(const ConstMatView& a, const ConstMatView& b,
+                  MatView out) {
+  const int64_t n = b.cols;
+  for (int64_t j = 0; j < n; j += 16) {
+    MatMulPanel<false>(a.data, 1, a.stride, a.cols, b.data + j, b.stride,
+                       a.rows, std::min<int64_t>(16, n - j), out.data + j,
+                       out.stride);
+  }
+}
+
+/// p-chunk of the NT panel transpose: 256 x 16 floats = 16 KiB of
+/// stack, L1-resident.
+constexpr int64_t kNtChunk = 256;
+
+/// NT: out[m,n] = a[m,k] * b[n,k]^T. Each 16-row block of b is
+/// transposed, kNtChunk p-steps at a time, into a stack panel laid out
+/// like an NN panel, and the NN micro-kernel runs against it; later
+/// chunks continue each element's FMA chain from the partial sums in
+/// out. The chunking depends only on k, so every element still sums p
+/// in ascending order through one fixed sequence.
+void MatMulNTFast(const ConstMatView& a, const ConstMatView& b,
+                  MatView out) {
+  const int64_t m = a.rows, k = a.cols, n = b.rows;
+  alignas(32) float panel[kNtChunk * 16];
+  for (int64_t j = 0; j < n; j += 16) {
+    const int64_t lanes = std::min<int64_t>(16, n - j);
+    int64_t p0 = 0;
+    do {
+      const int64_t kc = std::min<int64_t>(kNtChunk, k - p0);
+      for (int64_t c = 0; c < lanes; ++c) {
+        const float* brow = b.row(j + c) + p0;
+        for (int64_t p = 0; p < kc; ++p) panel[p * 16 + c] = brow[p];
       }
-    }
-    for (; i < m; ++i) {
-      if (full) {
-        MatMulRows1<true>(a.row(i), w, k, j, mask0, mask1, out.row(i));
+      if (p0 == 0) {
+        MatMulPanel<false>(a.data, a.stride, 1, m, panel, 16, kc, lanes,
+                           out.data + j, out.stride);
       } else {
-        MatMulRows1<false>(a.row(i), w, k, j, mask0, mask1, out.row(i));
+        MatMulPanel<true>(a.data + p0, a.stride, 1, m, panel, 16, kc, lanes,
+                          out.data + j, out.stride);
       }
-    }
+      p0 += kc;
+    } while (p0 < k);
   }
 }
 
@@ -275,7 +375,9 @@ void SigmoidSpanFast(const float* x, float* out, int64_t n) {
 constexpr KernelDispatchTable kFastTable = {
     /*name=*/"avx2-fma",
     /*bitwise_reference=*/false,
-    /*matmul=*/MatMulFast,
+    /*matmul_nn=*/MatMulNNFast,
+    /*matmul_tn=*/MatMulTNFast,
+    /*matmul_nt=*/MatMulNTFast,
     /*add_bias=*/AddBiasFast,
     /*relu=*/ReluFast,
     /*sigmoid_span=*/SigmoidSpanFast,

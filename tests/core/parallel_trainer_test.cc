@@ -14,6 +14,7 @@
 #include "core/aw_moe.h"
 #include "core/trainer.h"
 #include "data/jd_synthetic.h"
+#include "mat/kernel_tier.h"
 #include "models/dnn_ranker.h"
 #include "models/ranker.h"
 
@@ -89,6 +90,13 @@ double MaxParamAbsDiff(const Ranker& a, const Ranker& b) {
   return max_diff;
 }
 
+/// Every kernel tier this build and CPU can run.
+std::vector<KernelTier> AvailableTiers() {
+  std::vector<KernelTier> tiers = {KernelTier::kReference};
+  if (FastKernelTierAvailable()) tiers.push_back(KernelTier::kFast);
+  return tiers;
+}
+
 class ParallelTrainerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -112,62 +120,73 @@ Standardizer* ParallelTrainerTest::standardizer_ = nullptr;
 TEST_F(ParallelTrainerTest, SingleShardStepsMatchSerialTrainerBitwise) {
   // grad_accumulation == 1, contrastive off: the parallel trainer walks
   // the serial Trainer's exact step sequence (the 1.0f shard weight is
-  // an IEEE multiply identity), so two epochs end bit-for-bit equal.
-  TrainerConfig base;
-  base.batch_size = 64;
-  base.epochs = 2;
-  base.seed = 11;
+  // an IEEE multiply identity), so two epochs end bit-for-bit equal —
+  // at every kernel tier the training GEMMs can run on.
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    ScopedKernelTier pin(tier);
+    TrainerConfig base;
+    base.batch_size = 64;
+    base.epochs = 2;
+    base.seed = 11;
 
-  Rng rng_serial(5);
-  AwMoeRanker serial_model(data_->meta, TinyAwMoeConfig(), &rng_serial);
-  Rng rng_parallel(5);
-  AwMoeRanker parallel_model(data_->meta, TinyAwMoeConfig(), &rng_parallel);
+    Rng rng_serial(5);
+    AwMoeRanker serial_model(data_->meta, TinyAwMoeConfig(), &rng_serial);
+    Rng rng_parallel(5);
+    AwMoeRanker parallel_model(data_->meta, TinyAwMoeConfig(),
+                               &rng_parallel);
 
-  Trainer serial(&serial_model, base);
-  serial.Train(data_->train, data_->meta, standardizer_);
+    Trainer serial(&serial_model, base);
+    serial.Train(data_->train, data_->meta, standardizer_);
 
-  ParallelTrainerConfig config;
-  config.base = base;
-  config.num_workers = 1;
-  config.grad_accumulation = 1;
-  ParallelTrainer parallel(&parallel_model, config);
-  parallel.Train(data_->train, data_->meta, standardizer_);
+    ParallelTrainerConfig config;
+    config.base = base;
+    config.num_workers = 1;
+    config.grad_accumulation = 1;
+    ParallelTrainer parallel(&parallel_model, config);
+    parallel.Train(data_->train, data_->meta, standardizer_);
 
-  ExpectParamsBitwiseEqual(serial_model, parallel_model);
+    ExpectParamsBitwiseEqual(serial_model, parallel_model);
+  }
 }
 
 TEST_F(ParallelTrainerTest, WorkerCountDoesNotChangeParametersBitwise) {
   // The headline contract: 4 workers over 3-shard groups, contrastive
   // ON (per-shard forked augmentation streams), ends bit-for-bit equal
   // to the same schedule on 1 worker.
-  TrainerConfig base;
-  base.batch_size = 32;
-  base.epochs = 2;
-  base.seed = 23;
-  base.contrastive = true;
+  // Checked at every kernel tier the training GEMMs can run on.
+  for (const KernelTier tier : AvailableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    ScopedKernelTier pin(tier);
+    TrainerConfig base;
+    base.batch_size = 32;
+    base.epochs = 2;
+    base.seed = 23;
+    base.contrastive = true;
 
-  ParallelTrainerConfig config;
-  config.base = base;
-  config.grad_accumulation = 3;
+    ParallelTrainerConfig config;
+    config.base = base;
+    config.grad_accumulation = 3;
 
-  Rng rng_one(9);
-  AwMoeRanker one_worker_model(data_->meta, TinyAwMoeConfig(), &rng_one);
-  config.num_workers = 1;
-  {
-    ParallelTrainer trainer(&one_worker_model, config);
-    trainer.Train(data_->train, data_->meta, standardizer_);
-    EXPECT_GT(trainer.steps(), 0);
+    Rng rng_one(9);
+    AwMoeRanker one_worker_model(data_->meta, TinyAwMoeConfig(), &rng_one);
+    config.num_workers = 1;
+    {
+      ParallelTrainer trainer(&one_worker_model, config);
+      trainer.Train(data_->train, data_->meta, standardizer_);
+      EXPECT_GT(trainer.steps(), 0);
+    }
+
+    Rng rng_four(9);
+    AwMoeRanker four_worker_model(data_->meta, TinyAwMoeConfig(), &rng_four);
+    config.num_workers = 4;
+    {
+      ParallelTrainer trainer(&four_worker_model, config);
+      trainer.Train(data_->train, data_->meta, standardizer_);
+    }
+
+    ExpectParamsBitwiseEqual(one_worker_model, four_worker_model);
   }
-
-  Rng rng_four(9);
-  AwMoeRanker four_worker_model(data_->meta, TinyAwMoeConfig(), &rng_four);
-  config.num_workers = 4;
-  {
-    ParallelTrainer trainer(&four_worker_model, config);
-    trainer.Train(data_->train, data_->meta, standardizer_);
-  }
-
-  ExpectParamsBitwiseEqual(one_worker_model, four_worker_model);
 }
 
 TEST_F(ParallelTrainerTest, AccumulatedShardsMatchSerialLargeBatch) {

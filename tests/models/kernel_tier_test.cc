@@ -4,8 +4,10 @@
 // dispatch path must stay bitwise-identical to the reference kernels;
 // and the fast tier must keep per-row results independent of
 // micro-batch composition (the invariant the serving engine's session
-// fusion relies on). Also holds the regression tests for the arena
-// alignment/Rewind fixes and the row-parallel matmul mode.
+// fusion relies on). The NN/TN/NT GEMM rows behind the mat MatMul
+// family (and so behind training) get the same two checks per form.
+// Also holds the regression tests for the arena alignment/Rewind fixes
+// and the row-parallel matmul mode.
 
 #include <algorithm>
 #include <bit>
@@ -21,6 +23,7 @@
 
 #include "core/aw_moe.h"
 #include "data/batcher.h"
+#include "mat/kernels.h"
 #include "models/category_moe.h"
 #include "models/dnn_ranker.h"
 #include "nn/inference.h"
@@ -305,10 +308,16 @@ TEST(KernelDispatchTest, TableMetadata) {
   EXPECT_STREQ(reference.name, "reference-scalar");
   EXPECT_TRUE(reference.bitwise_reference);
   EXPECT_STREQ(KernelTierName(KernelTier::kReference), "reference-scalar");
+  EXPECT_NE(reference.matmul_nn, nullptr);
+  EXPECT_NE(reference.matmul_tn, nullptr);
+  EXPECT_NE(reference.matmul_nt, nullptr);
   if (FastKernelTierAvailable()) {
     const KernelDispatchTable& fast = GetKernelTable(KernelTier::kFast);
     EXPECT_STREQ(fast.name, "avx2-fma");
     EXPECT_FALSE(fast.bitwise_reference);
+    EXPECT_NE(fast.matmul_nn, nullptr);
+    EXPECT_NE(fast.matmul_tn, nullptr);
+    EXPECT_NE(fast.matmul_nt, nullptr);
   }
   EXPECT_EQ(MatMulFlops(8, 128, 128), 2.0 * 8 * 128 * 128);
 }
@@ -382,6 +391,197 @@ TEST(KernelDispatchTest, SigmoidSpanTierContracts) {
   std::vector<float> in_place = x;
   SigmoidSpanInto(in_place, in_place);
   EXPECT_EQ(in_place, fast);
+}
+
+// ---------------------------------------------------------------------
+// GEMM rows: NN / TN / NT, the products behind the mat MatMul family
+// (and so behind every autograd forward and backward op).
+// ---------------------------------------------------------------------
+
+enum class GemmForm { kNN, kTN, kNT };
+
+const char* GemmFormName(GemmForm form) {
+  switch (form) {
+    case GemmForm::kNN:
+      return "NN";
+    case GemmForm::kTN:
+      return "TN";
+    case GemmForm::kNT:
+      return "NT";
+  }
+  return "?";
+}
+
+/// Uniform [-1, 1) entries with every fifth one exactly zero (the
+/// reference rows skip zero `a` elements; the fast rows must not care).
+Matrix RandomMatrix(int64_t rows, int64_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    m.data()[i] =
+        i % 5 == 2 ? 0.0f : static_cast<float>(rng->Uniform(-1.0, 1.0));
+  }
+  return m;
+}
+
+/// The operands of one [m,k] x [k,n] product in `form`'s layout: NN
+/// a[m,k] b[k,n], TN a[k,m] b[k,n], NT a[m,k] b[n,k].
+struct GemmOperands {
+  Matrix a;
+  Matrix b;
+};
+
+GemmOperands MakeOperands(GemmForm form, int64_t m, int64_t k, int64_t n,
+                          Rng* rng) {
+  switch (form) {
+    case GemmForm::kNN:
+      return {RandomMatrix(m, k, rng), RandomMatrix(k, n, rng)};
+    case GemmForm::kTN:
+      return {RandomMatrix(k, m, rng), RandomMatrix(k, n, rng)};
+    case GemmForm::kNT:
+      return {RandomMatrix(m, k, rng), RandomMatrix(n, k, rng)};
+  }
+  return {};
+}
+
+/// Runs `form`'s row of `tier`'s table into a NaN-poisoned [m,n]
+/// output (so an unwritten element fails every comparison).
+Matrix RunGemmRow(KernelTier tier, GemmForm form, const ConstMatView& a,
+                  const ConstMatView& b, int64_t m, int64_t n) {
+  const KernelDispatchTable& table = GetKernelTable(tier);
+  Matrix out = Matrix::Full(m, n, std::nanf(""));
+  const MatView view{out.data(), m, n, n};
+  switch (form) {
+    case GemmForm::kNN:
+      table.matmul_nn(a, b, view);
+      break;
+    case GemmForm::kTN:
+      table.matmul_tn(a, b, view);
+      break;
+    case GemmForm::kNT:
+      table.matmul_nt(a, b, view);
+      break;
+  }
+  return out;
+}
+
+std::vector<KernelTier> AvailableTiers() {
+  std::vector<KernelTier> tiers = {KernelTier::kReference};
+  if (FastKernelTierAvailable()) tiers.push_back(KernelTier::kFast);
+  return tiers;
+}
+
+constexpr GemmForm kGemmForms[] = {GemmForm::kNN, GemmForm::kTN,
+                                   GemmForm::kNT};
+
+// Fast vs reference within the tier bound for every form over tail
+// shapes: row counts around the 4-row block, k from empty to a full
+// NT transpose chunk, n around the 16-column panel.
+TEST(GemmRowTest, FastMatchesReferenceOverTailShapes) {
+  if (!FastKernelTierAvailable()) {
+    GTEST_SKIP() << "fast kernel tier unavailable on this build/CPU";
+  }
+  Rng rng(404);
+  for (const GemmForm form : kGemmForms) {
+    for (const int64_t m : {1, 3, 4, 5, 130}) {
+      for (const int64_t k : {0, 1, 7, 128}) {
+        for (const int64_t n : {1, 15, 16, 17, 129}) {
+          const GemmOperands ops = MakeOperands(form, m, k, n, &rng);
+          const Matrix reference =
+              RunGemmRow(KernelTier::kReference, form, MatrixView(ops.a),
+                         MatrixView(ops.b), m, n);
+          const Matrix fast = RunGemmRow(KernelTier::kFast, form,
+                                         MatrixView(ops.a),
+                                         MatrixView(ops.b), m, n);
+          for (int64_t i = 0; i < reference.size(); ++i) {
+            ASSERT_TRUE(TierClose(fast.data()[i], reference.data()[i]))
+                << GemmFormName(form) << " m=" << m << " k=" << k
+                << " n=" << n << " element " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// An NT row chunks k through its transpose panel; k beyond one chunk
+// must continue each element's sum, not restart it.
+TEST(GemmRowTest, FastNTMatchesReferenceAcrossTransposeChunks) {
+  if (!FastKernelTierAvailable()) {
+    GTEST_SKIP() << "fast kernel tier unavailable on this build/CPU";
+  }
+  Rng rng(405);
+  const int64_t m = 6, k = 600, n = 19;
+  const GemmOperands ops = MakeOperands(GemmForm::kNT, m, k, n, &rng);
+  const Matrix reference =
+      RunGemmRow(KernelTier::kReference, GemmForm::kNT, MatrixView(ops.a),
+                 MatrixView(ops.b), m, n);
+  const Matrix fast = RunGemmRow(KernelTier::kFast, GemmForm::kNT,
+                                 MatrixView(ops.a), MatrixView(ops.b), m, n);
+  for (int64_t i = 0; i < reference.size(); ++i) {
+    EXPECT_TRUE(TierClose(fast.data()[i], reference.data()[i]))
+        << "element " << i;
+  }
+}
+
+// Composition independence at every tier: an output row of NN/NT is the
+// same bits whether its A row is multiplied alone or among m rows, and
+// an output row of TN does not depend on A's other columns. This is what
+// keeps data-parallel training bitwise worker-count independent and
+// fused serving batches bitwise equal to solo ones.
+TEST(GemmRowTest, OutputRowsIndependentOfComposition) {
+  Rng rng(406);
+  const int64_t m = 11, k = 37, n = 21;
+  for (const KernelTier tier : AvailableTiers()) {
+    for (const GemmForm form : kGemmForms) {
+      const GemmOperands ops = MakeOperands(form, m, k, n, &rng);
+      const Matrix full = RunGemmRow(tier, form, MatrixView(ops.a),
+                                     MatrixView(ops.b), m, n);
+      for (int64_t i = 0; i < m; ++i) {
+        // Row i's own operand: A row i (NN/NT) or A column i (TN), as a
+        // one-row / one-column view into the same storage.
+        const ConstMatView a_alone =
+            form == GemmForm::kTN
+                ? ConstMatView(ops.a.data() + i, k, 1, ops.a.cols())
+                : ConstMatView(ops.a.row(i), 1, k, k);
+        const Matrix alone =
+            RunGemmRow(tier, form, a_alone, MatrixView(ops.b), 1, n);
+        for (int64_t j = 0; j < n; ++j) {
+          EXPECT_EQ(alone(0, j), full(i, j))
+              << KernelTierName(tier) << " " << GemmFormName(form)
+              << " row " << i << " col " << j;
+        }
+      }
+    }
+  }
+}
+
+// At the reference tier the mat GEMMs, the inference MatMulInto and the
+// pinned-scalar view GEMMs of the listwise slate core are one scalar
+// implementation per form: bitwise equal.
+TEST(GemmRowTest, ReferenceEntryPointsAgreeBitwise) {
+  ScopedKernelTier pin(KernelTier::kReference);
+  Rng rng(407);
+  const int64_t m = 9, k = 23, n = 18;
+  const Matrix a = RandomMatrix(m, k, &rng);
+  const Matrix w = RandomMatrix(k, n, &rng);
+  const Matrix bt = RandomMatrix(n, k, &rng);
+
+  const Matrix nn = MatMul(a, w);
+  Matrix into(m, n);
+  MatMulInto(MatrixView(a), w, MutableMatrixView(into));
+  Matrix view_into(m, n);
+  MatMulViewInto(MatrixView(a), MatrixView(w), MutableMatrixView(view_into));
+  const Matrix nt = MatMulTransB(a, bt);
+  Matrix nt_view_into(m, n);
+  MatMulNTViewInto(MatrixView(a), MatrixView(bt),
+                   MutableMatrixView(nt_view_into));
+  for (int64_t i = 0; i < nn.size(); ++i) {
+    EXPECT_EQ(into.data()[i], nn.data()[i]) << "MatMulInto element " << i;
+    EXPECT_EQ(view_into.data()[i], nn.data()[i])
+        << "MatMulViewInto element " << i;
+    EXPECT_EQ(nt_view_into.data()[i], nt.data()[i])
+        << "MatMulNTViewInto element " << i;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -478,9 +678,7 @@ TEST(RowParallelTest, MatMulBitwiseIdenticalToSerial) {
   }
   const ConstMatView a_view(a.data(), m, k, k);
 
-  std::vector<KernelTier> tiers = {KernelTier::kReference};
-  if (FastKernelTierAvailable()) tiers.push_back(KernelTier::kFast);
-  for (const KernelTier tier : tiers) {
+  for (const KernelTier tier : AvailableTiers()) {
     ScopedKernelTier pin(tier);
     std::vector<float> serial(static_cast<size_t>(m * n));
     std::vector<float> parallel(serial.size());
