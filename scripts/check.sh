@@ -138,12 +138,14 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Training runs the active kernel tier's GEMMs, so on an AVX2 runner the
-# pass above trains only on the fast tier. Re-run the kernel, autograd,
-# nn and training suites pinned to the scalar reference tier.
-echo "== ctest (training suites, AWMOE_FORCE_SCALAR=1) =="
+# Training and serving run the active kernel tier, so on an AVX2 runner
+# the pass above exercises only the fast tier. Re-run the whole suite
+# pinned to the scalar reference tier: the kernel and training suites,
+# and the bitwise model and serving suites (graph == workspace == split
+# == slate) the scoring API leans on.
+echo "== ctest (whole suite, AWMOE_FORCE_SCALAR=1) =="
 AWMOE_FORCE_SCALAR=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -j "$(nproc)" -R "^(mat_|autograd_|nn_|core_)"
+  -j "$(nproc)"
 
 # Bench smoke set: a ~10ms-per-case pass over the serving benches, with
 # machine-readable output kept in $BUILD_DIR/bench_smoke/ (the CI check

@@ -85,34 +85,18 @@ Matrix AwMoeRanker::InferenceLogitsWithGate(const Batch& batch,
   return ForwardLogitsWithGate(batch, Var(gate)).value();
 }
 
-void AwMoeRanker::ScoreInto(const Batch& batch, const SessionGate* gate,
-                            InferenceWorkspace* workspace,
-                            std::span<float> out) {
-  ScoreCore(batch, gate, /*encoding=*/nullptr, workspace, out);
-}
-
-void AwMoeRanker::ScoreWithSessionInto(const Batch& batch,
-                                       const SessionGate* gate,
-                                       const SessionEncoding* encoding,
-                                       InferenceWorkspace* workspace,
-                                       std::span<float> out) {
-  ScoreCore(batch, gate, encoding, workspace, out);
-}
-
-void AwMoeRanker::ScoreCore(const Batch& batch, const SessionGate* gate,
-                            const SessionEncoding* encoding,
-                            InferenceWorkspace* workspace,
-                            std::span<float> out) {
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  InferenceArena* arena = workspace->arena();
+void AwMoeRanker::Score(const ScoreCall& call) {
+  CheckScoreCall(*this, call);
+  const Batch& batch = call.batch;
+  InferenceArena* arena = call.workspace->arena();
   arena->Reset();
   const int64_t k = config_.dims.num_experts;
   // Algorithm 1 in kernel form, same op order as InferenceLogits:
   // input network -> expert scores -> gate -> row-wise weighted sum.
   MatView v_imp = arena->Alloc(batch.size, input_network_.output_dim());
-  if (encoding != nullptr) {
+  if (call.encoding != nullptr) {
     const ConstMatView enc_view = ResolveSessionEncoding(
-        *encoding, batch.size, input_network_.session_encoding_dim());
+        *call.encoding, batch.size, input_network_.session_encoding_dim());
     input_network_.InferWithSessionInto(batch, enc_view, arena, v_imp);
   } else {
     input_network_.InferInto(batch, arena, v_imp);
@@ -120,18 +104,21 @@ void AwMoeRanker::ScoreCore(const Batch& batch, const SessionGate* gate,
   MatView scores = arena->Alloc(batch.size, k);
   experts_.InferAllInto(v_imp, arena, scores);
   ConstMatView gate_view;
-  if (gate != nullptr) {
-    gate_view = ResolveSessionGate(*gate, batch.size, k);
+  if (call.gate != nullptr) {
+    gate_view = ResolveSessionGate(*call.gate, batch.size, k);
   } else {
     MatView g = arena->Alloc(batch.size, k);
     gate_network_.InferInto(batch, arena, g);
     gate_view = g;
   }
-  DotRowsInto(scores, gate_view, MatView{out.data(), batch.size, 1, 1});
+  DotRowsInto(scores, gate_view, MatView{call.out.data(), batch.size, 1, 1});
 }
 
-int64_t AwMoeRanker::SessionEncodingWidth() const {
-  return input_network_.session_encoding_dim();
+ServingTraits AwMoeRanker::Traits(const DatasetMeta& meta) const {
+  return {.gate_width = config_.dims.num_experts,
+          .share_gate = !meta.recommendation_mode,
+          .encoding_width = input_network_.session_encoding_dim(),
+          .share_encoding = true};
 }
 
 void AwMoeRanker::EncodeSessionInto(const Batch& batch,

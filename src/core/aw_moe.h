@@ -74,52 +74,30 @@ class AwMoeRanker : public Ranker {
   // --- Workspace-based hot path (see models/ranker.h). ---
 
   /// Allocation-free inference: expert path + gate network, or expert
-  /// path under a precomputed SessionGate (§III-F). Bitwise-identical
-  /// to InferenceLogits / InferenceLogitsWithGate respectively.
-  void ScoreInto(const Batch& batch, const SessionGate* gate,
-                 InferenceWorkspace* workspace,
-                 std::span<float> out) override;
+  /// path under a precomputed SessionGate (§III-F), with the
+  /// candidate-independent blocks replayed from a SessionEncoding when
+  /// one is given. Bitwise-identical to InferenceLogits /
+  /// InferenceLogitsWithGate respectively.
+  void Score(const ScoreCall& call) override;
+
+  /// The §III-F precondition: in search mode the gate reads only the
+  /// behaviour sequence and query, both constant within a session, so
+  /// share_gate holds; in recommendation mode the gate reads the target
+  /// item, so it does not. The candidate-independent half of the input
+  /// network (behaviour-tower outputs + query embedding) never reads the
+  /// target item, so share_encoding holds in both modes.
+  ServingTraits Traits(const DatasetMeta& meta) const override;
 
   /// Graph- and allocation-free gate rows [B, K]; bitwise-identical to
   /// InferenceGate.
   void GateInto(const Batch& batch, InferenceWorkspace* workspace,
                 std::span<float> out) override;
 
-  int64_t SessionGateWidth() const override {
-    return config_.dims.num_experts;
-  }
-
-  /// The §III-F precondition: in search mode the gate reads only the
-  /// behaviour sequence and query, both constant within a session. In
-  /// recommendation mode the gate reads the target item, so reuse is off.
-  bool SupportsSessionGateReuse(const DatasetMeta& meta) const override {
-    return !meta.recommendation_mode;
-  }
-
-  // --- Session feature store (level-2 cache) overrides. ---
-
-  int64_t SessionEncodingWidth() const override;
-
-  /// Unlike the gate, the candidate-independent half of the input
-  /// network (behaviour-tower outputs + query embedding) never reads the
-  /// target item, so encoding reuse holds in both modes.
-  bool SupportsSessionEncodingReuse(const DatasetMeta& meta) const override {
-    (void)meta;
-    return true;
-  }
-
-  /// Behaviour-tower rows + query embedding [B, SessionEncodingWidth()];
+  /// Behaviour-tower rows + query embedding [B, encoding_width];
   /// identical rows within a session. Bitwise: replaying the result via
-  /// ScoreWithSessionInto reproduces ScoreInto exactly.
+  /// Score reproduces the fused Score exactly.
   void EncodeSessionInto(const Batch& batch, InferenceWorkspace* workspace,
                          std::span<float> out) override;
-
-  /// ScoreInto with the candidate-independent blocks replayed from
-  /// `encoding` (null falls through to the fused path verbatim).
-  void ScoreWithSessionInto(const Batch& batch, const SessionGate* gate,
-                            const SessionEncoding* encoding,
-                            InferenceWorkspace* workspace,
-                            std::span<float> out) override;
 
   /// Expert-disagreement penalty for the most recent Forward /
   /// ForwardLogits call (undefined Var when diversity_weight == 0).
@@ -135,13 +113,6 @@ class AwMoeRanker : public Ranker {
   const AwMoeConfig& config() const { return config_; }
 
  private:
-  /// Shared body of ScoreInto (encoding == nullptr) and
-  /// ScoreWithSessionInto — one op sequence, so the fused and replay
-  /// paths cannot drift.
-  void ScoreCore(const Batch& batch, const SessionGate* gate,
-                 const SessionEncoding* encoding,
-                 InferenceWorkspace* workspace, std::span<float> out);
-
   DatasetMeta meta_;
   AwMoeConfig config_;
   EmbeddingSet embeddings_;

@@ -75,7 +75,7 @@ class GateNetwork : public Module {
 
   /// Graph-free Forward into a caller [B, K] view (bitwise-identical
   /// to Forward, zero allocation once the arena is warm) — the gate
-  /// half of the ScoreInto serving path, also used alone by GateInto
+  /// half of the Score serving path, also used alone by GateInto
   /// when the engine probes per-session gate rows.
   void InferInto(const Batch& batch, InferenceArena* arena,
                  MatView out) const;

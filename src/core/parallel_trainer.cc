@@ -166,9 +166,10 @@ EpochStats ParallelTrainer::TrainEpoch(const std::vector<Example>& train,
                                        const Standardizer* standardizer) {
   Stopwatch watch;
   EpochStats stats;
+  const ServingTraits traits = model_->Traits(meta);
   BatchIterator it(&train, meta, config_.base.batch_size, standardizer,
-                   &shuffle_rng_, model_->SupportsSlateScoring(),
-                   model_->MaxSlateItems());
+                   &shuffle_rng_, traits.slate_scoring(),
+                   traits.max_slate_items);
   Batch batch;
   double rank_total = 0.0, cl_total = 0.0;
   bool exhausted = false;

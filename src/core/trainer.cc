@@ -29,7 +29,8 @@ Var BuildTrainingLoss(Ranker* model, const Batch& batch,
                       ContrastiveAugmenter* augmenter, BatchLossTerms* terms) {
   Var logits = model->ForwardLogits(batch);
   Var loss;
-  if (model->SupportsSlateScoring()) {
+  // The slate bit does not read the meta.
+  if (model->Traits(DatasetMeta{}).slate_scoring()) {
     // Listwise models rank a slate against itself: ListNet softmax
     // cross-entropy per slate. Requires the iterator's group_by_session
     // mode so slates arrive whole; the iterator's explicit group
@@ -78,9 +79,10 @@ EpochStats Trainer::TrainEpoch(const std::vector<Example>& train,
                                const Standardizer* standardizer) {
   Stopwatch watch;
   EpochStats stats;
+  const ServingTraits traits = model_->Traits(meta);
   BatchIterator it(&train, meta, config_.batch_size, standardizer,
-                   &shuffle_rng_, model_->SupportsSlateScoring(),
-                   model_->MaxSlateItems());
+                   &shuffle_rng_, traits.slate_scoring(),
+                   traits.max_slate_items);
   Batch batch;
   double rank_total = 0.0, cl_total = 0.0;
   while (it.Next(&batch)) {
@@ -131,9 +133,10 @@ std::vector<double> Predict(Ranker* model,
   NoGradGuard guard;
   std::vector<double> scores;
   scores.reserve(examples.size());
+  const ServingTraits traits = model->Traits(meta);
   BatchIterator it(&examples, meta, batch_size, standardizer,
-                   /*rng=*/nullptr, model->SupportsSlateScoring(),
-                   model->MaxSlateItems());
+                   /*rng=*/nullptr, traits.slate_scoring(),
+                   traits.max_slate_items);
   Batch batch;
   while (it.Next(&batch)) {
     Matrix probs = Sigmoid(model->ForwardLogits(batch).value());

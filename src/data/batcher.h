@@ -59,7 +59,7 @@ class BatchIterator {
   /// group's rows: a session run longer than the cap is SPLIT into
   /// consecutive sub-slates of at most `max_group_rows` rows instead of
   /// crashing the epoch. Listwise training passes the model's
-  /// MaxSlateItems() so no slate ever exceeds the position table; the
+  /// Traits().max_slate_items so no slate ever exceeds the position table; the
   /// split costs only cross-sub-slate attention, never training rows.
   BatchIterator(const std::vector<Example>* data, const DatasetMeta& meta,
                 int64_t batch_size, const Standardizer* standardizer,

@@ -143,7 +143,7 @@ struct Batch {
 
   /// Explicit slate boundaries for listwise consumers: first-row index
   /// of each slate, ascending from 0 (same contract as the
-  /// `slate_starts` argument of Ranker::ScoreSlateInto). Filled by
+  /// `slate_starts` field of Ranker::Score's ScoreCall). Filled by
   /// BatchIterator in group-by-session mode from its GROUP boundaries —
   /// authoritative where set, because groups need not coincide with
   /// session-id runs (an oversized session is split into sub-slates,

@@ -56,11 +56,10 @@ void CategoryMoeRanker::GateRowsInto(const Batch& batch,
   arena->Rewind(mark);
 }
 
-void CategoryMoeRanker::ScoreInto(const Batch& batch, const SessionGate* gate,
-                                  InferenceWorkspace* workspace,
-                                  std::span<float> out) {
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  InferenceArena* arena = workspace->arena();
+void CategoryMoeRanker::Score(const ScoreCall& call) {
+  CheckScoreCall(*this, call);
+  const Batch& batch = call.batch;
+  InferenceArena* arena = call.workspace->arena();
   arena->Reset();
   const int64_t k = dims_.num_experts;
   // Same op order as ForwardLogits: experts on the impression vector,
@@ -70,14 +69,19 @@ void CategoryMoeRanker::ScoreInto(const Batch& batch, const SessionGate* gate,
   MatView scores = arena->Alloc(batch.size, k);
   experts_.InferAllInto(v_imp, arena, scores);
   ConstMatView gate_view;
-  if (gate != nullptr) {
-    gate_view = ResolveSessionGate(*gate, batch.size, k);
+  if (call.gate != nullptr) {
+    gate_view = ResolveSessionGate(*call.gate, batch.size, k);
   } else {
     MatView g = arena->Alloc(batch.size, k);
     GateRowsInto(batch, arena, g);
     gate_view = g;
   }
-  DotRowsInto(scores, gate_view, MatView{out.data(), batch.size, 1, 1});
+  DotRowsInto(scores, gate_view, MatView{call.out.data(), batch.size, 1, 1});
+}
+
+ServingTraits CategoryMoeRanker::Traits(const DatasetMeta& meta) const {
+  return {.gate_width = dims_.num_experts,
+          .share_gate = !meta.recommendation_mode};
 }
 
 void CategoryMoeRanker::GateInto(const Batch& batch,

@@ -33,27 +33,21 @@ class CategoryMoeRanker : public Ranker {
   /// The softmax gate activations [B, K]; exposed for tests.
   Var GateRepresentation(const Batch& batch) override;
 
-  /// Allocation-free inference path; accepts a precomputed gate.
-  void ScoreInto(const Batch& batch, const SessionGate* gate,
-                 InferenceWorkspace* workspace,
-                 std::span<float> out) override;
+  /// Allocation-free inference path; takes a precomputed gate, never an
+  /// encoding.
+  void Score(const ScoreCall& call) override;
+
+  /// In search mode the gate reads only the query category — constant
+  /// within a session (and covered by the serving engine's gate-context
+  /// hash), so one gate row serves every candidate and share_gate holds.
+  /// In recommendation mode it reads the target category: per-item, no
+  /// reuse.
+  ServingTraits Traits(const DatasetMeta& meta) const override;
 
   /// Graph-free gate rows [B, K] (softmaxed FFN over the category
   /// embedding) for the serving engine's per-session probe.
   void GateInto(const Batch& batch, InferenceWorkspace* workspace,
                 std::span<float> out) override;
-
-  int64_t SessionGateWidth() const override { return dims_.num_experts; }
-
-  /// In search mode the gate reads only the query category — constant
-  /// within a session (and covered by the serving engine's gate-context
-  /// hash), so one gate row serves every candidate. In recommendation
-  /// mode it reads the target category: per-item, no reuse. The old
-  /// serving path could not exploit this (it downcast to AwMoeRanker);
-  /// the ScoreInto gate parameter makes it model-agnostic.
-  bool SupportsSessionGateReuse(const DatasetMeta& meta) const override {
-    return !meta.recommendation_mode;
-  }
 
  private:
   /// Graph-free gate rows into `g` [B, K].

@@ -2,154 +2,78 @@
 
 namespace awmoe {
 
-namespace {
+FfnRanker::FfnRanker(const DatasetMeta& meta, const ModelDims& dims,
+                     UserPooling pooling, Rng* rng)
+    : meta_(meta),
+      dims_(dims),
+      pooling_(pooling),
+      embeddings_(meta, dims.emb_dim, rng),
+      input_network_(meta, dims, &embeddings_, pooling, rng),
+      ffn_(input_network_.output_dim(), dims, rng) {}
 
-/// Shared DNN/DIN kernel path: input network -> single FFN, every
-/// intermediate in the workspace arena, logits straight into `out`.
-/// A non-null `encoding` replays the candidate-independent blocks from
-/// the session feature store instead of recomputing them; the op
-/// sequence on values is identical either way (bitwise contract).
-void FfnScoreInto(const InputNetwork& input_network,
-                  const ExpertNetwork& ffn, const Batch& batch,
-                  const SessionEncoding* encoding,
-                  InferenceWorkspace* workspace, std::span<float> out) {
-  InferenceArena* arena = workspace->arena();
-  arena->Reset();
-  MatView v_imp = arena->Alloc(batch.size, input_network.output_dim());
-  if (encoding != nullptr) {
-    const ConstMatView enc_view = ResolveSessionEncoding(
-        *encoding, batch.size, input_network.session_encoding_dim());
-    input_network.InferWithSessionInto(batch, enc_view, arena, v_imp);
-  } else {
-    input_network.InferInto(batch, arena, v_imp);
-  }
-  ffn.InferInto(v_imp, arena, MatView{out.data(), batch.size, 1, 1});
+std::string FfnRanker::name() const {
+  return pooling_ == UserPooling::kSumPool ? "DNN" : "DIN";
 }
 
-/// Shared DNN/DIN EncodeSessionInto body.
-void FfnEncodeSessionInto(const InputNetwork& input_network,
-                          const Batch& batch, InferenceWorkspace* workspace,
-                          std::span<float> out) {
+Var FfnRanker::ForwardLogits(const Batch& batch) {
+  return ffn_.Forward(input_network_.Forward(batch));
+}
+
+std::unique_ptr<Ranker> FfnRanker::Clone() const {
+  // The fresh model's random init is immediately overwritten, so the
+  // throwaway Rng seed is irrelevant to the clone's weights.
+  Rng rng(1);
+  std::unique_ptr<Ranker> clone;
+  if (pooling_ == UserPooling::kSumPool) {
+    clone = std::make_unique<DnnRanker>(meta_, dims_, &rng);
+  } else {
+    clone = std::make_unique<DinRanker>(meta_, dims_, &rng);
+  }
+  CopyParametersInto(*this, clone.get());
+  return clone;
+}
+
+void FfnRanker::Score(const ScoreCall& call) {
+  CheckScoreCall(*this, call);
+  const Batch& batch = call.batch;
+  InferenceArena* arena = call.workspace->arena();
+  arena->Reset();
+  // Input network -> single FFN. An encoding replays the candidate-
+  // independent blocks from the session feature store instead of
+  // recomputing them; the op sequence on values is identical either
+  // way (bitwise contract).
+  MatView v_imp = arena->Alloc(batch.size, input_network_.output_dim());
+  if (call.encoding != nullptr) {
+    const ConstMatView enc_view = ResolveSessionEncoding(
+        *call.encoding, batch.size, input_network_.session_encoding_dim());
+    input_network_.InferWithSessionInto(batch, enc_view, arena, v_imp);
+  } else {
+    input_network_.InferInto(batch, arena, v_imp);
+  }
+  ffn_.InferInto(v_imp, arena, MatView{call.out.data(), batch.size, 1, 1});
+}
+
+ServingTraits FfnRanker::Traits(const DatasetMeta& meta) const {
+  (void)meta;
+  return {.encoding_width = input_network_.session_encoding_dim(),
+          .share_encoding = true};
+}
+
+void FfnRanker::EncodeSessionInto(const Batch& batch,
+                                  InferenceWorkspace* workspace,
+                                  std::span<float> out) {
   CheckScoreIntoArgs(batch, workspace, out.size());
-  const int64_t w = input_network.session_encoding_dim();
+  const int64_t w = input_network_.session_encoding_dim();
   AWMOE_CHECK(static_cast<int64_t>(out.size()) >= batch.size * w)
       << "EncodeSessionInto: out span " << out.size() << " for "
       << batch.size << "x" << w;
   InferenceArena* arena = workspace->arena();
   arena->Reset();
-  input_network.EncodeSessionInto(batch, arena,
-                                  MatView{out.data(), batch.size, w, w});
+  input_network_.EncodeSessionInto(batch, arena,
+                                   MatView{out.data(), batch.size, w, w});
 }
 
-}  // namespace
-
-DnnRanker::DnnRanker(const DatasetMeta& meta, const ModelDims& dims,
-                     Rng* rng)
-    : meta_(meta),
-      dims_(dims),
-      embeddings_(meta, dims.emb_dim, rng),
-      input_network_(meta, dims, &embeddings_, UserPooling::kSumPool, rng),
-      ffn_(input_network_.output_dim(), dims, rng) {}
-
-Var DnnRanker::ForwardLogits(const Batch& batch) {
-  return ffn_.Forward(input_network_.Forward(batch));
-}
-
-std::unique_ptr<Ranker> DnnRanker::Clone() const {
-  // The fresh model's random init is immediately overwritten, so the
-  // throwaway Rng seed is irrelevant to the clone's weights.
-  Rng rng(1);
-  auto clone = std::make_unique<DnnRanker>(meta_, dims_, &rng);
-  CopyParametersInto(*this, clone.get());
-  return clone;
-}
-
-void DnnRanker::ScoreInto(const Batch& batch, const SessionGate* gate,
-                          InferenceWorkspace* workspace,
-                          std::span<float> out) {
-  AWMOE_CHECK(gate == nullptr) << "DNN has no session gate";
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  FfnScoreInto(input_network_, ffn_, batch, /*encoding=*/nullptr, workspace,
-               out);
-}
-
-int64_t DnnRanker::SessionEncodingWidth() const {
-  return input_network_.session_encoding_dim();
-}
-
-void DnnRanker::EncodeSessionInto(const Batch& batch,
-                                  InferenceWorkspace* workspace,
-                                  std::span<float> out) {
-  FfnEncodeSessionInto(input_network_, batch, workspace, out);
-}
-
-void DnnRanker::ScoreWithSessionInto(const Batch& batch,
-                                     const SessionGate* gate,
-                                     const SessionEncoding* encoding,
-                                     InferenceWorkspace* workspace,
-                                     std::span<float> out) {
-  AWMOE_CHECK(gate == nullptr) << "DNN has no session gate";
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  FfnScoreInto(input_network_, ffn_, batch, encoding, workspace, out);
-}
-
-std::vector<Var> DnnRanker::Parameters() const {
-  std::vector<Var> params;
-  embeddings_.CollectParameters(&params);
-  input_network_.CollectParameters(&params);
-  ffn_.CollectParameters(&params);
-  return params;
-}
-
-DinRanker::DinRanker(const DatasetMeta& meta, const ModelDims& dims,
-                     Rng* rng)
-    : meta_(meta),
-      dims_(dims),
-      embeddings_(meta, dims.emb_dim, rng),
-      input_network_(meta, dims, &embeddings_, UserPooling::kAttention, rng),
-      ffn_(input_network_.output_dim(), dims, rng) {}
-
-Var DinRanker::ForwardLogits(const Batch& batch) {
-  return ffn_.Forward(input_network_.Forward(batch));
-}
-
-std::unique_ptr<Ranker> DinRanker::Clone() const {
-  Rng rng(1);
-  auto clone = std::make_unique<DinRanker>(meta_, dims_, &rng);
-  CopyParametersInto(*this, clone.get());
-  return clone;
-}
-
-void DinRanker::ScoreInto(const Batch& batch, const SessionGate* gate,
-                          InferenceWorkspace* workspace,
-                          std::span<float> out) {
-  AWMOE_CHECK(gate == nullptr) << "DIN has no session gate";
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  FfnScoreInto(input_network_, ffn_, batch, /*encoding=*/nullptr, workspace,
-               out);
-}
-
-int64_t DinRanker::SessionEncodingWidth() const {
-  return input_network_.session_encoding_dim();
-}
-
-void DinRanker::EncodeSessionInto(const Batch& batch,
-                                  InferenceWorkspace* workspace,
-                                  std::span<float> out) {
-  FfnEncodeSessionInto(input_network_, batch, workspace, out);
-}
-
-void DinRanker::ScoreWithSessionInto(const Batch& batch,
-                                     const SessionGate* gate,
-                                     const SessionEncoding* encoding,
-                                     InferenceWorkspace* workspace,
-                                     std::span<float> out) {
-  AWMOE_CHECK(gate == nullptr) << "DIN has no session gate";
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  FfnScoreInto(input_network_, ffn_, batch, encoding, workspace, out);
-}
-
-std::vector<Var> DinRanker::Parameters() const {
+std::vector<Var> FfnRanker::Parameters() const {
   std::vector<Var> params;
   embeddings_.CollectParameters(&params);
   input_network_.CollectParameters(&params);

@@ -37,7 +37,7 @@ class EmbeddingSet : public Module {
   /// Category embedding alone (Category-MoE gate input): [n, emb_dim].
   Var Category(const std::vector<int64_t>& cat_ids) const;
 
-  // --- Graph-free lookups into caller buffers (ScoreInto path). The
+  // --- Graph-free lookups into caller buffers (Score path). The
   // id stride addresses one sequence position of a Batch's row-major
   // [size * seq_len] layout directly (stride 1 for per-row id lists).
 

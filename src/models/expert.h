@@ -22,7 +22,7 @@ class ExpertNetwork : public Module {
   Var Forward(const Var& v_imp) const;
 
   /// Graph-free Forward into a caller [B, 1] view (a column of the
-  /// expert-score matrix on the ScoreInto path).
+  /// expert-score matrix on the Score path).
   void InferInto(const ConstMatView& v_imp, InferenceArena* arena,
                  MatView out) const;
 

@@ -134,14 +134,22 @@ Var ListwiseReranker::ForwardLogits(const Batch& batch) {
   return head_.Forward(x);
 }
 
-void ListwiseReranker::ScoreSlateInto(const Batch& batch,
-                                      std::span<const int64_t> slate_starts,
-                                      InferenceWorkspace* workspace,
-                                      std::span<float> out) {
-  CheckScoreIntoArgs(batch, workspace, out.size());
+void ListwiseReranker::Score(const ScoreCall& call) {
+  CheckScoreCall(*this, call);
+  const Batch& batch = call.batch;
+  std::span<const int64_t> slate_starts = call.slate_starts;
+  if (slate_starts.empty()) slate_starts = batch.slate_starts;
+  if (slate_starts.empty()) {
+    // Reused across calls (thread-local: workspaces are lane-serialised
+    // but one model may score on several lanes at once), so the steady
+    // state stays allocation-free.
+    static thread_local std::vector<int64_t> derived;
+    SlateStartsFromBatch(batch, &derived);
+    slate_starts = derived;
+  }
   CheckSlateStarts(slate_starts, batch.size, ldims_.max_slate_len);
 
-  InferenceArena* arena = workspace->arena();
+  InferenceArena* arena = call.workspace->arena();
   arena->Reset();
   const int64_t B = batch.size;
   const int64_t d = ldims_.d_model;
@@ -200,24 +208,12 @@ void ListwiseReranker::ScoreSlateInto(const Batch& batch,
     AddInPlace(ffn_out, x);
     x = ffn_out;
   }
-  head_.InferInto(x, arena, MatView{out.data(), B, 1, 1});
+  head_.InferInto(x, arena, MatView{call.out.data(), B, 1, 1});
 }
 
-void ListwiseReranker::ScoreInto(const Batch& batch, const SessionGate* gate,
-                                 InferenceWorkspace* workspace,
-                                 std::span<float> out) {
-  AWMOE_CHECK(gate == nullptr) << "Listwise-Attn has no session gate";
-  if (!batch.slate_starts.empty()) {
-    ScoreSlateInto(batch, std::span<const int64_t>(batch.slate_starts),
-                   workspace, out);
-    return;
-  }
-  // Reused across calls (thread-local: workspaces are lane-serialised
-  // but one model may score on several lanes at once), so the steady
-  // state stays allocation-free.
-  static thread_local std::vector<int64_t> starts;
-  SlateStartsFromBatch(batch, &starts);
-  ScoreSlateInto(batch, std::span<const int64_t>(starts), workspace, out);
+ServingTraits ListwiseReranker::Traits(const DatasetMeta& meta) const {
+  (void)meta;
+  return {.max_slate_items = ldims_.max_slate_len};
 }
 
 std::unique_ptr<Ranker> ListwiseReranker::Clone() const {

@@ -77,20 +77,14 @@ class ListwiseReranker : public Ranker {
   std::string name() const override { return "Listwise-Attn"; }
   std::unique_ptr<Ranker> Clone() const override;
 
-  bool SupportsSlateScoring() const override { return true; }
-  int64_t MaxSlateItems() const override { return ldims_.max_slate_len; }
-  void ScoreSlateInto(const Batch& batch,
-                      std::span<const int64_t> slate_starts,
-                      InferenceWorkspace* workspace,
-                      std::span<float> out) override;
+  /// Scores whole slates jointly: `call.slate_starts`, else the batch's
+  /// explicit slate_starts, else its session-id runs. Takes neither a
+  /// gate nor an encoding. Callers that control slate composition (the
+  /// serving engine, the two-stage pipeline) pass explicit starts.
+  void Score(const ScoreCall& call) override;
 
-  /// Pointwise-API compatibility: derives slate boundaries from the
-  /// batch's session-id runs and forwards to ScoreSlateInto. Callers
-  /// that control slate composition (the serving engine, the two-stage
-  /// pipeline) should pass explicit starts instead.
-  void ScoreInto(const Batch& batch, const SessionGate* gate,
-                 InferenceWorkspace* workspace,
-                 std::span<float> out) override;
+  /// No gate, no encoding; max_slate_items is the position table size.
+  ServingTraits Traits(const DatasetMeta& meta) const override;
 
   const ListwiseDims& listwise_dims() const { return ldims_; }
 

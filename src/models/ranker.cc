@@ -7,32 +7,12 @@
 
 namespace awmoe {
 
-std::unique_ptr<InferenceWorkspace> Ranker::CreateInferenceWorkspace(
-    int64_t max_batch_candidates) const {
-  return std::make_unique<InferenceWorkspace>(max_batch_candidates);
-}
-
-void Ranker::ScoreInto(const Batch& batch, const SessionGate* gate,
-                       InferenceWorkspace* workspace, std::span<float> out) {
-  // Base fallback for rankers without a dedicated kernel path: correct
-  // (and graph-free via NoGradGuard) but not allocation-free. The four
-  // shipped rankers all override this.
-  AWMOE_CHECK(gate == nullptr)
-      << name() << " has no session gate; ScoreInto got one";
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  Matrix logits = InferenceLogits(batch);
-  for (int64_t i = 0; i < batch.size; ++i) {
-    out[static_cast<size_t>(i)] = logits(i, 0);
-  }
-}
-
 void Ranker::GateInto(const Batch& batch, InferenceWorkspace* workspace,
                       std::span<float> out) {
   (void)batch;
   (void)workspace;
   (void)out;
-  AWMOE_CHECK(false) << name()
-                     << " has no session gate (SessionGateWidth() == 0)";
+  AWMOE_CHECK(false) << name() << " has no session gate (gate_width == 0)";
 }
 
 void Ranker::EncodeSessionInto(const Batch& batch,
@@ -41,42 +21,31 @@ void Ranker::EncodeSessionInto(const Batch& batch,
   (void)batch;
   (void)workspace;
   (void)out;
-  AWMOE_CHECK(false)
-      << name() << " has no session encoding (SessionEncodingWidth() == 0)";
-}
-
-void Ranker::ScoreWithSessionInto(const Batch& batch, const SessionGate* gate,
-                                  const SessionEncoding* encoding,
-                                  InferenceWorkspace* workspace,
-                                  std::span<float> out) {
-  // Base behaviour: without an encoding this IS the fused path; an
-  // encoding handed to a model without a split path is a caller bug.
-  AWMOE_CHECK(encoding == nullptr)
-      << name() << " has no session encoding (SessionEncodingWidth() == 0)";
-  ScoreInto(batch, gate, workspace, out);
-}
-
-void Ranker::ScoreSlateInto(const Batch& batch,
-                            std::span<const int64_t> slate_starts,
-                            InferenceWorkspace* workspace,
-                            std::span<float> out) {
-  (void)batch;
-  (void)slate_starts;
-  (void)workspace;
-  (void)out;
   AWMOE_CHECK(false) << name()
-                     << " is pointwise (SupportsSlateScoring() == false)";
+                     << " has no session encoding (encoding_width == 0)";
+}
+
+void CheckScoreCall(const Ranker& model, const ScoreCall& call) {
+  CheckScoreIntoArgs(call.batch, call.workspace, call.out.size());
+  // The widths and the slate cap do not read the meta.
+  const ServingTraits traits = model.Traits(DatasetMeta{});
+  AWMOE_CHECK(call.gate == nullptr || traits.gate_width > 0)
+      << model.name() << " has no session gate; Score got one";
+  AWMOE_CHECK(call.encoding == nullptr || traits.encoding_width > 0)
+      << model.name() << " has no session encoding; Score got one";
+  AWMOE_CHECK(call.slate_starts.empty() || traits.slate_scoring())
+      << model.name() << " is pointwise; Score got slate starts";
 }
 
 void CheckScoreIntoArgs(const Batch& batch,
                         const InferenceWorkspace* workspace,
                         size_t out_size) {
-  AWMOE_CHECK(workspace != nullptr) << "ScoreInto: null workspace";
+  AWMOE_CHECK(workspace != nullptr) << "Score: null workspace";
   AWMOE_CHECK(batch.size <= workspace->max_candidates())
-      << "ScoreInto: batch " << batch.size << " exceeds workspace capacity "
+      << "Score: batch " << batch.size << " exceeds workspace capacity "
       << workspace->max_candidates();
   AWMOE_CHECK(static_cast<int64_t>(out_size) >= batch.size)
-      << "ScoreInto: out span " << out_size << " < batch " << batch.size;
+      << "Score: out span " << out_size << " < batch " << batch.size;
 }
 
 ConstMatView ResolveSessionGate(const SessionGate& gate, int64_t batch_size,

@@ -10,7 +10,7 @@
 
 namespace awmoe {
 
-// The allocation-free inference substrate behind Ranker::ScoreInto.
+// The allocation-free inference substrate behind Ranker::Score.
 //
 // The training path builds an autograd graph: every op heap-allocates a
 // node, a value matrix and (lazily) a gradient. The serving hot path
@@ -29,7 +29,7 @@ namespace awmoe {
 //    arithmetic, in exactly the accumulation order, of its
 //    mat/kernels.cc counterpart at the reference tier. The
 //    module-level InferInto methods materialise one buffer per op of
-//    the original Var expression instead of fusing, so ScoreInto
+//    the original Var expression instead of fusing, so Score
 //    reproduces the autograd forward bit for bit — regression-tested
 //    in tests/models/inference_path_test.cc. AWMOE_FORCE_SCALAR pins
 //    this tier, for serving and for bitwise reference training.
@@ -129,7 +129,7 @@ class InferenceArena {
   size_t next_ = 0;
 };
 
-/// Preallocated per-lane state of the ScoreInto path: the activation
+/// Preallocated per-lane state of the Score path: the activation
 /// arena plus persistent staging buffers the serving engine uses for
 /// gate rows (replicated per candidate) and gate-probe outputs. Created
 /// by Ranker::CreateInferenceWorkspace, owned by whoever owns the lane

@@ -301,23 +301,12 @@ ModelSnapshot::ModelSnapshot(
       live_counter_(std::move(live_counter)) {
   AWMOE_CHECK(base != nullptr) << "null model for '" << name_ << "'";
   AWMOE_CHECK(replicas >= 1) << "replicas " << replicas;
-  // Eligibility comes from the Ranker API alone (no downcast): any
-  // model declaring a session-constant gate of non-zero width serves
-  // the shared-gate path through GateInto / ScoreInto's gate argument.
-  gate_width_ = base->SessionGateWidth();
-  gate_shareable_ = base->SupportsSessionGateReuse(meta) && gate_width_ > 0;
-  if (!gate_shareable_) gate_width_ = 0;
-  // Same declaration pattern for the session feature store: a model
-  // with a candidate-independent behaviour encoding serves the split
-  // EncodeSessionInto / ScoreWithSessionInto path.
-  encoding_width_ = base->SessionEncodingWidth();
-  encoding_shareable_ =
-      base->SupportsSessionEncodingReuse(meta) && encoding_width_ > 0;
-  if (!encoding_shareable_) encoding_width_ = 0;
-  // Listwise capability, same publish-time pattern: the engine reads
-  // this flag to keep request slates atomic and bypass the score cache.
-  slate_scoring_ = base->SupportsSlateScoring();
-  max_slate_items_ = slate_scoring_ ? base->MaxSlateItems() : 0;
+  traits_ = base->Traits(meta);
+  traits_.share_gate = traits_.share_gate && traits_.gate_width > 0;
+  if (!traits_.share_gate) traits_.gate_width = 0;
+  traits_.share_encoding =
+      traits_.share_encoding && traits_.encoding_width > 0;
+  if (!traits_.share_encoding) traits_.encoding_width = 0;
 
   auto lane0 = std::make_unique<ReplicaLane>();
   lane0->model = base;
@@ -571,8 +560,8 @@ int64_t ModelPool::WarmSessionGates(
   std::shared_ptr<const ModelSnapshot> snapshot =
       arm == RolloutArm::kCandidate ? CandidateSnapshot(resolved)
                                     : CurrentSnapshot(resolved);
-  if (snapshot == nullptr || !snapshot->gate_shareable()) return 0;
-  const int64_t width = snapshot->gate_width();
+  if (snapshot == nullptr || !snapshot->traits().share_gate) return 0;
+  const int64_t width = snapshot->traits().gate_width;
 
   // Score through lane 0's workspace. Warm-up typically runs before the
   // snapshot takes traffic, but racing live forwards is safe AND
@@ -650,17 +639,26 @@ Ranker* ModelPool::Find(const std::string& name) const {
   return it == entries_.end() ? nullptr : it->second.stable->primary();
 }
 
-std::string ModelPool::ResolveName(const std::string& name) const {
+bool ModelPool::TryResolveName(const std::string& name,
+                               std::string* resolved) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (name.empty()) {
+    if (default_name_.empty()) return false;
     // Copied under the lock: SetDefault may re-point the default route
     // concurrently, so a reference would read a string being replaced.
-    AWMOE_CHECK(!default_name_.empty()) << "empty ModelPool";
-    return default_name_;
+    *resolved = default_name_;
+    return true;
   }
-  auto it = entries_.find(name);
-  AWMOE_CHECK(it != entries_.end()) << "unknown model '" << name << "'";
-  return it->first;
+  if (entries_.find(name) == entries_.end()) return false;
+  *resolved = name;
+  return true;
+}
+
+std::string ModelPool::ResolveName(const std::string& name) const {
+  std::string resolved;
+  AWMOE_CHECK(TryResolveName(name, &resolved))
+      << (name.empty() ? "empty ModelPool" : "unknown model '" + name + "'");
+  return resolved;
 }
 
 std::string ModelPool::default_model() const {

@@ -14,12 +14,11 @@
 #include <vector>
 
 #include "data/example.h"
+#include "models/ranker.h"
 #include "serving/request.h"
 
 namespace awmoe {
 
-class InferenceWorkspace;
-class Ranker;
 class Standardizer;
 
 /// FNV-1a over the features a session-constant gate may read (behaviour
@@ -196,7 +195,7 @@ struct ReplicaLane {
   Ranker* model = nullptr;
   std::unique_ptr<Ranker> owned;  // Null for a borrowed lane-0 model.
 
-  /// The lane's preallocated ScoreInto state (arena + staging buffers),
+  /// The lane's preallocated Score state (arena + staging buffers),
   /// created lazily by EnsureWorkspace and kept for the lane's
   /// lifetime: each lane scores with its own buffers, so lanes stay
   /// lock-free against each other and cache-warm across micro-batches.
@@ -240,31 +239,14 @@ class ModelSnapshot {
   const std::string& name() const { return name_; }
   int64_t version() const { return version_; }
   int num_replicas() const { return static_cast<int>(lanes_.size()); }
-  /// §III-F eligibility, computed once at publish time from the model's
-  /// own declaration (SupportsSessionGateReuse + a non-zero gate width)
-  /// — any ranker with a session-constant gate qualifies, no downcast.
-  bool gate_shareable() const { return gate_shareable_; }
-  /// Width of one cached gate row (SessionGateWidth() of the model; 0
-  /// when not gate-shareable).
-  int64_t gate_width() const { return gate_width_; }
-  /// Session-feature-store eligibility, same publish-time pattern:
-  /// SupportsSessionEncodingReuse + a non-zero encoding width.
-  bool encoding_shareable() const { return encoding_shareable_; }
-  /// Width of one cached session-encoding row
-  /// (SessionEncodingWidth() of the model; 0 when not shareable).
-  int64_t encoding_width() const { return encoding_width_; }
-  /// True when the model scores SLATES jointly (SupportsSlateScoring at
-  /// publish time): the engine must keep each request's rows atomic in
-  /// one forward and must NOT serve level-1 cached scores — a cached
-  /// score was computed against a possibly different slate, so reusing
-  /// it would silently change the candidate's context.
-  bool slate_scoring() const { return slate_scoring_; }
-  /// Hard per-slate length cap of a slate-scoring model
-  /// (Ranker::MaxSlateItems at publish time; 0 when pointwise or
-  /// unlimited). The engine's ADMISSION check: a request with more
-  /// candidates than this is rejected with kInvalidArgument instead of
-  /// reaching a forward that CHECK-fails on it.
-  int64_t max_slate_items() const { return max_slate_items_; }
+  /// The model's serving capabilities, stamped once at publish time from
+  /// Ranker::Traits under the pool's meta — no downcast — and
+  /// normalised: a width is zeroed when its share_* bit is false, and a
+  /// share_* bit is false when its width is 0. The engine reads it for
+  /// the shared-gate path (§III-F), the session feature store, slate
+  /// atomicity with the level-1 cache bypass, and the admission check
+  /// that rejects slates longer than max_slate_items.
+  const ServingTraits& traits() const { return traits_; }
 
   /// Lane 0's model — the registered/published instance itself.
   Ranker* primary() const { return lanes_[0]->model; }
@@ -287,12 +269,7 @@ class ModelSnapshot {
  private:
   std::string name_;
   int64_t version_;
-  bool gate_shareable_ = false;
-  int64_t gate_width_ = 0;
-  bool encoding_shareable_ = false;
-  int64_t encoding_width_ = 0;
-  bool slate_scoring_ = false;
-  int64_t max_slate_items_ = 0;
+  ServingTraits traits_;
   // unique_ptr elements: lanes hold a mutex and atomics, so they must
   // not move once handed out.
   std::vector<std::unique_ptr<ReplicaLane>> lanes_;
@@ -465,8 +442,15 @@ class ModelPool {
 
   /// The pool name `Resolve(name)` routes to. Returned by value: the
   /// default route can be re-pointed at runtime, so a reference into
-  /// pool state could be overwritten mid-read.
+  /// pool state could be overwritten mid-read. CHECK-fails like
+  /// Resolve(); paths that take client input use TryResolveName.
   std::string ResolveName(const std::string& name) const;
+
+  /// Non-aborting ResolveName: writes the routed pool name into
+  /// `resolved` and returns true, or returns false on an unknown name
+  /// or an empty name with no default model. Models are never
+  /// unregistered, so a name resolved once stays valid.
+  bool TryResolveName(const std::string& name, std::string* resolved) const;
 
   /// The current STABLE snapshot published under `resolved_name`.
   std::shared_ptr<const ModelSnapshot> CurrentSnapshot(

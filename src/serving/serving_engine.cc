@@ -120,6 +120,20 @@ RankResponse RejectedResponse(const RankRequest& request,
   return response;
 }
 
+/// The answer to a request naming no registered model (or an empty name
+/// with no default): a client error on that one request, so no snapshot,
+/// lane or health sample is involved.
+RankResponse UnknownModelResponse(const RankRequest& request) {
+  RankResponse response;
+  response.status = Status::NotFound(
+      request.model.empty() ? std::string("Rank: no default model")
+                            : "Rank: unknown model '" + request.model + "'");
+  response.session_id = request.session_id;
+  response.model = request.model;
+  response.replica = -1;
+  return response;
+}
+
 std::future<RankResponse> ReadyFuture(RankResponse response) {
   std::promise<RankResponse> promise;
   promise.set_value(std::move(response));
@@ -180,7 +194,7 @@ bool ServingEngine::GateSharingActive(const std::string& model) const {
   // changes the answer here and the path Rank actually takes together.
   std::shared_ptr<const ModelSnapshot> snapshot =
       pool_->CurrentSnapshot(pool_->ResolveName(model));
-  return options_.share_gate && snapshot->gate_shareable();
+  return options_.share_gate && snapshot->traits().share_gate;
 }
 
 ServingStatsSnapshot ServingEngine::Stats() const {
@@ -220,7 +234,7 @@ Status ServingEngine::Admit(const RankRequest& request,
   }
   // Retrieval sets larger than a listwise model's position table are
   // ordinary client input; they must never reach the slate forward.
-  const int64_t max_slate = snapshot.max_slate_items();  // 0 = unlimited.
+  const int64_t max_slate = snapshot.traits().max_slate_items;  // 0: none.
   if (max_slate > 0 && items > max_slate) {
     return Status::InvalidArgument(
         "Rank: slate of " + std::to_string(items) +
@@ -260,14 +274,15 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   // computed against one particular slate, and serving it to a repeat
   // request would freeze the candidate's context. Bypass the cache
   // entirely (no lookups, no puts) and score every request fresh.
-  const bool slate = snapshot.slate_scoring();
+  const ServingTraits& traits = snapshot.traits();
+  const bool slate = traits.slate_scoring();
   const bool score_cache_on = options_.score_cache_capacity > 0 && !slate;
 
   // Admission backstop against the PINNED snapshot. RankBatch and
   // Submit already admitted each request against the snapshot current
   // at admission time; a hot swap to a model with a smaller slate cap
   // between admission and this lease still lands here. An oversized
-  // slate must never reach ScoreSlateInto, whose slate-length CHECK
+  // slate must never reach the slate forward, whose slate-length CHECK
   // treats it as a programmer error and aborts.
   std::vector<Status> admission;
   admission.reserve(n);
@@ -310,11 +325,10 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   }
 
   // Gate/encoding sharing is a pointwise-path optimisation; a slate
-  // forward goes through ScoreSlateInto, which takes neither.
-  const bool shared =
-      options_.share_gate && snapshot.gate_shareable() && !slate;
-  const bool encode = options_.share_session_encoding &&
-                      snapshot.encoding_shareable() && !slate;
+  // model's traits declare neither, so its forward takes neither.
+  const bool shared = options_.share_gate && traits.share_gate;
+  const bool encode =
+      options_.share_session_encoding && traits.share_encoding;
   // Per miss request: gate / encoding cache outcome of the session-row
   // stages (RequestSample encoding; -1 when the stage did not run).
   std::vector<int> gate_lookup(miss.size(), -1);
@@ -378,15 +392,15 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       InferenceWorkspace* workspace =
           lane.EnsureWorkspace(workspace_candidates);
       // The session-row stage, once for the gate and once for the
-      // level-2 encoding; then the candidate-dependent forward runs
-      // with both supplied — the generic ScoreWithSessionInto contract
-      // (a null gate or encoding degrades to the respective fused path).
+      // level-2 encoding; then one Score call runs the forward with
+      // whichever inputs apply (a null gate or encoding degrades to the
+      // respective fused path).
       const SessionRowInputs rows_in{miss_requests, request_hash, meta,
                                      pool_->standardizer(), *lane.model,
                                      *workspace, batch.size};
       SessionGate gate;
       if (shared) {
-        const int64_t width = snapshot.gate_width();
+        const int64_t width = traits.gate_width;
         gate = SessionGate{
             RunSessionRowStage(rows_in, width, snapshot.gate_cache(),
                                options_.gate_cache_capacity,
@@ -398,7 +412,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       }
       SessionEncoding encoding;
       if (encode) {
-        const int64_t width = snapshot.encoding_width();
+        const int64_t width = traits.encoding_width;
         encoding = SessionEncoding{
             RunSessionRowStage(rows_in, width, snapshot.encoding_cache(),
                                options_.encoding_cache_capacity,
@@ -408,21 +422,21 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
                 .data(),
             batch.size, width};
       }
-      if (slate) {
-        // Collation inserted each request's items as one contiguous
-        // block, so logits_row IS the slate-starts vector: one slate
-        // per request, whole and in request order. The request is the
-        // atomicity unit — a micro-batch may carry many requests, but
-        // no request's rows are ever split across forwards or
-        // interleaved with another's, so every candidate attends over
-        // exactly its own slate regardless of batch composition.
-        lane.model->ScoreSlateInto(batch, logits_row, workspace,
-                                   logits_span);
-      } else {
-        lane.model->ScoreWithSessionInto(batch, shared ? &gate : nullptr,
-                                         encode ? &encoding : nullptr,
-                                         workspace, logits_span);
-      }
+      // For a slate model: collation inserted each request's items as
+      // one contiguous block, so logits_row IS the slate-starts vector:
+      // one slate per request, whole and in request order. The request
+      // is the atomicity unit — a micro-batch may carry many requests,
+      // but no request's rows are ever split across forwards or
+      // interleaved with another's, so every candidate attends over
+      // exactly its own slate regardless of batch composition.
+      lane.model->Score(
+          {.batch = batch,
+           .workspace = workspace,
+           .out = logits_span,
+           .gate = shared ? &gate : nullptr,
+           .encoding = encode ? &encoding : nullptr,
+           .slate_starts = slate ? std::span<const int64_t>(logits_row)
+                                 : std::span<const int64_t>()});
       rerank_ms = rerank_watch.ElapsedMillis();
     }
     if (slate) {
@@ -604,7 +618,11 @@ std::vector<RankResponse> ServingEngine::RankBatch(
     };
     std::unordered_map<std::string, RouteSnapshot> route_snapshots;
     for (size_t i = 0; i < requests.size(); ++i) {
-      const std::string name = pool_->ResolveName(requests[i].model);
+      std::string name;
+      if (!pool_->TryResolveName(requests[i].model, &name)) {
+        responses[i] = UnknownModelResponse(requests[i]);
+        continue;
+      }
       const RolloutArm arm = RouteArm(name, requests[i]);
       const std::string key = EncodeRouteKey(name, arm);
       auto [route_it, route_new] = route_snapshots.try_emplace(key);
@@ -665,13 +683,16 @@ RankResponse ServingEngine::Rank(const RankRequest& request) {
 }
 
 std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
-  // Resolve the route up front (CHECK-fails on unknown names, matching
-  // the synchronous path) so per-route queues key on concrete names.
-  // The rollout arm is pinned here too — submit time, not flush time —
+  // Resolve the route up front so per-route queues key on concrete
+  // names; an unknown name is answered kNotFound, as on the synchronous
+  // path. The rollout arm is pinned here too — submit time, not flush time —
   // so a ramp step between enqueue and flush cannot move a session
   // mid-flight; a candidate rolled back in that window falls back to
   // stable at lease time.
-  const std::string resolved = pool_->ResolveName(request.model);
+  std::string resolved;
+  if (!pool_->TryResolveName(request.model, &resolved)) {
+    return ReadyFuture(UnknownModelResponse(request));
+  }
   const RolloutArm arm = RouteArm(resolved, request);
   const std::string route_key = EncodeRouteKey(resolved, arm);
   // Admission, as in RankBatch: reject before the request ever

@@ -62,11 +62,11 @@ struct ServingEngineOptions {
   /// with its snapshot on hot swap. 0 disables.
   int64_t score_cache_capacity = 4096;
 
-  /// Enables the LEVEL-2 session feature store for models that declare
-  /// SupportsSessionEncodingReuse: the candidate-independent behaviour-
+  /// Enables the LEVEL-2 session feature store for models whose traits
+  /// declare share_encoding: the candidate-independent behaviour-
   /// sequence encoding (EncodeSessionInto) is computed once per session
-  /// and the forward runs only the candidate-dependent tail
-  /// (ScoreWithSessionInto) — bitwise-identical to the fused path.
+  /// and the forward runs only the candidate-dependent tail (Score with
+  /// the encoding) — bitwise-identical to the fused path.
   bool share_session_encoding = true;
 
   /// Per-snapshot LRU capacity of the level-2 feature store (cached

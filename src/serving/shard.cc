@@ -546,13 +546,19 @@ RankResponse ShardedServingFleet::Rank(const RankRequest& request) {
 
 std::future<RankResponse> ShardedServingFleet::Submit(RankRequest request) {
   std::shared_ptr<FleetShard> shard = ShardForSessionPtr(request.session_id);
+  std::string resolved;
+  if (!shard->pool->TryResolveName(request.model, &resolved)) {
+    // An unknown model is a client error, not load: the engine answers
+    // it kNotFound without queueing it, and no shed is counted.
+    return shard->engine->Submit(std::move(request));
+  }
   const ShardLoad load = CurrentLoad(shard.get());
   const AdmissionDecision decision =
       shard->admission.Decide(load, request.deadline_ms);
   if (decision == AdmissionDecision::kShed) {
     RankResponse response;
     response.session_id = request.session_id;
-    response.model = shard->pool->ResolveName(request.model);
+    response.model = std::move(resolved);
     const double deadline = request.deadline_ms > 0.0
                                 ? request.deadline_ms
                                 : options_.admission.default_deadline_ms;

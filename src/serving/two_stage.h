@@ -15,8 +15,8 @@ struct TwoStageOptions {
   /// Stage-1 pointwise model (empty = engine default): scores the full
   /// candidate set independently, cheap per candidate.
   std::string retrieval_model;
-  /// Stage-2 slate-scoring model (must SupportsSlateScoring): re-scores
-  /// the top-K jointly through slate self-attention.
+  /// Stage-2 slate-scoring model (its Traits declare max_slate_items >
+  /// 0): re-scores the top-K jointly through slate self-attention.
   std::string rerank_model;
   /// Slate size: how many stage-1 winners stage 2 re-scores. Must not
   /// exceed the reranker's max_slate_len.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <typeinfo>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -259,6 +260,38 @@ TEST(RankerInterfaceTest, ParameterCountsPositiveAndDistinct) {
   EXPECT_GT(moe.NumParameters(), dnn.NumParameters());
 }
 
+// Score CHECK-fails on an optional input the model's traits do not
+// declare: a gate for DNN, an encoding for Category-MoE, slate starts
+// for any pointwise model.
+TEST(RankerInterfaceDeathTest, ScoreRejectsUndeclaredInputs) {
+  const DatasetMeta meta = TestMeta();
+  Rng rng(18);
+  DnnRanker dnn(meta, TinyDims(), &rng);
+  CategoryMoeRanker moe(meta, TinyDims(), &rng);
+  Batch batch = MakeBatch(meta, 2, /*min_history=*/1);
+  auto workspace = dnn.CreateInferenceWorkspace(4);
+  std::vector<float> out(2);
+  std::vector<float> rows(256, 0.0f);
+  const SessionGate gate{rows.data(), 1, 3};
+  const SessionEncoding encoding{rows.data(), 1, 3};
+  const std::vector<int64_t> starts = {0};
+  EXPECT_DEATH(dnn.Score({.batch = batch,
+                          .workspace = workspace.get(),
+                          .out = out,
+                          .gate = &gate}),
+               "no session gate");
+  EXPECT_DEATH(moe.Score({.batch = batch,
+                          .workspace = workspace.get(),
+                          .out = out,
+                          .encoding = &encoding}),
+               "no session encoding");
+  EXPECT_DEATH(moe.Score({.batch = batch,
+                          .workspace = workspace.get(),
+                          .out = out,
+                          .slate_starts = starts}),
+               "is pointwise");
+}
+
 // ---------------------------------------------------------------------
 // Ranker::Clone: the serving ModelPool materialises replica lanes from
 // one loaded model, so clones must be bitwise-equal in output and fully
@@ -272,6 +305,8 @@ TEST(RankerInterfaceTest, ParameterCountsPositiveAndDistinct) {
 void CheckCloneIndependence(Ranker* original, const DatasetMeta& meta) {
   std::unique_ptr<Ranker> clone = original->Clone();
   ASSERT_NE(clone, nullptr) << original->name() << " must be cloneable";
+  // ModelPool serves a clone of another dynamic type single-lane.
+  EXPECT_EQ(typeid(*clone), typeid(*original));
   EXPECT_EQ(clone->name(), original->name());
   EXPECT_EQ(clone->NumParameters(), original->NumParameters());
 

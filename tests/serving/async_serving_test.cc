@@ -318,6 +318,34 @@ TEST_F(AsyncServingTest, EmptyCandidateListFailsInvalidArgument) {
   EXPECT_EQ(response.session_id, 1234);
 }
 
+TEST_F(AsyncServingTest, UnknownModelFailsNotFoundWithoutQueueing) {
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  RankRequest unknown = RequestFor(0);
+  unknown.model = "no-such-model";
+  std::future<RankResponse> rejected = engine.Submit(unknown);
+  // Answered at submit time: the request never occupies queue space.
+  ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  RankResponse response = rejected.get();
+  EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(response.scores.empty());
+  EXPECT_EQ(response.session_id, unknown.session_id);
+  EXPECT_EQ(response.model, "no-such-model");
+  EXPECT_EQ(engine.pending_async_requests(), 0);
+
+  // The engine keeps serving known routes.
+  RankResponse served = engine.Submit(RequestFor(1)).get();
+  ASSERT_TRUE(served.status.ok()) << served.status;
+  EXPECT_EQ(static_cast<int64_t>(served.scores.size()), ItemsOf(1));
+
+  // An empty name on a pool with no default model is not found either.
+  ModelPool empty(data_->meta, standardizer_);
+  ServingEngine empty_engine(&empty);
+  EXPECT_EQ(empty_engine.Submit(RequestFor(2)).get().status.code(),
+            StatusCode::kNotFound);
+}
+
 // ---------------------------------------------------------------------
 // Shutdown and drain semantics: futures always resolve, never leak.
 // ---------------------------------------------------------------------

@@ -10,13 +10,17 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/aw_moe.h"
 #include "data/batcher.h"
 #include "data/jd_synthetic.h"
+#include "models/category_moe.h"
 #include "models/dnn_ranker.h"
+#include "models/listwise/listwise_reranker.h"
 #include "serving/model_pool.h"
 #include "serving/request.h"
 #include "serving/serving_engine.h"
@@ -120,7 +124,7 @@ TEST_F(ModelPoolTest, RegisterPublishesVersionOneWithReplicaLanes) {
   auto snapshot = pool.CurrentSnapshot("aw-moe");
   EXPECT_EQ(snapshot->version(), 1);
   EXPECT_EQ(snapshot->num_replicas(), 3);
-  EXPECT_TRUE(snapshot->gate_shareable());
+  EXPECT_TRUE(snapshot->traits().share_gate);
   EXPECT_EQ(snapshot->primary(), model_a_);
   EXPECT_EQ(pool.swap_count(), 0);
   EXPECT_EQ(pool.live_snapshots(), 1);
@@ -134,8 +138,9 @@ TEST_F(ModelPoolTest, SnapshotExposesGateWidthAndWarmsSessionGates) {
   ModelPool pool(data_->meta, standardizer_);
   pool.Register("aw-moe", model_a_);
   auto snapshot = pool.CurrentSnapshot("aw-moe");
-  EXPECT_TRUE(snapshot->gate_shareable());
-  EXPECT_EQ(snapshot->gate_width(), SmallAwMoeConfig().dims.num_experts);
+  EXPECT_TRUE(snapshot->traits().share_gate);
+  EXPECT_EQ(snapshot->traits().gate_width,
+            SmallAwMoeConfig().dims.num_experts);
   EXPECT_EQ(snapshot->gate_cache().size(), 0);
 
   // Warm-up fills the snapshot's LRU with one row per session (empty
@@ -253,6 +258,80 @@ TEST_F(ModelPoolTest, SubclassInheritingCloneDegradesToSingleLane) {
   pool.Register("forgot-clone", &model);
   // ...but the snapshot rejects the sliced copy.
   EXPECT_EQ(pool.CurrentSnapshot("forgot-clone")->num_replicas(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Serving traits: each ranker's declaration and the snapshot's stamp.
+// ---------------------------------------------------------------------
+
+std::string Describe(const ServingTraits& t) {
+  std::ostringstream out;
+  out << "{gate_width=" << t.gate_width << " share_gate=" << t.share_gate
+      << " encoding_width=" << t.encoding_width
+      << " share_encoding=" << t.share_encoding
+      << " max_slate_items=" << t.max_slate_items << "}";
+  return out.str();
+}
+
+TEST_F(ModelPoolTest, TraitsOfEveryRankerInSearchAndRecommendationMode) {
+  struct Case {
+    std::string model;
+    bool recommendation;
+    ServingTraits declared;  // Ranker::Traits(meta).
+    ServingTraits stamped;   // ModelSnapshot::traits() after publish.
+  };
+  // The fixture meta has max_seq_len 10; the small dims give tower width
+  // h = 6 and K = 4 experts. Encoding widths: sum pooling h, attention
+  // 10 * h, plus h for the query embedding in search mode.
+  const std::vector<Case> cases = {
+      {"DNN", false, {0, false, 12, true, 0}, {0, false, 12, true, 0}},
+      {"DNN", true, {0, false, 6, true, 0}, {0, false, 6, true, 0}},
+      {"DIN", false, {0, false, 66, true, 0}, {0, false, 66, true, 0}},
+      {"DIN", true, {0, false, 60, true, 0}, {0, false, 60, true, 0}},
+      // Category-MoE's gate reads the target category in recommendation
+      // mode: it declares its width but does not share, and the stamp
+      // zeroes the width.
+      {"Category-MoE", false, {4, true, 0, false, 0}, {4, true, 0, false, 0}},
+      {"Category-MoE", true, {4, false, 0, false, 0}, {0, false, 0, false, 0}},
+      {"AW-MoE", false, {4, true, 66, true, 0}, {4, true, 66, true, 0}},
+      {"AW-MoE", true, {4, false, 60, true, 0}, {0, false, 60, true, 0}},
+      {"Listwise-Attn", false, {0, false, 0, false, 16},
+       {0, false, 0, false, 16}},
+      {"Listwise-Attn", true, {0, false, 0, false, 16},
+       {0, false, 0, false, 16}},
+  };
+  const ModelDims dims = SmallAwMoeConfig().dims;
+  ListwiseDims ldims;
+  ldims.max_slate_len = 16;
+  for (const Case& c : cases) {
+    DatasetMeta meta = data_->meta;
+    meta.recommendation_mode = c.recommendation;
+    Rng rng(3);
+    std::unique_ptr<Ranker> model;
+    if (c.model == "DNN") {
+      model = std::make_unique<DnnRanker>(meta, dims, &rng);
+    } else if (c.model == "DIN") {
+      model = std::make_unique<DinRanker>(meta, dims, &rng);
+    } else if (c.model == "Category-MoE") {
+      model = std::make_unique<CategoryMoeRanker>(meta, dims, &rng);
+    } else if (c.model == "AW-MoE") {
+      model = std::make_unique<AwMoeRanker>(meta, SmallAwMoeConfig(), &rng);
+    } else {
+      model = std::make_unique<ListwiseReranker>(meta, dims, ldims, &rng);
+    }
+    ASSERT_EQ(model->name(), c.model);
+    const std::string where =
+        c.model + (c.recommendation ? " (recommendation)" : " (search)");
+    EXPECT_EQ(Describe(model->Traits(meta)), Describe(c.declared)) << where;
+    EXPECT_EQ(model->Traits(meta).slate_scoring(), c.model == "Listwise-Attn")
+        << where;
+
+    ModelPool pool(meta, standardizer_);
+    pool.RegisterOwned(c.model, std::move(model));
+    EXPECT_EQ(Describe(pool.CurrentSnapshot(c.model)->traits()),
+              Describe(c.stamped))
+        << where;
+  }
 }
 
 // ---------------------------------------------------------------------

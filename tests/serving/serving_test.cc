@@ -292,6 +292,51 @@ TEST_F(ServingTest, EmptyCandidateListRejectedNotAborted) {
   expect_mixed(async_responses);
 }
 
+// An unknown model name is a client error too: that one request comes
+// back kNotFound and the rest of the batch is served. So is an empty
+// name routed to a pool with no default model.
+TEST_F(ServingTest, UnknownModelRejectedNotAborted) {
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  auto sessions = GroupBySession(data_->full_test);
+  ASSERT_GE(sessions.size(), 2u);
+  std::vector<RankRequest> mixed(3);
+  for (size_t r = 0; r < mixed.size(); ++r) {
+    mixed[r].session_id = sessions[r][0]->session_id;
+    mixed[r].items = sessions[r];
+  }
+  mixed[1].model = "no-such-model";
+
+  std::vector<RankResponse> responses = engine.RankBatch(mixed);
+  ASSERT_EQ(responses.size(), 3u);
+  for (size_t r : {size_t{0}, size_t{2}}) {
+    ASSERT_TRUE(responses[r].status.ok()) << responses[r].status;
+    EXPECT_EQ(responses[r].model, "aw-moe");
+    EXPECT_EQ(responses[r].scores.size(), mixed[r].items.size());
+  }
+  const RankResponse& rejected = responses[1];
+  EXPECT_EQ(rejected.status.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(rejected.scores.empty());
+  EXPECT_EQ(rejected.session_id, mixed[1].session_id);
+  EXPECT_EQ(rejected.model, "no-such-model");
+  EXPECT_EQ(rejected.model_version, 0);
+  EXPECT_EQ(rejected.replica, -1);
+  EXPECT_EQ(engine.stats().requests(), 2);
+
+  std::string resolved;
+  EXPECT_FALSE(registry_owner->TryResolveName("no-such-model", &resolved));
+  EXPECT_TRUE(registry_owner->TryResolveName("", &resolved));
+  EXPECT_EQ(resolved, "aw-moe");
+
+  ModelPool empty(data_->meta, standardizer_);
+  EXPECT_FALSE(empty.TryResolveName("", &resolved));
+  ServingEngine empty_engine(&empty);
+  mixed[0].model.clear();
+  const RankResponse no_default = empty_engine.Rank(mixed[0]);
+  EXPECT_EQ(no_default.status.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(no_default.scores.empty());
+}
+
 // §III-F is exact, not approximate: sharing the gate must not change a
 // single bit of any score.
 TEST_F(ServingTest, SharedGateBitwiseIdenticalToPerItemGate) {

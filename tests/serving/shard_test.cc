@@ -558,6 +558,41 @@ TEST_F(ShardedFleetTest, ShedsPastDeadlineWithoutTouchingVersionHealth) {
   fleet.Stop();
 }
 
+// An unknown model name is a client error on every fleet path: kNotFound
+// on that request, never an abort — and not a shed, even when the shard
+// would shed everything.
+TEST_F(ShardedFleetTest, UnknownModelNotFoundOnEveryFleetPath) {
+  FleetOptions options;
+  options.num_shards = 2;
+  options.admission.enabled = true;
+  options.admission.max_shed_rate = 1.0;  // Pure shedding.
+  options.admission.load_refresh_every = 4;
+  ShardedServingFleet fleet(data_->meta, standardizer_, options);
+  fleet.RegisterOwned("aw-moe", model_->Clone());
+
+  const std::vector<RankRequest> requests = FixtureRequests();
+  for (const RankRequest& request : requests) {
+    ASSERT_TRUE(fleet.Submit(request).get().status.ok());
+  }
+  const int64_t served = fleet.Stats().merged.requests;
+
+  for (RankRequest request : requests) {
+    request.model = "no-such-model";
+    EXPECT_EQ(fleet.Rank(request).status.code(), StatusCode::kNotFound);
+    request.deadline_ms = 1e-9;  // Would shed on a known route.
+    const RankResponse response = fleet.Submit(std::move(request)).get();
+    EXPECT_EQ(response.status.code(), StatusCode::kNotFound);
+    EXPECT_EQ(response.model, "no-such-model");
+    EXPECT_TRUE(response.scores.empty());
+  }
+  const FleetStats stats = fleet.Stats();
+  EXPECT_EQ(stats.shed, 0);
+  EXPECT_EQ(stats.merged.requests, served);
+  // Known routes are still served.
+  EXPECT_TRUE(fleet.Rank(requests[0]).status.ok());
+  fleet.Stop();
+}
+
 TEST_F(ShardedFleetTest, FleetStatsMergeShardReservoirs) {
   auto fleet = MakeFleet(3);
   const std::vector<RankRequest> requests = FixtureRequests();

@@ -204,7 +204,7 @@ TEST_F(SlateServingTest, ScoreCacheBypassedForSlateScoringModel) {
 TEST_F(SlateServingTest, OversizedSlateRejectedNotAborted) {
   auto registry = MakeRegistry();
   ServingEngine engine(registry.get());
-  const int64_t cap = listwise_->MaxSlateItems();
+  const int64_t cap = listwise_->Traits(data_->meta).max_slate_items;
   ASSERT_GT(cap, 0);
 
   RankRequest oversized = RequestFor(0, "listwise");
