@@ -69,7 +69,7 @@ BENCHMARK(BM_GatherScatter);
 
 void BM_AttentionUnitForward(benchmark::State& state) {
   Rng rng(5);
-  AttentionUnit unit(16, {16, 8}, &rng);
+  AttentionUnit unit(16, {16, 8}, /*out_dim=*/1, &rng);
   Var h_user(NormalInit(256, 16, 1.0f, &rng));
   Var h_ref(NormalInit(256, 16, 1.0f, &rng));
   NoGradGuard guard;

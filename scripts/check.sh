@@ -8,9 +8,10 @@
 #                                          # + perfbench self-test
 #   scripts/check.sh --tsan [build_dir]    # ThreadSanitizer build of the
 #                                          # serving concurrency suites
-#   scripts/check.sh --asan [build_dir]    # AddressSanitizer build of the
-#                                          # serving + model suites (snapshot
-#                                          # lifetime / use-after-free)
+#   scripts/check.sh --asan [build_dir]    # AddressSanitizer + UBSan build
+#                                          # of the whole suite (snapshot
+#                                          # lifetime / use-after-free /
+#                                          # undefined behaviour)
 #   scripts/check.sh --werror [build_dir]  # warnings-hardened build of the
 #                                          # core library (-Wall -Wextra -Werror)
 #
@@ -88,7 +89,7 @@ fi
 
 if [ "$ASAN" = 1 ]; then
   BUILD_DIR="${1:-$REPO_ROOT/build-asan}"
-  echo "== configure (AddressSanitizer) =="
+  echo "== configure (AddressSanitizer + UBSan) =="
   cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DAWMOE_ASAN=ON \
     -DAWMOE_BUILD_BENCHES=OFF -DAWMOE_BUILD_EXAMPLES=OFF \
     "${CMAKE_LAUNCHER_ARGS[@]}"
@@ -96,15 +97,16 @@ if [ "$ASAN" = 1 ]; then
   echo "== build (tests only) =="
   cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-  # Snapshot lifetime is the target: a retired ModelPool snapshot (or a
-  # rollout candidate dropped while leased) freed while a lease still
-  # reads its replicas is a heap-use-after-free TSan cannot see. The
-  # models suite covers clone storage; the serving suites cover
-  # lease/retire under load.
-  echo "== ctest (serving + model suites under ASan) =="
+  # Snapshot lifetime was the first target: a retired ModelPool
+  # snapshot (or a rollout candidate dropped while leased) freed while a
+  # lease still reads its replicas is a heap-use-after-free TSan cannot
+  # see. The whole suite runs, so every kernel, arena view and collation
+  # path is also checked for out-of-bounds access and undefined
+  # behaviour.
+  echo "== ctest (whole suite under ASan + UBSan) =="
   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -R "^(serving_|models_)"
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
   echo "== check.sh --asan OK =="
   exit 0

@@ -93,23 +93,22 @@ void AwMoeRanker::Score(const ScoreCall& call) {
   const int64_t k = config_.dims.num_experts;
   // Algorithm 1 in kernel form, same op order as InferenceLogits:
   // input network -> expert scores -> gate -> row-wise weighted sum.
+  const ArenaExec x(arena);
   MatView v_imp = arena->Alloc(batch.size, input_network_.output_dim());
+  ConstMatView encoding;
   if (call.encoding != nullptr) {
-    const ConstMatView enc_view = ResolveSessionEncoding(
-        *call.encoding, batch.size, input_network_.session_encoding_dim());
-    input_network_.InferWithSessionInto(batch, enc_view, arena, v_imp);
-  } else {
-    input_network_.InferInto(batch, arena, v_imp);
+    encoding = ResolveSessionEncoding(*call.encoding, batch.size,
+                                      input_network_.session_encoding_dim());
   }
+  input_network_.Run(x, batch, call.encoding != nullptr ? &encoding : nullptr,
+                     v_imp);
   MatView scores = arena->Alloc(batch.size, k);
-  experts_.InferAllInto(v_imp, arena, scores);
+  experts_.Run(x, v_imp, scores);
   ConstMatView gate_view;
   if (call.gate != nullptr) {
     gate_view = ResolveSessionGate(*call.gate, batch.size, k);
   } else {
-    MatView g = arena->Alloc(batch.size, k);
-    gate_network_.InferInto(batch, arena, g);
-    gate_view = g;
+    gate_view = gate_network_.Run(x, batch, arena->Alloc(batch.size, k));
   }
   DotRowsInto(scores, gate_view, MatView{call.out.data(), batch.size, 1, 1});
 }
@@ -144,8 +143,8 @@ void AwMoeRanker::GateInto(const Batch& batch, InferenceWorkspace* workspace,
       << "x" << k;
   InferenceArena* arena = workspace->arena();
   arena->Reset();
-  gate_network_.InferInto(batch, arena,
-                          MatView{out.data(), batch.size, k, k});
+  gate_network_.Run(ArenaExec(arena), batch,
+                    MatView{out.data(), batch.size, k, k});
 }
 
 std::vector<Var> AwMoeRanker::Parameters() const {

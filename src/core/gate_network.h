@@ -7,34 +7,13 @@
 #include "data/example.h"
 #include "models/attention_unit.h"
 #include "models/embedding_set.h"
+#include "models/input_network.h"
 #include "models/model_dims.h"
 #include "nn/mlp.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
 namespace awmoe {
-
-/// The gate unit Theta of Fig. 4c: like the activation unit but with a
-/// K-wide output — for one behaviour item it scores the activation of
-/// every expert (Eq. 7).
-class GateUnit : public Module {
- public:
-  GateUnit(int64_t hidden_dim, std::vector<int64_t> mlp_dims,
-           int64_t num_experts, Rng* rng);
-
-  /// h_b, h_ref: [B, hidden_dim] -> activation vectors a_j [B, K].
-  Var Forward(const Var& h_b, const Var& h_ref) const;
-
-  /// Graph-free Forward into a caller [B, K] view.
-  void InferInto(const ConstMatView& h_b, const ConstMatView& h_ref,
-                 InferenceArena* arena, MatView out) const;
-
-  void CollectParameters(std::vector<Var>* params) const override;
-
- private:
-  int64_t hidden_dim_;
-  Mlp mlp_;
-};
 
 /// Which gate-network modules are active — the ablation axis of Table VI.
 enum class GateMode {
@@ -70,40 +49,30 @@ class GateNetwork : public Module {
               Rng* rng);
 
   /// Activation vector g [B, K] (Eq. 8), also the gate's user
-  /// representation used by the contrastive loss and Fig. 7.
-  Var Forward(const Batch& batch) const;
+  /// representation used by the contrastive loss and Fig. 7, on either
+  /// executor. On the arena it is the gate half of the Score serving
+  /// path, also run alone by GateInto when the engine probes
+  /// per-session gate rows.
+  template <class X>
+  MatOf<X> Run(const X& x, const Batch& batch, DstOf<X> out) const;
 
-  /// Graph-free Forward into a caller [B, K] view (bitwise-identical
-  /// to Forward, zero allocation once the arena is warm) — the gate
-  /// half of the Score serving path, also used alone by GateInto
-  /// when the engine probes per-session gate rows.
-  void InferInto(const Batch& batch, InferenceArena* arena,
-                 MatView out) const;
+  Var Forward(const Batch& batch) const {
+    return Run(GraphExec(), batch, {});
+  }
 
   void CollectParameters(std::vector<Var>* params) const override;
 
   const GateConfig& config() const { return config_; }
 
  private:
-  /// h^G of the reference (query, or target item in recommendation mode).
-  Var Reference(const Batch& batch) const;
-
-  /// Graph-free Reference into `out` [B, hidden_dim].
-  void ReferenceInto(const Batch& batch, InferenceArena* arena,
-                     MatView out) const;
-
-  /// Graph-free item tower over sequence position j: `out` [B, hidden].
-  void BehaviorHiddenInto(const Batch& batch, int64_t j,
-                          InferenceArena* arena, MatView out) const;
-
   DatasetMeta meta_;
   ModelDims dims_;
   GateConfig config_;
   const EmbeddingSet* embeddings_;
   Mlp item_tower_;  // MLP^G over behaviour items.
   Mlp ref_tower_;   // MLP^G over the query / target item.
-  GateUnit gate_unit_;
-  AttentionUnit activation_unit_;
+  AttentionUnit gate_unit_;        // Theta: K-wide product-path unit.
+  AttentionUnit activation_unit_;  // Phi^G: scalar product-path unit.
   Var gate_bias_;  // [1, K].
 };
 

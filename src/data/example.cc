@@ -53,16 +53,4 @@ Matrix Batch::MaskColumn(int64_t j) const {
   return column;
 }
 
-Matrix Batch::BehaviorAttrsColumn(int64_t j) const {
-  AWMOE_CHECK(j >= 0 && j < seq_len) << "position " << j << " of " << seq_len;
-  const int64_t a = Example::kItemAttrs;
-  Matrix column(size, a);
-  for (int64_t i = 0; i < size; ++i) {
-    for (int64_t c = 0; c < a; ++c) {
-      column(i, c) = behavior_attrs(i, j * a + c);
-    }
-  }
-  return column;
-}
-
 }  // namespace awmoe

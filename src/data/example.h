@@ -159,9 +159,6 @@ struct Batch {
 
   /// Mask column j as a [size,1] matrix.
   Matrix MaskColumn(int64_t j) const;
-
-  /// Side-info of sequence position `j`: [size, kItemAttrs].
-  Matrix BehaviorAttrsColumn(int64_t j) const;
 };
 
 }  // namespace awmoe

@@ -1,42 +1,29 @@
 #include "models/attention_unit.h"
 
-#include "autograd/ops.h"
-
 namespace awmoe {
 
-namespace {
-std::vector<int64_t> WithScalarOutput(std::vector<int64_t> dims) {
-  dims.push_back(1);
-  return dims;
-}
-}  // namespace
-
 AttentionUnit::AttentionUnit(int64_t hidden_dim,
-                             std::vector<int64_t> mlp_dims, Rng* rng)
+                             std::vector<int64_t> mlp_dims, int64_t out_dim,
+                             Rng* rng)
     : hidden_dim_(hidden_dim),
-      mlp_(3 * hidden_dim, WithScalarOutput(std::move(mlp_dims)), rng) {}
+      mlp_(3 * hidden_dim, WithOutput(std::move(mlp_dims), out_dim), rng) {}
 
-Var AttentionUnit::Forward(const Var& h_user, const Var& h_ref) const {
-  AWMOE_CHECK(h_user.cols() == hidden_dim_ && h_ref.cols() == hidden_dim_)
-      << "AttentionUnit: dims " << h_user.cols() << "/" << h_ref.cols()
+template <class X>
+MatOf<X> AttentionUnit::Run(const X& x, const MatOf<X>& h_user,
+                            const MatOf<X>& h_ref, DstOf<X> out) const {
+  AWMOE_CHECK(x.Cols(h_user) == hidden_dim_ && x.Cols(h_ref) == hidden_dim_)
+      << "AttentionUnit: dims " << x.Cols(h_user) << "/" << x.Cols(h_ref)
       << " vs " << hidden_dim_;
-  Var interaction = ag::Mul(h_user, h_ref);
-  Var joined = ag::ConcatCols({h_user, h_ref, interaction});
-  return mlp_.Forward(joined);
+  const typename X::Scope scope(x);
+  const MatOf<X> joined = x.ProductPath(
+      h_user, h_ref, x.Alloc(x.Rows(h_user), 3 * hidden_dim_));
+  return mlp_.Run(x, joined, out);
 }
 
-void AttentionUnit::InferInto(const ConstMatView& h_user,
-                              const ConstMatView& h_ref,
-                              InferenceArena* arena, MatView out) const {
-  AWMOE_CHECK(h_user.cols == hidden_dim_ && h_ref.cols == hidden_dim_)
-      << "AttentionUnit::InferInto: dims " << h_user.cols << "/"
-      << h_ref.cols << " vs " << hidden_dim_;
-  const size_t mark = arena->Mark();
-  MatView joined = arena->Alloc(h_user.rows, 3 * hidden_dim_);
-  ConcatInteractionInto(h_user, h_ref, joined);
-  mlp_.InferInto(joined, arena, out);
-  arena->Rewind(mark);
-}
+template Var AttentionUnit::Run(const GraphExec&, const Var&, const Var&,
+                                GraphExec::Dst) const;
+template MatView AttentionUnit::Run(const ArenaExec&, const MatView&,
+                                    const MatView&, MatView) const;
 
 void AttentionUnit::CollectParameters(std::vector<Var>* params) const {
   mlp_.CollectParameters(params);

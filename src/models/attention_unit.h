@@ -10,25 +10,29 @@
 
 namespace awmoe {
 
-/// The activation unit of Fig. 4a: scores how much one behaviour item
-/// matters given a reference (target item in the input network, query in
-/// the gate network). Input is concat(h_user, h_ref, h_user * h_ref) — the
-/// "product" path in the figure — through an MLP ending in a single linear
-/// unit. Scores are unnormalised (DIN-style), so callers mask padded
-/// positions instead of softmaxing.
+/// The product-path unit of Fig. 4: its input is concat(h_user, h_ref,
+/// h_user * h_ref) through an MLP. With a scalar output it is the
+/// activation unit of Fig. 4a, scoring how much one behaviour item
+/// matters given a reference (target item in the input network, query
+/// in the gate network); scores are unnormalised (DIN-style), so
+/// callers mask padded positions instead of softmaxing. With a K-wide
+/// output it is the gate unit Theta of Fig. 4c, scoring the activation
+/// of every expert for one behaviour item (Eq. 7).
 class AttentionUnit : public Module {
  public:
   /// `hidden_dim` is the width of both inputs; `mlp_dims` are the hidden
-  /// layers (the paper uses 32x16), with a final scalar appended.
-  AttentionUnit(int64_t hidden_dim, std::vector<int64_t> mlp_dims, Rng* rng);
+  /// layers (the paper uses 32x16), followed by an `out_dim`-wide output.
+  AttentionUnit(int64_t hidden_dim, std::vector<int64_t> mlp_dims,
+                int64_t out_dim, Rng* rng);
 
-  /// h_user, h_ref: [B, hidden_dim] -> attention scores [B, 1].
-  Var Forward(const Var& h_user, const Var& h_ref) const;
+  /// h_user, h_ref: [B, hidden_dim] -> [B, out_dim], on either executor.
+  template <class X>
+  MatOf<X> Run(const X& x, const MatOf<X>& h_user, const MatOf<X>& h_ref,
+               DstOf<X> out) const;
 
-  /// Graph-free Forward into a caller buffer [B, 1] (bitwise-identical
-  /// to Forward, zero allocation from a warmed arena).
-  void InferInto(const ConstMatView& h_user, const ConstMatView& h_ref,
-                 InferenceArena* arena, MatView out) const;
+  Var Forward(const Var& h_user, const Var& h_ref) const {
+    return Run(GraphExec(), h_user, h_ref, {});
+  }
 
   void CollectParameters(std::vector<Var>* params) const override;
 

@@ -4,13 +4,6 @@
 
 namespace awmoe {
 
-namespace {
-std::vector<int64_t> WithOutput(std::vector<int64_t> dims, int64_t out) {
-  dims.push_back(out);
-  return dims;
-}
-}  // namespace
-
 CategoryMoeRanker::CategoryMoeRanker(const DatasetMeta& meta,
                                      const ModelDims& dims, Rng* rng)
     : meta_(meta),
@@ -21,11 +14,19 @@ CategoryMoeRanker::CategoryMoeRanker(const DatasetMeta& meta,
       gate_mlp_(dims.emb_dim,
                 WithOutput(dims.gate_unit, dims.num_experts), rng) {}
 
-Var CategoryMoeRanker::GateRepresentation(const Batch& batch) {
+template <class X>
+MatOf<X> CategoryMoeRanker::GateRows(const X& x, const Batch& batch,
+                                     DstOf<X> out) const {
+  const typename X::Scope scope(x);
   // Query category in search mode; target category when there is no query.
   const std::vector<int64_t>& cats =
       meta_.recommendation_mode ? batch.target_cats : batch.query_cats;
-  return ag::SoftmaxRows(gate_mlp_.Forward(embeddings_.Category(cats)));
+  return x.SoftmaxRows(
+      gate_mlp_.Run(x, embeddings_.CategoryInput(x, cats), out));
+}
+
+Var CategoryMoeRanker::GateRepresentation(const Batch& batch) {
+  return GateRows(GraphExec(), batch, {});
 }
 
 Var CategoryMoeRanker::ForwardLogits(const Batch& batch) {
@@ -43,19 +44,6 @@ std::vector<Var> CategoryMoeRanker::Parameters() const {
   return params;
 }
 
-void CategoryMoeRanker::GateRowsInto(const Batch& batch,
-                                     InferenceArena* arena, MatView g) const {
-  const size_t mark = arena->Mark();
-  // Query category in search mode; target category when there is no query.
-  const std::vector<int64_t>& cats =
-      meta_.recommendation_mode ? batch.target_cats : batch.query_cats;
-  MatView cat_emb = arena->Alloc(batch.size, dims_.emb_dim);
-  embeddings_.CategoryInto(cats.data(), batch.size, cat_emb);
-  gate_mlp_.InferInto(cat_emb, arena, g);
-  SoftmaxRowsInPlace(g);
-  arena->Rewind(mark);
-}
-
 void CategoryMoeRanker::Score(const ScoreCall& call) {
   CheckScoreCall(*this, call);
   const Batch& batch = call.batch;
@@ -64,17 +52,16 @@ void CategoryMoeRanker::Score(const ScoreCall& call) {
   const int64_t k = dims_.num_experts;
   // Same op order as ForwardLogits: experts on the impression vector,
   // then the gate, then the row-wise weighted sum.
+  const ArenaExec x(arena);
   MatView v_imp = arena->Alloc(batch.size, input_network_.output_dim());
-  input_network_.InferInto(batch, arena, v_imp);
+  input_network_.Run(x, batch, /*encoding=*/nullptr, v_imp);
   MatView scores = arena->Alloc(batch.size, k);
-  experts_.InferAllInto(v_imp, arena, scores);
+  experts_.Run(x, v_imp, scores);
   ConstMatView gate_view;
   if (call.gate != nullptr) {
     gate_view = ResolveSessionGate(*call.gate, batch.size, k);
   } else {
-    MatView g = arena->Alloc(batch.size, k);
-    GateRowsInto(batch, arena, g);
-    gate_view = g;
+    gate_view = GateRows(x, batch, arena->Alloc(batch.size, k));
   }
   DotRowsInto(scores, gate_view, MatView{call.out.data(), batch.size, 1, 1});
 }
@@ -94,9 +81,9 @@ void CategoryMoeRanker::GateInto(const Batch& batch,
       << "x" << dims_.num_experts;
   InferenceArena* arena = workspace->arena();
   arena->Reset();
-  GateRowsInto(batch, arena,
-               MatView{out.data(), batch.size, dims_.num_experts,
-                       dims_.num_experts});
+  GateRows(ArenaExec(arena), batch,
+           MatView{out.data(), batch.size, dims_.num_experts,
+                   dims_.num_experts});
 }
 
 std::unique_ptr<Ranker> CategoryMoeRanker::Clone() const {

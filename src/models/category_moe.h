@@ -50,9 +50,9 @@ class CategoryMoeRanker : public Ranker {
                 std::span<float> out) override;
 
  private:
-  /// Graph-free gate rows into `g` [B, K].
-  void GateRowsInto(const Batch& batch, InferenceArena* arena,
-                    MatView g) const;
+  /// The softmaxed gate rows [B, K], on either executor.
+  template <class X>
+  MatOf<X> GateRows(const X& x, const Batch& batch, DstOf<X> out) const;
 
   DatasetMeta meta_;
   ModelDims dims_;

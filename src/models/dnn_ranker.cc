@@ -9,7 +9,7 @@ FfnRanker::FfnRanker(const DatasetMeta& meta, const ModelDims& dims,
       pooling_(pooling),
       embeddings_(meta, dims.emb_dim, rng),
       input_network_(meta, dims, &embeddings_, pooling, rng),
-      ffn_(input_network_.output_dim(), dims, rng) {}
+      ffn_(input_network_.output_dim(), WithOutput(dims.expert, 1), rng) {}
 
 std::string FfnRanker::name() const {
   return pooling_ == UserPooling::kSumPool ? "DNN" : "DIN";
@@ -42,15 +42,16 @@ void FfnRanker::Score(const ScoreCall& call) {
   // independent blocks from the session feature store instead of
   // recomputing them; the op sequence on values is identical either
   // way (bitwise contract).
+  const ArenaExec x(arena);
   MatView v_imp = arena->Alloc(batch.size, input_network_.output_dim());
+  ConstMatView encoding;
   if (call.encoding != nullptr) {
-    const ConstMatView enc_view = ResolveSessionEncoding(
-        *call.encoding, batch.size, input_network_.session_encoding_dim());
-    input_network_.InferWithSessionInto(batch, enc_view, arena, v_imp);
-  } else {
-    input_network_.InferInto(batch, arena, v_imp);
+    encoding = ResolveSessionEncoding(*call.encoding, batch.size,
+                                      input_network_.session_encoding_dim());
   }
-  ffn_.InferInto(v_imp, arena, MatView{call.out.data(), batch.size, 1, 1});
+  input_network_.Run(x, batch, call.encoding != nullptr ? &encoding : nullptr,
+                     v_imp);
+  ffn_.Run(x, v_imp, MatView{call.out.data(), batch.size, 1, 1});
 }
 
 ServingTraits FfnRanker::Traits(const DatasetMeta& meta) const {

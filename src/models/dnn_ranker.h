@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "models/embedding_set.h"
-#include "models/expert.h"
 #include "models/input_network.h"
 #include "models/model_dims.h"
 #include "models/ranker.h"
+#include "nn/mlp.h"
 #include "util/rng.h"
 
 namespace awmoe {
@@ -49,7 +49,7 @@ class FfnRanker : public Ranker {
   UserPooling pooling_;
   EmbeddingSet embeddings_;
   InputNetwork input_network_;
-  ExpertNetwork ffn_;
+  Mlp ffn_;  // Shaped like one expert network (Fig. 4b).
 };
 
 /// Baseline "DNN" [1] (YouTube DNN style): the user vector is the

@@ -11,73 +11,85 @@ EmbeddingSet::EmbeddingSet(const DatasetMeta& meta, int64_t emb_dim, Rng* rng)
       query_(std::max<int64_t>(meta.num_queries, 1), emb_dim, rng),
       age_(meta.num_age_segments + 1, emb_dim, rng) {}
 
-Var EmbeddingSet::ItemTriple(const std::vector<int64_t>& items,
-                             const std::vector<int64_t>& cats,
-                             const std::vector<int64_t>& brands) const {
-  return ag::ConcatCols(
-      {item_.Forward(items), cat_.Forward(cats), brand_.Forward(brands)});
+template <class X>
+MatOf<X> EmbeddingSet::CategoryInput(
+    const X& x, const std::vector<int64_t>& cat_ids) const {
+  const int64_t n = static_cast<int64_t>(cat_ids.size());
+  return x.Gather(cat_, cat_ids.data(), n, /*id_stride=*/1,
+                  x.Alloc(n, emb_dim_));
 }
 
-Var EmbeddingSet::Query(const std::vector<int64_t>& query_ids) const {
-  return query_.Forward(query_ids);
+template <class X>
+MatOf<X> EmbeddingSet::ItemInput(const X& x, const int64_t* items,
+                                 const int64_t* cats, const int64_t* brands,
+                                 int64_t count, int64_t id_stride,
+                                 const ConstMatView& attrs) const {
+  const int64_t e = emb_dim_;
+  const DstOf<X> out = x.Alloc(count, item_dim() + attrs.cols);
+  const DstOf<X> triple = x.ColBlock(out, 0, item_dim());
+  const MatOf<X> embedded = x.Concat(
+      {x.Gather(item_, items, count, id_stride, x.ColBlock(triple, 0, e)),
+       x.Gather(cat_, cats, count, id_stride, x.ColBlock(triple, e, e)),
+       x.Gather(brand_, brands, count, id_stride,
+                x.ColBlock(triple, 2 * e, e))},
+      triple);
+  return x.Concat(
+      {embedded, x.Constant(attrs, x.ColBlock(out, item_dim(), attrs.cols))},
+      out);
 }
 
-Var EmbeddingSet::Shop(const std::vector<int64_t>& shop_ids) const {
-  return shop_.Forward(shop_ids);
+template <class X>
+MatOf<X> EmbeddingSet::TargetInput(const X& x, const Batch& batch) const {
+  return ItemInput(x, batch.target_items.data(), batch.target_cats.data(),
+                   batch.target_brands.data(), batch.size, /*id_stride=*/1,
+                   MatrixView(batch.target_attrs));
 }
 
-Var EmbeddingSet::Age(const std::vector<int64_t>& age_segments) const {
-  return age_.Forward(age_segments);
+template <class X>
+MatOf<X> EmbeddingSet::BehaviorInput(const X& x, const Batch& batch,
+                                     int64_t j) const {
+  AWMOE_CHECK(j >= 0 && j < batch.seq_len)
+      << "position " << j << " of " << batch.seq_len;
+  return ItemInput(x, batch.behavior_items.data() + j,
+                   batch.behavior_cats.data() + j,
+                   batch.behavior_brands.data() + j, batch.size,
+                   /*id_stride=*/batch.seq_len,
+                   MatrixColsView(batch.behavior_attrs, j * Example::kItemAttrs,
+                                  Example::kItemAttrs));
 }
 
-Var EmbeddingSet::Category(const std::vector<int64_t>& cat_ids) const {
-  return cat_.Forward(cat_ids);
+template <class X>
+MatOf<X> EmbeddingSet::QueryInput(const X& x, const Batch& batch) const {
+  return x.Gather(query_, batch.query_ids.data(), batch.size, /*id_stride=*/1,
+                  x.Alloc(batch.size, emb_dim_));
 }
 
-void EmbeddingSet::ItemTripleInto(const int64_t* items, const int64_t* cats,
-                                  const int64_t* brands, int64_t count,
-                                  int64_t id_stride, MatView out) const {
-  AWMOE_CHECK(out.cols == item_dim())
-      << "ItemTripleInto: out width " << out.cols << " vs " << item_dim();
-  item_.GatherInto(items, count, id_stride, out.ColBlock(0, emb_dim_));
-  cat_.GatherInto(cats, count, id_stride, out.ColBlock(emb_dim_, emb_dim_));
-  brand_.GatherInto(brands, count, id_stride,
-                    out.ColBlock(2 * emb_dim_, emb_dim_));
+template <class X>
+MatOf<X> EmbeddingSet::ProfileInput(const X& x, const Batch& batch) const {
+  const int64_t e = emb_dim_;
+  const int64_t b = batch.size;
+  const DstOf<X> out = x.Alloc(b, 2 * e + batch.numeric.cols());
+  return x.Concat(
+      {x.Gather(age_, batch.age_segments.data(), b, /*id_stride=*/1,
+                x.ColBlock(out, 0, e)),
+       x.Gather(shop_, batch.target_shops.data(), b, /*id_stride=*/1,
+                x.ColBlock(out, e, e)),
+       x.Constant(MatrixView(batch.numeric),
+                  x.ColBlock(out, 2 * e, batch.numeric.cols()))},
+      out);
 }
 
-void EmbeddingSet::ItemWithAttrsInto(const int64_t* items,
-                                     const int64_t* cats,
-                                     const int64_t* brands, int64_t count,
-                                     int64_t id_stride,
-                                     const ConstMatView& attrs,
-                                     MatView out) const {
-  AWMOE_CHECK(out.cols == item_dim() + attrs.cols)
-      << "ItemWithAttrsInto: out width " << out.cols << " vs "
-      << item_dim() + attrs.cols;
-  ItemTripleInto(items, cats, brands, count, id_stride,
-                 out.ColBlock(0, item_dim()));
-  CopyInto(attrs, out.ColBlock(item_dim(), attrs.cols));
-}
-
-void EmbeddingSet::QueryInto(const int64_t* query_ids, int64_t count,
-                             MatView out) const {
-  query_.GatherInto(query_ids, count, /*id_stride=*/1, out);
-}
-
-void EmbeddingSet::ShopInto(const int64_t* shop_ids, int64_t count,
-                            MatView out) const {
-  shop_.GatherInto(shop_ids, count, /*id_stride=*/1, out);
-}
-
-void EmbeddingSet::AgeInto(const int64_t* age_segments, int64_t count,
-                           MatView out) const {
-  age_.GatherInto(age_segments, count, /*id_stride=*/1, out);
-}
-
-void EmbeddingSet::CategoryInto(const int64_t* cat_ids, int64_t count,
-                                MatView out) const {
-  cat_.GatherInto(cat_ids, count, /*id_stride=*/1, out);
-}
+#define AWMOE_EMBEDDING_SET_INPUTS(X)                                       \
+  template MatOf<X> EmbeddingSet::CategoryInput(                            \
+      const X&, const std::vector<int64_t>&) const;                         \
+  template MatOf<X> EmbeddingSet::TargetInput(const X&, const Batch&) const; \
+  template MatOf<X> EmbeddingSet::BehaviorInput(const X&, const Batch&,     \
+                                                int64_t) const;             \
+  template MatOf<X> EmbeddingSet::QueryInput(const X&, const Batch&) const; \
+  template MatOf<X> EmbeddingSet::ProfileInput(const X&, const Batch&) const;
+AWMOE_EMBEDDING_SET_INPUTS(GraphExec)
+AWMOE_EMBEDDING_SET_INPUTS(ArenaExec)
+#undef AWMOE_EMBEDDING_SET_INPUTS
 
 void EmbeddingSet::CollectParameters(std::vector<Var>* params) const {
   item_.CollectParameters(params);

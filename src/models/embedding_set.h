@@ -6,6 +6,7 @@
 
 #include "data/example.h"
 #include "nn/embedding.h"
+#include "nn/exec.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -19,54 +20,46 @@ class EmbeddingSet : public Module {
  public:
   EmbeddingSet(const DatasetMeta& meta, int64_t emb_dim, Rng* rng);
 
-  /// concat(item, cat, brand) embeddings: [n, 3*emb_dim]. Used for both
-  /// behaviour-sequence items and the target item.
-  Var ItemTriple(const std::vector<int64_t>& items,
-                 const std::vector<int64_t>& cats,
-                 const std::vector<int64_t>& brands) const;
-
-  /// Query embedding: [n, emb_dim].
-  Var Query(const std::vector<int64_t>& query_ids) const;
-
-  /// Shop embedding: [n, emb_dim].
-  Var Shop(const std::vector<int64_t>& shop_ids) const;
-
-  /// Age-segment embedding: [n, emb_dim].
-  Var Age(const std::vector<int64_t>& age_segments) const;
+  // --- Tower inputs, on either executor (nn/exec.h). Each allocates
+  // its [rows, width] result. ---
 
   /// Category embedding alone (Category-MoE gate input): [n, emb_dim].
-  Var Category(const std::vector<int64_t>& cat_ids) const;
+  template <class X>
+  MatOf<X> CategoryInput(const X& x,
+                         const std::vector<int64_t>& cat_ids) const;
 
-  // --- Graph-free lookups into caller buffers (Score path). The
-  // id stride addresses one sequence position of a Batch's row-major
-  // [size * seq_len] layout directly (stride 1 for per-row id lists).
+  /// [item | cat | brand | attrs] of the target items (item_dim() +
+  /// kItemAttrs wide).
+  template <class X>
+  MatOf<X> TargetInput(const X& x, const Batch& batch) const;
 
-  /// concat(item, cat, brand) rows into `out` [count, item_dim()].
-  void ItemTripleInto(const int64_t* items, const int64_t* cats,
-                      const int64_t* brands, int64_t count,
-                      int64_t id_stride, MatView out) const;
+  /// The same layout for behaviour position `j`, read straight out of
+  /// the Batch's row-major [size * seq_len] id layout.
+  template <class X>
+  MatOf<X> BehaviorInput(const X& x, const Batch& batch, int64_t j) const;
 
-  /// Item-tower input layout: [ItemTriple | attrs] into `out`
-  /// [count, item_dim() + attrs.cols]. One definition of the packing
-  /// shared by every tower that consumes items with side-info (target
-  /// and behaviour positions of the input and gate networks).
-  void ItemWithAttrsInto(const int64_t* items, const int64_t* cats,
-                         const int64_t* brands, int64_t count,
-                         int64_t id_stride, const ConstMatView& attrs,
-                         MatView out) const;
+  /// Query embedding: [B, emb_dim].
+  template <class X>
+  MatOf<X> QueryInput(const X& x, const Batch& batch) const;
 
-  void QueryInto(const int64_t* query_ids, int64_t count, MatView out) const;
-  void ShopInto(const int64_t* shop_ids, int64_t count, MatView out) const;
-  void AgeInto(const int64_t* age_segments, int64_t count, MatView out) const;
-  void CategoryInto(const int64_t* cat_ids, int64_t count, MatView out) const;
+  /// [age | shop | numeric]: the profile/cross-feature tower input.
+  template <class X>
+  MatOf<X> ProfileInput(const X& x, const Batch& batch) const;
 
   void CollectParameters(std::vector<Var>* params) const override;
 
   int64_t emb_dim() const { return emb_dim_; }
-  /// Width of ItemTriple outputs.
+  /// Width of the [item | cat | brand] block of an item input.
   int64_t item_dim() const { return 3 * emb_dim_; }
 
  private:
+  /// [item | cat | brand | attrs] of `count` items whose ids sit
+  /// `id_stride` apart.
+  template <class X>
+  MatOf<X> ItemInput(const X& x, const int64_t* items, const int64_t* cats,
+                     const int64_t* brands, int64_t count, int64_t id_stride,
+                     const ConstMatView& attrs) const;
+
   int64_t emb_dim_;
   EmbeddingTable item_;
   EmbeddingTable cat_;

@@ -1,65 +1,33 @@
 #include "models/expert.h"
 
-#include "autograd/ops.h"
-
 namespace awmoe {
-
-namespace {
-std::vector<int64_t> WithScalarOutput(std::vector<int64_t> dims) {
-  dims.push_back(1);
-  return dims;
-}
-}  // namespace
-
-ExpertNetwork::ExpertNetwork(int64_t input_dim, const ModelDims& dims,
-                             Rng* rng)
-    : mlp_(input_dim, WithScalarOutput(dims.expert), rng) {}
-
-Var ExpertNetwork::Forward(const Var& v_imp) const {
-  return mlp_.Forward(v_imp);
-}
-
-void ExpertNetwork::InferInto(const ConstMatView& v_imp,
-                              InferenceArena* arena, MatView out) const {
-  mlp_.InferInto(v_imp, arena, out);
-}
-
-void ExpertNetwork::CollectParameters(std::vector<Var>* params) const {
-  mlp_.CollectParameters(params);
-}
 
 ExpertBank::ExpertBank(int64_t input_dim, const ModelDims& dims, Rng* rng) {
   AWMOE_CHECK(dims.num_experts >= 1) << "num_experts=" << dims.num_experts;
   experts_.reserve(static_cast<size_t>(dims.num_experts));
   for (int64_t k = 0; k < dims.num_experts; ++k) {
-    experts_.emplace_back(input_dim, dims, rng);
+    experts_.emplace_back(input_dim, WithOutput(dims.expert, 1), rng);
   }
 }
 
-Var ExpertBank::ForwardAll(const Var& v_imp) const {
-  std::vector<Var> scores;
-  scores.reserve(experts_.size());
-  for (const ExpertNetwork& expert : experts_) {
-    scores.push_back(expert.Forward(v_imp));
-  }
-  return ag::ConcatCols(scores);
-}
-
-void ExpertBank::InferAllInto(const ConstMatView& v_imp,
-                              InferenceArena* arena, MatView out) const {
-  AWMOE_CHECK(out.rows == v_imp.rows &&
-              out.cols == static_cast<int64_t>(experts_.size()))
-      << "InferAllInto: out " << out.rows << "x" << out.cols;
+template <class X>
+MatOf<X> ExpertBank::Run(const X& x, const MatOf<X>& v_imp,
+                         DstOf<X> out) const {
+  typename X::Parts scores;
   for (size_t k = 0; k < experts_.size(); ++k) {
-    experts_[k].InferInto(v_imp, arena,
-                          out.ColBlock(static_cast<int64_t>(k), 1));
+    scores.push_back(experts_[k].Run(
+        x, v_imp, x.ColBlock(out, static_cast<int64_t>(k), 1)));
   }
+  return x.Concat(scores, out);
 }
+
+template Var ExpertBank::Run(const GraphExec&, const Var&,
+                             GraphExec::Dst) const;
+template MatView ExpertBank::Run(const ArenaExec&, const MatView&,
+                                 MatView) const;
 
 void ExpertBank::CollectParameters(std::vector<Var>* params) const {
-  for (const ExpertNetwork& expert : experts_) {
-    expert.CollectParameters(params);
-  }
+  for (const Mlp& expert : experts_) expert.CollectParameters(params);
 }
 
 }  // namespace awmoe

@@ -11,39 +11,23 @@
 
 namespace awmoe {
 
-/// One expert network Psi_k of Fig. 4b: an FFN from the impression vector
-/// to a scalar ranking score (Eq. 5). All experts share this structure and
-/// differ only in their randomly initialised parameters (§III-C1).
-class ExpertNetwork : public Module {
- public:
-  ExpertNetwork(int64_t input_dim, const ModelDims& dims, Rng* rng);
-
-  /// v_imp [B, input_dim] -> s_k [B, 1].
-  Var Forward(const Var& v_imp) const;
-
-  /// Graph-free Forward into a caller [B, 1] view (a column of the
-  /// expert-score matrix on the Score path).
-  void InferInto(const ConstMatView& v_imp, InferenceArena* arena,
-                 MatView out) const;
-
-  void CollectParameters(std::vector<Var>* params) const override;
-
- private:
-  Mlp mlp_;
-};
-
-/// A bank of K experts evaluated on the same impression vector; returns
-/// the concatenated score matrix S = [s_1 .. s_K] of shape [B, K].
+/// A bank of K expert networks Psi_k (Fig. 4b): FFNs from the impression
+/// vector to a scalar ranking score (Eq. 5), evaluated on the same
+/// input. All experts share one structure and differ only in their
+/// randomly initialised parameters (§III-C1). Returns the score matrix
+/// S = [s_1 .. s_K] of shape [B, K].
 class ExpertBank : public Module {
  public:
   ExpertBank(int64_t input_dim, const ModelDims& dims, Rng* rng);
 
-  Var ForwardAll(const Var& v_imp) const;
+  /// v_imp [B, input_dim] -> S [B, K], on either executor; expert k
+  /// writes column k of `out`.
+  template <class X>
+  MatOf<X> Run(const X& x, const MatOf<X>& v_imp, DstOf<X> out) const;
 
-  /// Graph-free ForwardAll: expert k writes column k of `out` [B, K]
-  /// (bitwise-identical to the ConcatCols of per-expert Forwards).
-  void InferAllInto(const ConstMatView& v_imp, InferenceArena* arena,
-                    MatView out) const;
+  Var ForwardAll(const Var& v_imp) const {
+    return Run(GraphExec(), v_imp, {});
+  }
 
   int64_t num_experts() const {
     return static_cast<int64_t>(experts_.size());
@@ -52,7 +36,7 @@ class ExpertBank : public Module {
   void CollectParameters(std::vector<Var>* params) const override;
 
  private:
-  std::vector<ExpertNetwork> experts_;
+  std::vector<Mlp> experts_;
 };
 
 }  // namespace awmoe

@@ -2,12 +2,14 @@
 #define AWMOE_MODELS_INPUT_NETWORK_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/example.h"
 #include "models/attention_unit.h"
 #include "models/embedding_set.h"
 #include "models/model_dims.h"
+#include "nn/exec.h"
 #include "nn/mlp.h"
 #include "nn/module.h"
 #include "util/rng.h"
@@ -19,6 +21,49 @@ enum class UserPooling {
   kSumPool,    // YouTube-DNN style (baseline "DNN", [1]).
   kAttention,  // DIN-style activation-unit weighting (Eq. 3, [2]).
 };
+
+/// h_bj: `tower` over behaviour position j (Eq. 2, Eq. 6) into `out`
+/// [B, hidden]. The one behaviour-tower body of the input and gate
+/// networks.
+template <class X>
+MatOf<X> BehaviorHidden(const X& x, const EmbeddingSet& embeddings,
+                        const Mlp& tower, const Batch& batch, int64_t j,
+                        DstOf<X> out) {
+  const typename X::Scope scope(x);
+  return tower.Run(x, embeddings.BehaviorInput(x, batch, j), out);
+}
+
+/// Masked pooling over the behaviour positions (Eq. 3, Eq. 8):
+///   out = sum_j rows_j * mask_j          (weighted == false)
+///   out = sum_j rows_j * (w_j * mask_j)  (weighted == true)
+/// `position(j)` returns {rows_j, w_j [B, 1]} (w_j is read only when
+/// weighted); its temporaries are scoped to the position. Position 0
+/// writes `out`, later positions add a materialised contribution — the
+/// Add(acc, contribution) shape of the graph, so no fused multiply-add
+/// can change a bit. The one pooling body of the input and gate
+/// networks.
+template <class X, class PositionFn>
+MatOf<X> PoolBehaviors(const X& x, const Batch& batch, bool weighted,
+                       PositionFn position, DstOf<X> out) {
+  AWMOE_CHECK(batch.seq_len > 0) << "PoolBehaviors: empty sequence layout";
+  MatOf<X> acc;
+  for (int64_t j = 0; j < batch.seq_len; ++j) {
+    const typename X::Scope scope(x);
+    const auto [rows, w] = position(j);
+    const ConstMatView mask = MatrixColsView(batch.behavior_mask, j, 1);
+    MatOf<X> contribution;
+    if (weighted) {
+      const MatOf<X> masked = x.MulMask(w, mask);
+      contribution = x.WeighRows(
+          rows, masked, j == 0 ? out : x.Alloc(batch.size, x.Cols(rows)));
+    } else {
+      contribution = x.MaskRows(
+          rows, mask, j == 0 ? out : x.Alloc(batch.size, x.Cols(rows)));
+    }
+    acc = j == 0 ? contribution : x.Add(acc, contribution);
+  }
+  return acc;
+}
 
 /// The input network of Fig. 3b: embeds every feature type, runs the
 /// per-type tower MLPs (Eq. 2), pools the behaviour sequence into the user
@@ -32,16 +77,24 @@ class InputNetwork : public Module {
                const EmbeddingSet* embeddings, UserPooling pooling,
                Rng* rng);
 
-  /// Impression representation [B, output_dim()].
-  Var Forward(const Batch& batch) const;
+  /// Impression representation [B, output_dim()], on either executor.
+  /// On the arena each tower writes its slice of `out` directly.
+  ///
+  /// `encoding` (arena only; null on the graph) is an EncodeSessionInto
+  /// blob, [B, session_encoding_dim()] (stride 0 broadcasts one cached
+  /// session row): the candidate-independent blocks are replayed from
+  /// it instead of recomputed, and only the candidate-dependent tail
+  /// (target tower, attention weighting + pooling, profile tower) runs.
+  /// Replayed rows are first copied into arena storage, so every kernel
+  /// still reads aligned arena views; the result is bitwise-identical
+  /// to the fused forward.
+  template <class X>
+  MatOf<X> Run(const X& x, const Batch& batch, const ConstMatView* encoding,
+               DstOf<X> out) const;
 
-  /// Graph-free Forward into a caller [B, output_dim()] view
-  /// (bitwise-identical to Forward, zero allocation once the arena is
-  /// warm): each tower writes its slice of v_imp directly, and the
-  /// behaviour loop reads sequence positions straight out of the
-  /// Batch's padded layout instead of materialising column vectors.
-  void InferInto(const Batch& batch, InferenceArena* arena,
-                 MatView out) const;
+  Var Forward(const Batch& batch) const {
+    return Run(GraphExec(), batch, nullptr, {});
+  }
 
   /// Materialises the candidate-INDEPENDENT half of the forward pass
   /// into a cacheable blob `out` [B, session_encoding_dim()] (the
@@ -52,21 +105,11 @@ class InputNetwork : public Module {
   /// h_bj (§III-C attention inputs) are cacheable but the pooled v_user
   /// is NOT — the activation unit reads the candidate's h_target — so
   /// the blob carries the positions; with sum pooling v_user itself is
-  /// candidate-independent. Each block is computed by the exact fused-
-  /// path op sequence and copied out, so replaying it through
-  /// InferWithSessionInto reproduces InferInto bit for bit.
+  /// candidate-independent. Each block is computed by the same helpers
+  /// as Run, into arena storage, and copied out, so replaying it
+  /// through Run reproduces the fused forward bit for bit.
   void EncodeSessionInto(const Batch& batch, InferenceArena* arena,
                          MatView out) const;
-
-  /// InferInto, but with the candidate-independent blocks replayed from
-  /// `encoding` (an EncodeSessionInto blob, [B, session_encoding_dim()]
-  /// view; stride 0 broadcasts one cached session row) instead of
-  /// recomputed: only the candidate-dependent tail (target tower,
-  /// attention weighting + pooling, other tower) runs. Cached rows are
-  /// first copied into arena storage, so every kernel still reads
-  /// aligned arena views. Bitwise-identical to InferInto.
-  void InferWithSessionInto(const Batch& batch, const ConstMatView& encoding,
-                            InferenceArena* arena, MatView out) const;
 
   /// Width of the impression vector v_imp.
   int64_t output_dim() const;
@@ -79,11 +122,8 @@ class InputNetwork : public Module {
   void CollectParameters(std::vector<Var>* params) const override;
 
  private:
-  /// Shared body of InferInto (encoding == nullptr: compute everything)
-  /// and InferWithSessionInto (replay the candidate-independent blocks
-  /// from the blob). One implementation, so the two paths cannot drift.
-  void InferCore(const Batch& batch, const ConstMatView* encoding,
-                 InferenceArena* arena, MatView out) const;
+  /// Offset of h_query in an EncodeSessionInto row.
+  int64_t query_offset() const;
 
   DatasetMeta meta_;
   ModelDims dims_;

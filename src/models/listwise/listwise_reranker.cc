@@ -33,13 +33,6 @@ void CheckSlateStarts(std::span<const int64_t> starts, int64_t batch_size,
   }
 }
 
-std::vector<int64_t> WithOutputDim(const std::vector<int64_t>& hidden,
-                                   int64_t out_dim) {
-  std::vector<int64_t> dims = hidden;
-  dims.push_back(out_dim);
-  return dims;
-}
-
 }  // namespace
 
 void SlateStartsFromBatch(const Batch& batch, std::vector<int64_t>* starts) {
@@ -62,7 +55,7 @@ ListwiseReranker::ListwiseReranker(const DatasetMeta& meta,
       proj_(input_network_.output_dim(), ldims.d_model, rng),
       pos_table_(NormalInit(ldims.max_slate_len, ldims.d_model, 0.1f, rng),
                  /*requires_grad=*/true),
-      head_(ldims.d_model, WithOutputDim(ldims.head_hidden, 1), rng) {
+      head_(ldims.d_model, WithOutput(ldims.head_hidden, 1), rng) {
   AWMOE_CHECK(ldims_.d_model > 0 && ldims_.num_heads > 0 &&
               ldims_.d_model % ldims_.num_heads == 0)
       << "ListwiseReranker: d_model " << ldims_.d_model
@@ -76,7 +69,7 @@ ListwiseReranker::ListwiseReranker(const DatasetMeta& meta,
   for (int64_t l = 0; l < ldims_.num_layers; ++l) {
     layers_.push_back(EncoderLayer{
         Linear(d, d, rng), Linear(d, d, rng), Linear(d, d, rng),
-        Linear(d, d, rng), Mlp(d, WithOutputDim(ldims_.ffn_hidden, d), rng)});
+        Linear(d, d, rng), Mlp(d, WithOutput(ldims_.ffn_hidden, d), rng)});
   }
 }
 
@@ -156,10 +149,11 @@ void ListwiseReranker::Score(const ScoreCall& call) {
   const int64_t dh = head_dim();
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
 
+  const ArenaExec exec(arena);
   MatView enc = arena->Alloc(B, input_network_.output_dim());
-  input_network_.InferInto(batch, arena, enc);
+  input_network_.Run(exec, batch, /*encoding=*/nullptr, enc);
   MatView x = arena->Alloc(B, d);
-  proj_.InferInto(enc, x);
+  proj_.Run(exec, enc, x);
 
   // + position rows (slate rank): same elementwise add as the graph's
   // Add(x, GatherRows(pos_table, positions)), block by block.
@@ -176,9 +170,9 @@ void ListwiseReranker::Score(const ScoreCall& call) {
     MatView k = arena->Alloc(B, d);
     MatView v = arena->Alloc(B, d);
     MatView ctx = arena->Alloc(B, d);
-    layer.wq.InferInto(x, q);
-    layer.wk.InferInto(x, k);
-    layer.wv.InferInto(x, v);
+    layer.wq.Run(exec, x, q);
+    layer.wk.Run(exec, x, k);
+    layer.wv.Run(exec, x, v);
     // The slate-local attention core. Strictly scalar kernels in exactly
     // the graph path's arithmetic order — see the class comment for why
     // this is the bitwise + composition-independence linchpin.
@@ -200,15 +194,15 @@ void ListwiseReranker::Score(const ScoreCall& call) {
       }
     }
     MatView attn = arena->Alloc(B, d);
-    layer.wo.InferInto(ctx, attn);
+    layer.wo.Run(exec, ctx, attn);
     AddInPlace(attn, x);  // Residual: attn + x, operand order as the graph.
     x = attn;
     MatView ffn_out = arena->Alloc(B, d);
-    layer.ffn.InferInto(x, arena, ffn_out);
+    layer.ffn.Run(exec, x, ffn_out);
     AddInPlace(ffn_out, x);
     x = ffn_out;
   }
-  head_.InferInto(x, arena, MatView{call.out.data(), B, 1, 1});
+  head_.Run(exec, x, MatView{call.out.data(), B, 1, 1});
 }
 
 ServingTraits ListwiseReranker::Traits(const DatasetMeta& meta) const {

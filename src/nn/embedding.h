@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "autograd/ops.h"
-#include "nn/inference.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -22,14 +21,6 @@ class EmbeddingTable : public Module {
 
   /// ids: batch of indices -> [ids.size(), dim].
   Var Forward(const std::vector<int64_t>& ids) const;
-
-  /// Graph-free lookup into a caller buffer: out.row(i) =
-  /// table.row(ids[i * id_stride]). The stride reads one sequence
-  /// position straight out of a Batch's row-major id layout.
-  void GatherInto(const int64_t* ids, int64_t count, int64_t id_stride,
-                  MatView out) const {
-    GatherRowsInto(table_.value(), ids, count, id_stride, out);
-  }
 
   void CollectParameters(std::vector<Var>* params) const override;
 

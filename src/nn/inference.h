@@ -27,12 +27,13 @@ namespace awmoe {
 //
 //  - kReference — BITWISE CONTRACT: performs exactly the per-element
 //    arithmetic, in exactly the accumulation order, of its
-//    mat/kernels.cc counterpart at the reference tier. The
-//    module-level InferInto methods materialise one buffer per op of
-//    the original Var expression instead of fusing, so Score
-//    reproduces the autograd forward bit for bit — regression-tested
-//    in tests/models/inference_path_test.cc. AWMOE_FORCE_SCALAR pins
-//    this tier, for serving and for bitwise reference training.
+//    mat/kernels.cc counterpart at the reference tier. The modules'
+//    forwards reach these kernels through ArenaExec (nn/exec.h), which
+//    materialises one buffer per op of the graph expression instead
+//    of fusing, so Score reproduces the autograd forward bit for bit —
+//    regression-tested in tests/models/inference_path_test.cc.
+//    AWMOE_FORCE_SCALAR pins this tier, for serving and for bitwise
+//    reference training.
 //  - kFast — EPSILON CONTRACT: AVX2/FMA register-blocked kernels
 //    (src/nn/kernels_fast.cc), within an epsilon/ULP bound of the
 //    reference tier (tests/models/kernel_tier_test.cc). Per-row /

@@ -8,21 +8,15 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng* rng)
     : weight_(HeNormal(in_dim, out_dim, rng), /*requires_grad=*/true),
       bias_(Matrix(1, out_dim), /*requires_grad=*/true) {}
 
-Var Linear::Forward(const Var& x) const {
-  AWMOE_CHECK(x.cols() == weight_.rows())
-      << "Linear: input dim " << x.cols() << " != " << weight_.rows();
-  return ag::AddBias(ag::MatMul(x, weight_), bias_);
+template <class X>
+MatOf<X> Linear::Run(const X& x, const MatOf<X>& in, DstOf<X> out) const {
+  AWMOE_CHECK(x.Cols(in) == weight_.rows())
+      << "Linear: input dim " << x.Cols(in) << " != " << weight_.rows();
+  return x.AddBias(x.MatMul(in, weight_, out), bias_);
 }
 
-void Linear::InferInto(const ConstMatView& x, MatView out) const {
-  AWMOE_CHECK(x.cols == weight_.rows())
-      << "Linear::InferInto: input dim " << x.cols << " != "
-      << weight_.rows();
-  // Same op order as Forward: MatMul, then the bias row broadcast (in
-  // place — per element identical to AddBias's fresh buffer).
-  MatMulInto(x, weight_.value(), out);
-  AddBiasInPlace(out, bias_.value());
-}
+template Var Linear::Run(const GraphExec&, const Var&, GraphExec::Dst) const;
+template MatView Linear::Run(const ArenaExec&, const MatView&, MatView) const;
 
 void Linear::CollectParameters(std::vector<Var>* params) const {
   params->push_back(weight_);

@@ -3,8 +3,7 @@
 
 #include <cstdint>
 
-#include "autograd/ops.h"
-#include "nn/inference.h"
+#include "nn/exec.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -16,12 +15,11 @@ class Linear : public Module {
  public:
   Linear(int64_t in_dim, int64_t out_dim, Rng* rng);
 
-  /// x: [batch, in] -> [batch, out].
-  Var Forward(const Var& x) const;
+  /// x: [batch, in] -> [batch, out], on either executor (nn/exec.h).
+  template <class X>
+  MatOf<X> Run(const X& x, const MatOf<X>& in, DstOf<X> out) const;
 
-  /// Graph-free Forward into a caller buffer (bitwise-identical values,
-  /// zero allocation): out = x W + b.
-  void InferInto(const ConstMatView& x, MatView out) const;
+  Var Forward(const Var& in) const { return Run(GraphExec(), in, {}); }
 
   void CollectParameters(std::vector<Var>* params) const override;
 

@@ -2,6 +2,11 @@
 
 namespace awmoe {
 
+std::vector<int64_t> WithOutput(std::vector<int64_t> hidden, int64_t out) {
+  hidden.push_back(out);
+  return hidden;
+}
+
 Mlp::Mlp(int64_t input_dim, std::vector<int64_t> layer_dims, Rng* rng,
          bool relu_output)
     : input_dim_(input_dim), relu_output_(relu_output) {
@@ -15,31 +20,21 @@ Mlp::Mlp(int64_t input_dim, std::vector<int64_t> layer_dims, Rng* rng,
   }
 }
 
-Var Mlp::Forward(const Var& x) const {
-  Var h = x;
+template <class X>
+MatOf<X> Mlp::Run(const X& x, const MatOf<X>& in, DstOf<X> out) const {
+  const typename X::Scope scope(x);
+  MatOf<X> h = in;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].Forward(h);
-    bool is_last = (i + 1 == layers_.size());
-    if (!is_last || relu_output_) h = ag::Relu(h);
+    const bool is_last = i + 1 == layers_.size();
+    h = layers_[i].Run(
+        x, h, is_last ? out : x.Alloc(x.Rows(in), layers_[i].out_dim()));
+    if (!is_last || relu_output_) h = x.Relu(h);
   }
   return h;
 }
 
-void Mlp::InferInto(const ConstMatView& x, InferenceArena* arena,
-                    MatView out) const {
-  AWMOE_CHECK(out.rows == x.rows && out.cols == output_dim())
-      << "Mlp::InferInto: out " << out.rows << "x" << out.cols;
-  const size_t mark = arena->Mark();
-  ConstMatView h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    const bool is_last = (i + 1 == layers_.size());
-    MatView y = is_last ? out : arena->Alloc(x.rows, layers_[i].out_dim());
-    layers_[i].InferInto(h, y);
-    if (!is_last || relu_output_) ReluInPlace(y);
-    h = y;
-  }
-  arena->Rewind(mark);
-}
+template Var Mlp::Run(const GraphExec&, const Var&, GraphExec::Dst) const;
+template MatView Mlp::Run(const ArenaExec&, const MatView&, MatView) const;
 
 void Mlp::CollectParameters(std::vector<Var>* params) const {
   for (const Linear& layer : layers_) layer.CollectParameters(params);

@@ -9,10 +9,14 @@
 
 namespace awmoe {
 
+/// `hidden` layer dims followed by an output layer of width `out`.
+std::vector<int64_t> WithOutput(std::vector<int64_t> hidden, int64_t out);
+
 /// Multi-layer perceptron: Linear -> ReLU -> ... -> Linear, with an
 /// optional ReLU on the output layer. This is the FFN used for every
 /// unit in the paper (Fig. 4): hidden layers use ReLU, the output is
-/// linear unless `relu_output` is set.
+/// linear unless `relu_output` is set. The expert networks Psi_k
+/// (Fig. 4b, Eq. 5) are plain Mlps with a scalar output.
 class Mlp : public Module {
  public:
   /// `layer_dims` lists the output dim of every layer; the input dim is
@@ -20,14 +24,12 @@ class Mlp : public Module {
   Mlp(int64_t input_dim, std::vector<int64_t> layer_dims, Rng* rng,
       bool relu_output = false);
 
-  /// x: [batch, input_dim] -> [batch, layer_dims.back()].
-  Var Forward(const Var& x) const;
+  /// x: [batch, input_dim] -> [batch, layer_dims.back()], on either
+  /// executor; hidden activations are scoped to the call.
+  template <class X>
+  MatOf<X> Run(const X& x, const MatOf<X>& in, DstOf<X> out) const;
 
-  /// Graph-free Forward writing the final layer into `out`
-  /// (bitwise-identical to Forward); hidden activations come from the
-  /// arena and are released before returning.
-  void InferInto(const ConstMatView& x, InferenceArena* arena,
-                 MatView out) const;
+  Var Forward(const Var& in) const { return Run(GraphExec(), in, {}); }
 
   void CollectParameters(std::vector<Var>* params) const override;
 

@@ -46,14 +46,15 @@ struct RankRequest {
 
 /// Scores for one request, aligned with `RankRequest::items`.
 struct RankResponse {
-  /// OK when `scores` is valid. The async `Submit` front resolves
-  /// futures with a non-OK status instead of scores when a request is
-  /// rejected (queue full -> kResourceExhausted, empty candidate list
-  /// or a slate longer than a slate-scoring model's max slate length ->
-  /// kInvalidArgument) or abandoned (engine stopped without drain ->
-  /// kUnavailable). The synchronous path returns the same
-  /// kInvalidArgument admission failures (`scores` stays empty); an
-  /// unknown model name still CHECK-fails on both paths.
+  /// OK when `scores` is valid. Otherwise `scores` stays empty and the
+  /// rest of the batch is served. Both fronts reject:
+  ///  - an unknown model name -> kNotFound;
+  ///  - an empty candidate list, a slate longer than a slate-scoring
+  ///    model's max slate length, or a malformed candidate (see
+  ///    ValidateRequest) -> kInvalidArgument.
+  /// The async `Submit` front also fails a request when its queue is
+  /// full (kResourceExhausted) or when it is abandoned by an engine
+  /// stopped without drain (kUnavailable).
   Status status;
   int64_t session_id = 0;
   /// Resolved model name (never empty).
@@ -100,6 +101,21 @@ struct RankResponse {
   /// only the candidate-dependent tail.
   bool encoding_cache_hit = false;
 };
+
+/// Checks every candidate of `request` against `meta`, so that no
+/// client input reaches a CHECK or an unchecked read in collation or in
+/// an embedding gather. Each candidate must be non-null and have:
+///  - ids inside the embedding tables EmbeddingSet sizes from `meta`:
+///    items, cats (behaviour, target and query_cat), brands, shops,
+///    queries (max(num_queries, 1)) and age segments
+///    (num_age_segments + 1); negative ids are out of range too;
+///  - behavior_cats and behavior_brands as long as behavior_items, and
+///    behavior_attrs empty or kItemAttrs per behaviour;
+///  - numeric exactly meta.numeric_dim wide;
+///  - finite numeric, behaviour and target attribute values.
+/// Returns kInvalidArgument naming the first offending candidate and
+/// field.
+Status ValidateRequest(const RankRequest& request, const DatasetMeta& meta);
 
 /// Groups a flat labelled split into per-session impression lists.
 /// Within-session impression order is preserved; sessions are ordered by

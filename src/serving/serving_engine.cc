@@ -226,7 +226,14 @@ RolloutArm ServingEngine::RouteArm(const std::string& resolved,
 }
 
 Status ServingEngine::Admit(const RankRequest& request,
-                            const ModelSnapshot& snapshot) {
+                            const ModelSnapshot& snapshot) const {
+  Status status = AdmitToSnapshot(request, snapshot);
+  if (status.ok()) status = ValidateRequest(request, pool_->meta());
+  return status;
+}
+
+Status ServingEngine::AdmitToSnapshot(const RankRequest& request,
+                                      const ModelSnapshot& snapshot) {
   const int64_t items = static_cast<int64_t>(request.items.size());
   if (items == 0) {
     return Status::InvalidArgument("Rank: empty candidate list for session " +
@@ -283,11 +290,13 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   // at admission time; a hot swap to a model with a smaller slate cap
   // between admission and this lease still lands here. An oversized
   // slate must never reach the slate forward, whose slate-length CHECK
-  // treats it as a programmer error and aborts.
+  // treats it as a programmer error and aborts. ValidateRequest is not
+  // repeated: it reads only the pool's meta, which no swap changes.
   std::vector<Status> admission;
   admission.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    admission.push_back(Admit(requests[micro.request_indices[i]], snapshot));
+    admission.push_back(
+        AdmitToSnapshot(requests[micro.request_indices[i]], snapshot));
   }
   std::vector<int> score_lookup(n, -1);  // RequestSample encoding.
   std::vector<uint64_t> history_hash(n, 0);

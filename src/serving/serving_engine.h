@@ -212,12 +212,19 @@ class ServingEngine {
   RolloutArm RouteArm(const std::string& resolved,
                       const RankRequest& request) const;
 
-  /// The single admission check, shared by RankBatch, Submit and the
-  /// pinned-snapshot backstop in ExecuteMicroBatch: kInvalidArgument for
-  /// an empty candidate list or a slate longer than `snapshot`'s
-  /// max_slate_items. Client errors, so the process never aborts on them.
-  static Status Admit(const RankRequest& request,
-                      const ModelSnapshot& snapshot);
+  /// The single admission check, shared by RankBatch and Submit:
+  /// AdmitToSnapshot, then ValidateRequest against the pool's meta (a
+  /// malformed candidate). Client errors, returned as kInvalidArgument,
+  /// so the process never aborts on them.
+  Status Admit(const RankRequest& request,
+               const ModelSnapshot& snapshot) const;
+
+  /// The snapshot-dependent half of Admit, which the pinned-snapshot
+  /// backstop in ExecuteMicroBatch re-runs: kInvalidArgument for an
+  /// empty candidate list or a slate longer than `snapshot`'s
+  /// max_slate_items.
+  static Status AdmitToSnapshot(const RankRequest& request,
+                                const ModelSnapshot& snapshot);
 
   /// Scores one micro-batch under a snapshot+replica lease and fills
   /// the matching responses. `queue_delays_ms`, when non-null, is

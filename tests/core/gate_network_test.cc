@@ -237,7 +237,7 @@ TEST(GateNetworkTest2, SearchModeGateIgnoresTargetItem) {
 
 TEST(GateUnitTest, OutputsKColumns) {
   Rng rng(9);
-  GateUnit unit(6, {4}, 4, &rng);
+  AttentionUnit unit(6, {4}, /*out_dim=*/4, &rng);
   Var a(Matrix::Full(3, 6, 0.3f));
   Var b(Matrix::Full(3, 6, -0.2f));
   Var out = unit.Forward(a, b);

@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "data/jd_synthetic.h"
 #include "eval/metrics.h"
 #include "models/dnn_ranker.h"
+#include "util/hash.h"
 
 namespace awmoe {
 namespace {
@@ -168,6 +170,66 @@ TEST_F(TrainerTest, AuxiliaryDiversityLossIsApplied) {
   // Must run without error and keep training stable.
   auto history = trainer.Train(data_->train, data_->meta, standardizer_);
   EXPECT_TRUE(std::isfinite(history[0].mean_rank_loss));
+}
+
+// Pins what training produces across commits: a few seeded steps at
+// the reference kernel tier, hashed over the float bits of every
+// parameter. The reference tier is pure scalar code (the AVX2/FMA
+// translation unit is never called), so the hash does not depend on
+// the optimisation level; a change to the op sequence of any forward
+// or backward pass changes it. Update the constants only for a
+// deliberate change to the training arithmetic, never for a refactor.
+uint64_t ParameterFingerprint(const Ranker& model) {
+  uint64_t h = kFnv1a64Offset;
+  for (const Var& p : model.Parameters()) {
+    const Matrix& m = p.value();
+    for (int64_t i = 0; i < m.size(); ++i) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, m.data() + i, sizeof(bits));
+      h = Fnv1a64Mix(h, bits);
+    }
+  }
+  return h;
+}
+
+TEST_F(TrainerTest, ReferenceTierTrainingFingerprint) {
+  ScopedKernelTier tier(KernelTier::kReference);
+  const std::vector<Example> train(data_->train.begin(),
+                                   data_->train.begin() + 96);
+  auto train_steps = [&](Ranker* model, const DatasetMeta& meta,
+                         bool contrastive) {
+    TrainerConfig config;
+    config.epochs = 1;
+    config.batch_size = 32;  // Three optimizer steps.
+    config.contrastive = contrastive;
+    config.seed = 19;
+    Trainer trainer(model, config);
+    trainer.Train(train, meta, standardizer_);
+    return ParameterFingerprint(*model);
+  };
+  AwMoeConfig aw_config;
+  aw_config.dims = TinyDims();
+  DatasetMeta rec_meta = data_->meta;
+  rec_meta.recommendation_mode = true;
+  {
+    Rng rng(21);
+    AwMoeRanker model(data_->meta, aw_config, &rng);
+    EXPECT_EQ(train_steps(&model, data_->meta, true), 0x0a49878e56601090ull)
+        << "AW-MoE, search mode";
+  }
+  {
+    Rng rng(22);
+    AwMoeRanker model(rec_meta, aw_config, &rng);
+    EXPECT_EQ(train_steps(&model, rec_meta, true), 0x9b498f520e8de138ull)
+        << "AW-MoE, recommendation mode";
+  }
+  {
+    Rng rng(23);
+    DnnRanker model(data_->meta, TinyDims(), &rng);
+    EXPECT_EQ(train_steps(&model, data_->meta, false),
+              0x5cf194b936a38a5eull)
+        << "DNN";
+  }
 }
 
 }  // namespace

@@ -351,9 +351,12 @@ TEST(InferencePathGateTest, CategoryMoeGateReuseMatchesDirectBitwise) {
 }
 
 // Every gate-network ablation/extension config must ride the kernel
-// path bitwise (softmax normalisation, sparse top-k, pooled modes).
-TEST(InferencePathGateTest, GateConfigVariantsMatchBitwise) {
-  const DatasetMeta meta = TestMeta(false);
+// path bitwise (softmax normalisation, sparse top-k, pooled modes), in
+// both dataset modes: the gate's reference input is the query in search
+// mode and the target item in recommendation mode. Both the fused Score
+// and the GateInto probe must match their graph references.
+TEST_P(InferencePathTest, GateConfigVariantsMatchBitwise) {
+  const DatasetMeta meta = TestMeta(GetParam());
   auto sessions = MakeSessions(/*seed=*/1300);
   auto flat = Flatten(sessions);
   Batch batch = CollateBatch(flat, meta, nullptr);
@@ -403,6 +406,17 @@ TEST(InferencePathGateTest, GateConfigVariantsMatchBitwise) {
     for (int64_t i = 0; i < batch.size; ++i) {
       EXPECT_EQ(got[static_cast<size_t>(i)], want(i, 0))
           << c.label << " row " << i;
+    }
+    const int64_t k = config.dims.num_experts;
+    const Matrix want_gate = model.InferenceGate(batch);
+    std::vector<float> gate_rows(static_cast<size_t>(batch.size * k));
+    model.GateInto(batch, workspace.get(), gate_rows);
+    for (int64_t i = 0; i < batch.size; ++i) {
+      for (int64_t e = 0; e < k; ++e) {
+        EXPECT_EQ(gate_rows[static_cast<size_t>(i * k + e)],
+                  want_gate(i, e))
+            << c.label << " gate row " << i << " expert " << e;
+      }
     }
   }
 }

@@ -76,26 +76,29 @@ Batch MakeBatch(const DatasetMeta& meta, int64_t size,
   return CollateBatch(ptrs, meta, nullptr);
 }
 
-TEST(EmbeddingSetTest, ItemTripleShape) {
+TEST(EmbeddingSetTest, TargetInputShape) {
   Rng rng(1);
-  EmbeddingSet set(TestMeta(), 4, &rng);
-  Var triple = set.ItemTriple({1, 2}, {3, 4}, {5, 6});
-  EXPECT_EQ(triple.rows(), 2);
-  EXPECT_EQ(triple.cols(), 12);
+  const DatasetMeta meta = TestMeta();
+  EmbeddingSet set(meta, 4, &rng);
+  Var input = set.TargetInput(GraphExec(), MakeBatch(meta, 2));
+  EXPECT_EQ(input.rows(), 2);
+  EXPECT_EQ(input.cols(), 12 + Example::kItemAttrs);
   EXPECT_EQ(set.item_dim(), 12);
 }
 
 TEST(EmbeddingSetTest, SharedAcrossCalls) {
   Rng rng(2);
-  EmbeddingSet set(TestMeta(), 4, &rng);
-  Matrix a = set.Query({3}).value();
-  Matrix b = set.Query({3}).value();
+  const DatasetMeta meta = TestMeta();
+  EmbeddingSet set(meta, 4, &rng);
+  const Batch batch = MakeBatch(meta, 1);
+  Matrix a = set.QueryInput(GraphExec(), batch).value();
+  Matrix b = set.QueryInput(GraphExec(), batch).value();
   EXPECT_TRUE(AllClose(a, b, 0.0f));
 }
 
 TEST(AttentionUnitTest, ScalarScorePerRow) {
   Rng rng(3);
-  AttentionUnit unit(6, {4, 3}, &rng);
+  AttentionUnit unit(6, {4, 3}, /*out_dim=*/1, &rng);
   Var h_user(Matrix::Full(5, 6, 0.2f));
   Var h_ref(Matrix::Full(5, 6, -0.1f));
   Var score = unit.Forward(h_user, h_ref);
@@ -105,7 +108,7 @@ TEST(AttentionUnitTest, ScalarScorePerRow) {
 
 TEST(AttentionUnitTest, DependsOnBothInputs) {
   Rng rng(4);
-  AttentionUnit unit(4, {4}, &rng);
+  AttentionUnit unit(4, {4}, /*out_dim=*/1, &rng);
   Rng data(5);
   Matrix u(1, 4), r1(1, 4), r2(1, 4);
   for (int64_t i = 0; i < 4; ++i) {

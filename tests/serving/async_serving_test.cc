@@ -21,6 +21,7 @@
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
+#include "malformed_items.h"
 
 namespace awmoe {
 namespace {
@@ -316,6 +317,37 @@ TEST_F(AsyncServingTest, EmptyCandidateListFailsInvalidArgument) {
   EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(response.scores.empty());
   EXPECT_EQ(response.session_id, 1234);
+}
+
+// Malformed candidates fail their own future with kInvalidArgument
+// without queueing; requests submitted around them are served.
+TEST_F(AsyncServingTest, MalformedItemsFailInvalidArgument) {
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  for (const MalformedItemCase& c : MalformedItemCases()) {
+    const std::vector<Example> bad =
+        CorruptedSession((*sessions_)[1], c, data_->meta);
+    RankRequest malformed;
+    malformed.session_id = 4243;
+    malformed.items = ItemPointers(bad);
+    std::future<RankResponse> before = engine.Submit(RequestFor(0));
+    std::future<RankResponse> rejected = engine.Submit(malformed);
+    std::future<RankResponse> after = engine.Submit(RequestFor(2));
+    ASSERT_EQ(rejected.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << c.name;
+    const RankResponse response = rejected.get();
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument)
+        << c.name;
+    EXPECT_TRUE(response.scores.empty()) << c.name;
+    EXPECT_EQ(response.session_id, 4243) << c.name;
+    const RankResponse served_before = before.get();
+    const RankResponse served_after = after.get();
+    ASSERT_TRUE(served_before.status.ok()) << c.name;
+    ASSERT_TRUE(served_after.status.ok()) << c.name;
+    EXPECT_EQ(static_cast<int64_t>(served_before.scores.size()), ItemsOf(0));
+    EXPECT_EQ(static_cast<int64_t>(served_after.scores.size()), ItemsOf(2));
+  }
 }
 
 TEST_F(AsyncServingTest, UnknownModelFailsNotFoundWithoutQueueing) {

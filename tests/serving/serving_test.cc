@@ -16,6 +16,7 @@
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
+#include "malformed_items.h"
 
 namespace awmoe {
 namespace {
@@ -290,6 +291,43 @@ TEST_F(ServingTest, EmptyCandidateListRejectedNotAborted) {
   std::vector<RankResponse> async_responses;
   for (auto& future : futures) async_responses.push_back(future.get());
   expect_mixed(async_responses);
+}
+
+// A malformed candidate (out-of-vocab or negative id, mis-sized or
+// non-finite features, behaviour lists of unequal length) is a client
+// error too: that one request comes back kInvalidArgument and the rest
+// of the batch is served.
+TEST_F(ServingTest, MalformedItemsRejectedNotAborted) {
+  auto registry_owner = MakeRegistry();
+  ServingEngine engine(registry_owner.get());
+  auto sessions = GroupBySession(data_->full_test);
+  ASSERT_GE(sessions.size(), 3u);
+  for (const MalformedItemCase& c : MalformedItemCases()) {
+    const std::vector<Example> bad =
+        CorruptedSession(sessions[1], c, data_->meta);
+    std::vector<RankRequest> mixed(3);
+    for (size_t r : {size_t{0}, size_t{2}}) {
+      mixed[r].session_id = sessions[r][0]->session_id;
+      mixed[r].items = sessions[r];
+    }
+    mixed[1].session_id = 4243;
+    mixed[1].items = ItemPointers(bad);
+    const std::vector<RankResponse> responses = engine.RankBatch(mixed);
+    ASSERT_EQ(responses.size(), 3u);
+    for (size_t r : {size_t{0}, size_t{2}}) {
+      ASSERT_TRUE(responses[r].status.ok())
+          << c.name << ": " << responses[r].status;
+      EXPECT_EQ(responses[r].scores.size(), mixed[r].items.size());
+    }
+    EXPECT_EQ(responses[1].status.code(), StatusCode::kInvalidArgument)
+        << c.name;
+    EXPECT_TRUE(responses[1].scores.empty()) << c.name;
+    EXPECT_EQ(responses[1].session_id, 4243) << c.name;
+  }
+  RankRequest null_item;
+  null_item.items = {sessions[0][0], nullptr};
+  EXPECT_EQ(engine.Rank(null_item).status.code(),
+            StatusCode::kInvalidArgument);
 }
 
 // An unknown model name is a client error too: that one request comes

@@ -21,6 +21,7 @@
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/shard.h"
+#include "malformed_items.h"
 
 namespace awmoe {
 namespace {
@@ -591,6 +592,32 @@ TEST_F(ShardedFleetTest, UnknownModelNotFoundOnEveryFleetPath) {
   // Known routes are still served.
   EXPECT_TRUE(fleet.Rank(requests[0]).status.ok());
   fleet.Stop();
+}
+
+// Malformed candidates are client errors on every fleet path: that
+// request comes back kInvalidArgument from whichever shard owns it, and
+// the fleet keeps serving.
+TEST_F(ShardedFleetTest, MalformedItemsInvalidArgumentOnEveryFleetPath) {
+  auto fleet = MakeFleet(2);
+  const std::vector<RankRequest> requests = FixtureRequests();
+  ASSERT_GE(requests.size(), 2u);
+  for (const MalformedItemCase& c : MalformedItemCases()) {
+    const std::vector<Example> bad =
+        CorruptedSession(requests[1].items, c, data_->meta);
+    RankRequest malformed = requests[1];
+    malformed.items = ItemPointers(bad);
+    const RankResponse ranked = fleet->Rank(malformed);
+    EXPECT_EQ(ranked.status.code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_TRUE(ranked.scores.empty()) << c.name;
+    const RankResponse submitted = fleet->Submit(malformed).get();
+    EXPECT_EQ(submitted.status.code(), StatusCode::kInvalidArgument)
+        << c.name;
+    EXPECT_TRUE(submitted.scores.empty()) << c.name;
+    const RankResponse served = fleet->Submit(requests[0]).get();
+    ASSERT_TRUE(served.status.ok()) << c.name << ": " << served.status;
+    EXPECT_EQ(served.scores.size(), requests[0].items.size());
+  }
+  fleet->Stop();
 }
 
 TEST_F(ShardedFleetTest, FleetStatsMergeShardReservoirs) {
