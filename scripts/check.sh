@@ -6,6 +6,7 @@
 #   scripts/check.sh [build_dir]           # full build + ctest + bench smoke
 #                                          # (bench JSON into build_dir/bench_smoke/)
 #                                          # + perfbench self-test
+#                                          # + a one-pair bench_ab.sh smoke
 #   scripts/check.sh --tsan [build_dir]    # ThreadSanitizer build of the
 #                                          # serving concurrency suites
 #   scripts/check.sh --asan [build_dir]    # AddressSanitizer + UBSan build
@@ -254,6 +255,15 @@ fi
 echo "== perfbench self-test =="
 CARGO_TARGET_DIR="$BUILD_DIR/perfbench_build" \
   python3 "$REPO_ROOT/perfbench/selftest.py"
+
+# Paired A/B smoke: the working tree against its own HEAD, one tiny
+# train_epoch pair. It checks that scripts/bench_ab.sh can export,
+# build and run a base commit and summarise the pair; one tiny pair
+# measures nothing, so its bound column is reported, not gated.
+echo "== bench_ab smoke (HEAD vs working tree, train_epoch, tiny) =="
+CARGO_TARGET_DIR="$BUILD_DIR/perfbench_build" \
+  "$REPO_ROOT/scripts/bench_ab.sh" HEAD train_epoch --pairs 1 \
+  --seconds 2 --size tiny --no-bounds
 
 echo "== docs link check =="
 "$REPO_ROOT/scripts/check_docs.sh"

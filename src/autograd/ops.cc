@@ -1,5 +1,6 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -230,6 +231,33 @@ Var MulColBroadcast(const Var& a, const Var& w) {
         if (wi->requires_grad) {
           AccumulateGrad(wi.get(), ::awmoe::DotRows(self.grad, ai->value));
         }
+      });
+}
+
+Var SumRowBlocks(const Var& a, int64_t blocks) {
+  const Matrix& x = a.value();
+  AWMOE_CHECK(blocks > 0 && x.rows() % blocks == 0)
+      << "SumRowBlocks: " << x.ShapeString() << " in " << blocks
+      << " blocks";
+  const int64_t block_size = x.size() / blocks;
+  Matrix value(x.rows() / blocks, x.cols());
+  float* po = value.data();
+  std::copy(x.data(), x.data() + block_size, po);
+  for (int64_t j = 1; j < blocks; ++j) {
+    const float* pb = x.data() + j * block_size;
+    for (int64_t i = 0; i < block_size; ++i) po[i] = po[i] + pb[i];
+  }
+  Impl ai = a.impl();
+  return MakeOpResult(
+      std::move(value), "sum_row_blocks", {a},
+      [ai, blocks, block_size](const VarImpl& self) {
+        if (!ai->requires_grad) return;
+        Matrix g(ai->value.rows(), ai->value.cols());
+        for (int64_t j = 0; j < blocks; ++j) {
+          std::copy(self.grad.data(), self.grad.data() + block_size,
+                    g.data() + j * block_size);
+        }
+        AccumulateGrad(ai.get(), std::move(g));
       });
 }
 

@@ -63,6 +63,12 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
 /// attention-weighted-sum building block (Eq. 3 / Eq. 8 of the paper).
 Var MulColBroadcast(const Var& a, const Var& w);
 
+/// A[blocks*n, c] -> [n, c]: the sum of the `blocks` row blocks of `a`,
+/// added in block order (((a_0 + a_1) + a_2) + ...), so it equals a
+/// chain of Add nodes bit for bit. The gradient is copied into every
+/// block. Pools a position-major behaviour stack over its positions.
+Var SumRowBlocks(const Var& a, int64_t blocks);
+
 /// Rowwise dot product of equally shaped a, b: [m,1]. Used as the
 /// similarity f(.) in the InfoNCE loss (Eq. 10).
 Var DotRows(const Var& a, const Var& b);

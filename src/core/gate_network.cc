@@ -46,27 +46,25 @@ MatOf<X> GateNetwork::Run(const X& x, const Batch& batch,
   // Per-item modes run a gate unit per behaviour item (Eq. 7) and pool
   // its activations; pooled modes pool the behaviour hiddens and run one
   // gate unit on top. Attention modes weigh each position by the
-  // activation unit (Eq. 8), the others by the mask alone.
+  // activation unit (Eq. 8), the others by the mask alone. Every unit
+  // runs once, over the stack of all positions.
   const bool per_item = config_.mode == GateMode::kFull ||
                         config_.mode == GateMode::kBaseGateUnit;
   const bool weighted = config_.mode == GateMode::kFull ||
                         config_.mode == GateMode::kBaseActivationUnit;
-  auto position = [&](int64_t j) {
-    const MatOf<X> h_bj =
-        BehaviorHidden(x, *embeddings_, item_tower_, batch, j, x.Alloc(b, h));
-    const MatOf<X> rows =
-        per_item ? gate_unit_.Run(x, h_bj, h_ref, x.Alloc(b, k)) : h_bj;
-    const MatOf<X> w_j =
-        weighted ? activation_unit_.Run(x, h_bj, h_ref, x.Alloc(b, 1))
-                 : MatOf<X>();
-    return std::pair(rows, w_j);
-  };
+  const int64_t l = batch.seq_len;
+  const ConstMatView mask = MatrixView(batch.behavior_mask);
+  const MatOf<X> h_b =
+      BehaviorHidden(x, *embeddings_, item_tower_, batch, x.Alloc(l * b, h));
+  MatOf<X> w;
+  if (weighted) w = activation_unit_.Run(x, h_b, h_ref, x.Alloc(l * b, 1));
   MatOf<X> g;
   if (per_item) {
-    g = PoolBehaviors(x, batch, weighted, position, out);
+    const MatOf<X> rows = gate_unit_.Run(x, h_b, h_ref, x.Alloc(l * b, k));
+    g = x.Pool(rows, weighted ? &w : nullptr, mask, out);
   } else {
     const MatOf<X> pooled =
-        PoolBehaviors(x, batch, weighted, position, x.Alloc(b, h));
+        x.Pool(h_b, weighted ? &w : nullptr, mask, x.Alloc(b, h));
     g = gate_unit_.Run(x, pooled, h_ref, out);
   }
 

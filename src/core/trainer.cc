@@ -27,7 +27,18 @@ Trainer::Trainer(Ranker* model, const TrainerConfig& config)
 Var BuildTrainingLoss(Ranker* model, const Batch& batch,
                       const TrainerConfig& config,
                       ContrastiveAugmenter* augmenter, BatchLossTerms* terms) {
-  Var logits = model->ForwardLogits(batch);
+  // AW-MoE's forward already computes the gate g(u_i), which is the CL
+  // anchor: take both from one pass instead of running the gate network
+  // a second time.
+  auto* aw = dynamic_cast<AwMoeRanker*>(model);
+  Var logits, gate;
+  if (aw != nullptr) {
+    AwMoeRanker::ForwardResult forward = aw->Forward(batch);
+    logits = forward.logits;
+    gate = forward.gate;
+  } else {
+    logits = model->ForwardLogits(batch);
+  }
   Var loss;
   // The slate bit does not read the meta.
   if (model->Traits(DatasetMeta{}).slate_scoring()) {
@@ -50,7 +61,7 @@ Var BuildTrainingLoss(Ranker* model, const Batch& batch,
   if (config.contrastive && config.cl.weight > 0.0 && augmenter != nullptr) {
     // Anchor g(u_i), positive g(u'_i) from the masked sequence, and l
     // in-batch negatives gathered from the anchor matrix (Fig. 5).
-    Var anchor = model->GateRepresentation(batch);
+    Var anchor = gate.defined() ? gate : model->GateRepresentation(batch);
     AWMOE_CHECK(anchor.defined())
         << model->name() << " has no gate representation for CL";
     Batch augmented = augmenter->Augment(batch);
@@ -67,7 +78,7 @@ Var BuildTrainingLoss(Ranker* model, const Batch& batch,
 
   // Model-specific auxiliary losses (the expert-disagreement
   // regulariser) attach to the most recent forward pass.
-  if (auto* aw = dynamic_cast<AwMoeRanker*>(model)) {
+  if (aw != nullptr) {
     Var aux = aw->PendingAuxiliaryLoss();
     if (aux.defined()) loss = ag::Add(loss, aux);
   }

@@ -50,6 +50,13 @@ struct MatView {
         << "ColBlock [" << begin << "," << begin + width << ") of " << cols;
     return MatView{data + begin, rows, width, stride};
   }
+
+  /// Rows [begin, begin + count) as a sub-view (same columns).
+  MatView RowBlock(int64_t begin, int64_t count) const {
+    AWMOE_DCHECK(begin >= 0 && count >= 0 && begin + count <= rows)
+        << "RowBlock [" << begin << "," << begin + count << ") of " << rows;
+    return MatView{data + begin * stride, count, cols, stride};
+  }
 };
 
 /// Read-only view; converts implicitly from MatView and wraps const
@@ -68,6 +75,14 @@ struct ConstMatView {
       : data(v.data), rows(v.rows), cols(v.cols), stride(v.stride) {}
 
   const float* row(int64_t r) const { return data + r * stride; }
+
+  /// Columns [begin, begin + width) as a sub-view (same rows, same
+  /// stride, so a stride-0 broadcast stays one).
+  ConstMatView ColBlock(int64_t begin, int64_t width) const {
+    AWMOE_DCHECK(begin >= 0 && width >= 0 && begin + width <= cols)
+        << "ColBlock [" << begin << "," << begin + width << ") of " << cols;
+    return ConstMatView(data + begin, rows, width, stride);
+  }
 };
 
 /// Whole-matrix read view.

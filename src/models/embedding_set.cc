@@ -23,18 +23,24 @@ template <class X>
 MatOf<X> EmbeddingSet::ItemInput(const X& x, const int64_t* items,
                                  const int64_t* cats, const int64_t* brands,
                                  int64_t count, int64_t id_stride,
-                                 const ConstMatView& attrs) const {
+                                 const ConstMatView& attrs,
+                                 int64_t blocks) const {
   const int64_t e = emb_dim_;
-  const DstOf<X> out = x.Alloc(count, item_dim() + attrs.cols);
+  const int64_t rows = blocks * count;
+  const int64_t attr_width = attrs.cols / blocks;
+  const DstOf<X> out = x.Alloc(rows, item_dim() + attr_width);
   const DstOf<X> triple = x.ColBlock(out, 0, item_dim());
   const MatOf<X> embedded = x.Concat(
-      {x.Gather(item_, items, count, id_stride, x.ColBlock(triple, 0, e)),
-       x.Gather(cat_, cats, count, id_stride, x.ColBlock(triple, e, e)),
+      {x.Gather(item_, items, count, id_stride, x.ColBlock(triple, 0, e),
+                blocks),
+       x.Gather(cat_, cats, count, id_stride, x.ColBlock(triple, e, e),
+                blocks),
        x.Gather(brand_, brands, count, id_stride,
-                x.ColBlock(triple, 2 * e, e))},
+                x.ColBlock(triple, 2 * e, e), blocks)},
       triple);
   return x.Concat(
-      {embedded, x.Constant(attrs, x.ColBlock(out, item_dim(), attrs.cols))},
+      {embedded,
+       x.Constant(attrs, x.ColBlock(out, item_dim(), attr_width), blocks)},
       out);
 }
 
@@ -42,20 +48,17 @@ template <class X>
 MatOf<X> EmbeddingSet::TargetInput(const X& x, const Batch& batch) const {
   return ItemInput(x, batch.target_items.data(), batch.target_cats.data(),
                    batch.target_brands.data(), batch.size, /*id_stride=*/1,
-                   MatrixView(batch.target_attrs));
+                   MatrixView(batch.target_attrs), /*blocks=*/1);
 }
 
 template <class X>
-MatOf<X> EmbeddingSet::BehaviorInput(const X& x, const Batch& batch,
-                                     int64_t j) const {
-  AWMOE_CHECK(j >= 0 && j < batch.seq_len)
-      << "position " << j << " of " << batch.seq_len;
-  return ItemInput(x, batch.behavior_items.data() + j,
-                   batch.behavior_cats.data() + j,
-                   batch.behavior_brands.data() + j, batch.size,
+MatOf<X> EmbeddingSet::BehaviorInput(const X& x, const Batch& batch) const {
+  AWMOE_CHECK(batch.seq_len > 0) << "BehaviorInput: empty sequence layout";
+  return ItemInput(x, batch.behavior_items.data(), batch.behavior_cats.data(),
+                   batch.behavior_brands.data(), batch.size,
                    /*id_stride=*/batch.seq_len,
-                   MatrixColsView(batch.behavior_attrs, j * Example::kItemAttrs,
-                                  Example::kItemAttrs));
+                   MatrixView(batch.behavior_attrs),
+                   /*blocks=*/batch.seq_len);
 }
 
 template <class X>
@@ -83,8 +86,8 @@ MatOf<X> EmbeddingSet::ProfileInput(const X& x, const Batch& batch) const {
   template MatOf<X> EmbeddingSet::CategoryInput(                            \
       const X&, const std::vector<int64_t>&) const;                         \
   template MatOf<X> EmbeddingSet::TargetInput(const X&, const Batch&) const; \
-  template MatOf<X> EmbeddingSet::BehaviorInput(const X&, const Batch&,     \
-                                                int64_t) const;             \
+  template MatOf<X> EmbeddingSet::BehaviorInput(const X&, const Batch&)    \
+      const;                                                                \
   template MatOf<X> EmbeddingSet::QueryInput(const X&, const Batch&) const; \
   template MatOf<X> EmbeddingSet::ProfileInput(const X&, const Batch&) const;
 AWMOE_EMBEDDING_SET_INPUTS(GraphExec)

@@ -47,12 +47,6 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
         << "InputNetwork: seq_len " << batch.seq_len << " vs meta "
         << meta_.max_seq_len;
   }
-  // Column block of the encoding blob (keeps the row stride, so a
-  // broadcast single-row blob stays stride-0).
-  auto encoded = [&](int64_t offset) {
-    return ConstMatView(encoding->data + offset, b, h, encoding->stride);
-  };
-
   // h_t: target-item tower (Eq. 2). Item representations combine the id
   // embeddings with the item's dense side-info attributes.
   MatOf<X> h_target;
@@ -66,24 +60,24 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
   MatOf<X> v_user;
   if (encoding != nullptr && pooling_ == UserPooling::kSumPool) {
     // The blob carries the pooled vector itself; nothing to weigh.
-    v_user = x.Constant(encoded(0), x.ColBlock(out, 0, h));
+    v_user = x.Constant(encoding->ColBlock(0, h), x.ColBlock(out, 0, h));
   } else {
+    const typename X::Scope scope(x);
+    const int64_t l = batch.seq_len;
+    // Every position's h_bj at once, replayed from the blob's column
+    // blocks when one is given (a broadcast one-row blob keeps stride 0).
+    const MatOf<X> h_b =
+        encoding != nullptr
+            ? x.Constant(encoding->ColBlock(0, l * h), x.Alloc(l * b, h), l)
+            : BehaviorHidden(x, *embeddings_, item_tower_, batch,
+                             x.Alloc(l * b, h));
     const bool attention = pooling_ == UserPooling::kAttention;
-    v_user = PoolBehaviors(
-        x, batch, attention,
-        [&](int64_t j) {
-          const MatOf<X> h_bj =
-              encoding != nullptr
-                  ? x.Constant(encoded(j * h), x.Alloc(b, h))
-                  : BehaviorHidden(x, *embeddings_, item_tower_, batch, j,
-                                   x.Alloc(b, h));
-          const MatOf<X> w_j =
-              attention ? activation_unit_.Run(x, h_bj, h_target,
-                                               x.Alloc(b, 1))
-                        : MatOf<X>();
-          return std::pair(h_bj, w_j);
-        },
-        x.ColBlock(out, 0, h));
+    MatOf<X> w;
+    if (attention) {
+      w = activation_unit_.Run(x, h_b, h_target, x.Alloc(l * b, 1));
+    }
+    v_user = x.Pool(h_b, attention ? &w : nullptr,
+                    MatrixView(batch.behavior_mask), x.ColBlock(out, 0, h));
   }
 
   // h_o: profile + cross/numeric features.
@@ -100,7 +94,8 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
   }
   MatOf<X> h_query;
   if (encoding != nullptr) {
-    h_query = x.Constant(encoded(query_offset()), x.ColBlock(out, 2 * h, h));
+    h_query = x.Constant(encoding->ColBlock(query_offset(), h),
+                         x.ColBlock(out, 2 * h, h));
   } else {
     const typename X::Scope scope(x);
     h_query = query_tower_.Run(x, embeddings_->QueryInput(x, batch),
@@ -131,24 +126,24 @@ void InputNetwork::EncodeSessionInto(const Batch& batch,
   // Run, and only then copied into the blob: compute-then-copy keeps
   // the arithmetic (and its memory alignment) identical to the fused
   // forward, which is what makes the replay bitwise-exact.
-  auto behavior_hidden = [&](int64_t j) {
-    return BehaviorHidden(x, *embeddings_, item_tower_, batch, j,
-                          x.Alloc(b, h));
-  };
-  if (pooling_ == UserPooling::kAttention) {
-    for (int64_t j = 0; j < batch.seq_len; ++j) {
-      const ArenaExec::Scope scope(x);
-      CopyInto(behavior_hidden(j), out.ColBlock(j * h, h));
-    }
-  } else {
-    // Sum pooling weighs positions by the mask alone, so the pooled
-    // v_user itself is candidate-independent: cache it pooled.
+  {
     const ArenaExec::Scope scope(x);
-    const MatView v_user = PoolBehaviors(
-        x, batch, /*weighted=*/false,
-        [&](int64_t j) { return std::pair(behavior_hidden(j), MatView()); },
-        x.Alloc(b, h));
-    CopyInto(v_user, out.ColBlock(0, h));
+    const int64_t l = batch.seq_len;
+    const MatView h_b =
+        BehaviorHidden(x, *embeddings_, item_tower_, batch, x.Alloc(l * b, h));
+    if (pooling_ == UserPooling::kAttention) {
+      // Row block j of the stack is column block j of the blob.
+      for (int64_t j = 0; j < l; ++j) {
+        CopyInto(h_b.RowBlock(j * b, b), out.ColBlock(j * h, h));
+      }
+    } else {
+      // Sum pooling weighs positions by the mask alone, so the pooled
+      // v_user itself is candidate-independent: cache it pooled.
+      const MatView v_user = x.Pool(h_b, nullptr,
+                                    MatrixView(batch.behavior_mask),
+                                    x.Alloc(b, h));
+      CopyInto(v_user, out.ColBlock(0, h));
+    }
   }
 
   if (!meta_.recommendation_mode) {

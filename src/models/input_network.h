@@ -2,7 +2,6 @@
 #define AWMOE_MODELS_INPUT_NETWORK_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "data/example.h"
@@ -22,47 +21,16 @@ enum class UserPooling {
   kAttention,  // DIN-style activation-unit weighting (Eq. 3, [2]).
 };
 
-/// h_bj: `tower` over behaviour position j (Eq. 2, Eq. 6) into `out`
-/// [B, hidden]. The one behaviour-tower body of the input and gate
+/// h_b: `tower` over every behaviour position at once (Eq. 2, Eq. 6),
+/// into `out` [seq_len * B, hidden], the position-major stack of
+/// nn/exec.h. The one behaviour-tower body of the input and gate
 /// networks.
 template <class X>
 MatOf<X> BehaviorHidden(const X& x, const EmbeddingSet& embeddings,
-                        const Mlp& tower, const Batch& batch, int64_t j,
+                        const Mlp& tower, const Batch& batch,
                         DstOf<X> out) {
   const typename X::Scope scope(x);
-  return tower.Run(x, embeddings.BehaviorInput(x, batch, j), out);
-}
-
-/// Masked pooling over the behaviour positions (Eq. 3, Eq. 8):
-///   out = sum_j rows_j * mask_j          (weighted == false)
-///   out = sum_j rows_j * (w_j * mask_j)  (weighted == true)
-/// `position(j)` returns {rows_j, w_j [B, 1]} (w_j is read only when
-/// weighted); its temporaries are scoped to the position. Position 0
-/// writes `out`, later positions add a materialised contribution — the
-/// Add(acc, contribution) shape of the graph, so no fused multiply-add
-/// can change a bit. The one pooling body of the input and gate
-/// networks.
-template <class X, class PositionFn>
-MatOf<X> PoolBehaviors(const X& x, const Batch& batch, bool weighted,
-                       PositionFn position, DstOf<X> out) {
-  AWMOE_CHECK(batch.seq_len > 0) << "PoolBehaviors: empty sequence layout";
-  MatOf<X> acc;
-  for (int64_t j = 0; j < batch.seq_len; ++j) {
-    const typename X::Scope scope(x);
-    const auto [rows, w] = position(j);
-    const ConstMatView mask = MatrixColsView(batch.behavior_mask, j, 1);
-    MatOf<X> contribution;
-    if (weighted) {
-      const MatOf<X> masked = x.MulMask(w, mask);
-      contribution = x.WeighRows(
-          rows, masked, j == 0 ? out : x.Alloc(batch.size, x.Cols(rows)));
-    } else {
-      contribution = x.MaskRows(
-          rows, mask, j == 0 ? out : x.Alloc(batch.size, x.Cols(rows)));
-    }
-    acc = j == 0 ? contribution : x.Add(acc, contribution);
-  }
-  return acc;
+  return tower.Run(x, embeddings.BehaviorInput(x, batch), out);
 }
 
 /// The input network of Fig. 3b: embeds every feature type, runs the
@@ -105,9 +73,10 @@ class InputNetwork : public Module {
   /// h_bj (§III-C attention inputs) are cacheable but the pooled v_user
   /// is NOT — the activation unit reads the candidate's h_target — so
   /// the blob carries the positions; with sum pooling v_user itself is
-  /// candidate-independent. Each block is computed by the same helpers
-  /// as Run, into arena storage, and copied out, so replaying it
-  /// through Run reproduces the fused forward bit for bit.
+  /// candidate-independent. The behaviour stack is computed by the same
+  /// helpers as Run, into arena storage, and its row blocks are copied
+  /// into the blob's column blocks, so replaying it through Run
+  /// reproduces the fused forward bit for bit.
   void EncodeSessionInto(const Batch& batch, InferenceArena* arena,
                          MatView out) const;
 

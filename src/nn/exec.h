@@ -20,8 +20,6 @@ namespace awmoe {
 //
 //  - GraphExec builds autograd Var nodes (training, and the
 //    InferenceLogits references the bitwise suites compare against).
-//    It emits exactly the ag:: op sequence the modules always built, so
-//    training is unchanged bit for bit.
 //  - ArenaExec runs the graph-free kernels of nn/inference.h over views
 //    bump-allocated from an InferenceArena (the Ranker::Score hot
 //    path). Each op materialises one buffer per graph op, so at the
@@ -33,6 +31,16 @@ namespace awmoe {
 // x.Alloc); the graph executor ignores it. X::Scope marks the arena on
 // construction and rewinds it on destruction; on the graph it does
 // nothing. A new fused kernel goes into an ArenaExec op.
+//
+// THE BEHAVIOUR STACK: the per-item units (the item tower, the §III-C
+// activation unit, the §III-F gate unit) run once over every behaviour
+// position, as one position-major stack of L*B rows — row j*B + r is
+// position j of example r. The blocked Gather/Constant build it,
+// ProductPath repeats the per-example reference over its row blocks,
+// and Pool folds it back to [B, c], adding positions in order. Every
+// per-row kernel's arithmetic is independent of the row count and the
+// row's position (mat/kernel_tier.h), so a stacked forward produces the
+// floats of one [B]-row pass per position, bit for bit.
 
 template <class X>
 using MatOf = typename X::Mat;
@@ -63,26 +71,27 @@ class GraphExec {
     return ag::AddBias(a, bias);
   }
   Var Relu(const Var& a) const { return ag::Relu(a); }
-  /// [a | b | a*b], the product-path input of Fig. 4a/4c.
+  /// [a | b' | a*b'], the product-path input of Fig. 4a/4c, where b'
+  /// repeats b over the row blocks of a (b.rows divides a.rows): one
+  /// reference row per example, shared by every behaviour position.
   Var ProductPath(const Var& a, const Var& b, Dst) const;
-  /// w [B,1] times a constant mask column [B,1].
-  Var MulMask(const Var& w, const ConstMatView& mask) const;
-  /// Row r of a scaled by w(r, 0).
-  Var WeighRows(const Var& a, const Var& w, Dst) const {
-    return ag::MulColBroadcast(a, w);
-  }
-  /// Row r of a times the constant mask(r, 0).
-  Var MaskRows(const Var& a, const ConstMatView& mask, Dst) const;
-  /// acc + c.
-  Var Add(const Var& acc, const Var& c) const { return ag::Add(acc, c); }
+  /// Masked pooling of a position-major stack (Eq. 3, Eq. 8): with
+  /// `mask` the batch's [B, L] behaviour mask and rows [L*B, c],
+  ///   out = sum_j rows_j * (w_j * mask_j)   (w = [L*B, 1])
+  ///   out = sum_j rows_j * mask_j           (w null)
+  /// summed in position order, as [B, c].
+  Var Pool(const Var& rows, const Var* w, const ConstMatView& mask,
+           Dst) const;
   Var SoftmaxRows(const Var& a) const { return ag::SoftmaxRows(a); }
   /// Keeps each row's k largest entries, zeroes the rest.
   Var TopK(const Var& a, int64_t k) const;
-  /// Rows ids[i * id_stride] of the table, i < count.
+  /// Row j*count + i is table row ids[i * id_stride + j], i < count,
+  /// j < blocks: `blocks` gathers stacked position-major.
   Var Gather(const EmbeddingTable& table, const int64_t* ids, int64_t count,
-             int64_t id_stride, Dst) const;
-  /// A non-differentiated input.
-  Var Constant(const ConstMatView& value, Dst) const;
+             int64_t id_stride, Dst, int64_t blocks = 1) const;
+  /// A non-differentiated input. With blocks > 1 the `blocks` column
+  /// blocks of `value` are stacked as row blocks.
+  Var Constant(const ConstMatView& value, Dst, int64_t blocks = 1) const;
   /// Column concatenation of parts.
   Var Concat(const Parts& parts, Dst) const { return ag::ConcatCols(parts); }
 };
@@ -135,28 +144,13 @@ class ArenaExec {
     ReluInPlace(a);
     return a;
   }
-  MatView ProductPath(const MatView& a, const MatView& b, MatView out) const {
-    ConcatInteractionInto(a, b, out);
-    return out;
-  }
-  MatView MulMask(const MatView& w, const ConstMatView& mask) const {
-    const MatView out = Alloc(w.rows, w.cols);
-    MulInto(w, mask, out);
-    return out;
-  }
-  MatView WeighRows(const MatView& a, const MatView& w, MatView out) const {
-    MulColBroadcastInto(a, w, out);
-    return out;
-  }
-  MatView MaskRows(const MatView& a, const ConstMatView& mask,
-                   MatView out) const {
-    MulColBroadcastInto(a, mask, out);
-    return out;
-  }
-  MatView Add(const MatView& acc, const MatView& c) const {
-    AddInPlace(acc, c);
-    return acc;
-  }
+  /// One ConcatInteractionInto per row block of `a`; b is never tiled.
+  MatView ProductPath(const MatView& a, const MatView& b, MatView out) const;
+  /// A loop over the positions' row-block views: [B]-row temporaries
+  /// scoped to each position, position 0 written straight into `out`,
+  /// later positions added in order.
+  MatView Pool(const MatView& rows, const MatView* w,
+               const ConstMatView& mask, MatView out) const;
   MatView SoftmaxRows(const MatView& a) const {
     SoftmaxRowsInPlace(a);
     return a;
@@ -166,12 +160,21 @@ class ArenaExec {
     return a;
   }
   MatView Gather(const EmbeddingTable& table, const int64_t* ids,
-                 int64_t count, int64_t id_stride, MatView out) const {
-    GatherRowsInto(table.table().value(), ids, count, id_stride, out);
+                 int64_t count, int64_t id_stride, MatView out,
+                 int64_t blocks = 1) const {
+    for (int64_t j = 0; j < blocks; ++j) {
+      GatherRowsInto(table.table().value(), ids + j, count, id_stride,
+                     out.RowBlock(j * count, count));
+    }
     return out;
   }
-  MatView Constant(const ConstMatView& value, MatView out) const {
-    CopyInto(value, out);
+  MatView Constant(const ConstMatView& value, MatView out,
+                   int64_t blocks = 1) const {
+    const int64_t width = value.cols / blocks;
+    for (int64_t j = 0; j < blocks; ++j) {
+      CopyInto(value.ColBlock(j * width, width),
+               out.RowBlock(j * value.rows, value.rows));
+    }
     return out;
   }
   MatView Concat(const Parts&, MatView out) const { return out; }

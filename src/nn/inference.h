@@ -98,12 +98,11 @@ class AlignedBuffer {
 /// Bump allocator over persistent float slabs. Alloc() hands out the
 /// next slab (grown in place when too small, so a warmed arena
 /// allocates nothing); Reset() rewinds to the first slab for the next
-/// forward. Mark()/Rewind() scope the per-sequence-position
-/// temporaries of a behaviour loop so ten positions reuse one
-/// iteration's buffers instead of ten — a mark taken before a slab
-/// spill stays a plain slab index, so rewinding past later-materialised
-/// slabs is safe and the slabs (and their grown capacities) are kept
-/// for reuse.
+/// forward. Mark()/Rewind() scope the temporaries of a tower, a unit
+/// or one pooling step, so the next one reuses their buffers — a mark
+/// taken before a slab spill stays a plain slab index, so rewinding
+/// past later-materialised slabs is safe and the slabs (and their
+/// grown capacities) are kept for reuse.
 ///
 /// ALIGNMENT INVARIANT: every slab base is 64-byte aligned and every
 /// returned view's row stride is padded to a 64-byte multiple

@@ -458,6 +458,22 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       stats_.RecordSlateBatch(slate_sizes, rerank_ms);
     }
 
+    // A non-finite logit (a NaN or Inf weight, an overflow) is a model
+    // fault, not a ranking: that request fails with kInternal and its
+    // scores are neither served nor cached. Checked on the logits,
+    // because the fast tier's sigmoid clamps a NaN to a finite score.
+    for (size_t k = 0; k < m; ++k) {
+      const auto first = logits.begin() + logits_row[k];
+      const auto last = first + static_cast<std::ptrdiff_t>(
+                                    miss_requests[k]->items.size());
+      if (!std::all_of(first, last,
+                       [](float v) { return std::isfinite(v); })) {
+        admission[miss[k]] = Status::Internal(
+            "Rank: non-finite score from model '" + snapshot.name() +
+            "' version " + std::to_string(snapshot.version()));
+      }
+    }
+
     // One vectorised pass over the miss logits (in place; per-element
     // arithmetic matches the tier's sigmoid, so on the reference tier
     // this is still StableSigmoid element for element).
@@ -471,6 +487,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       SessionScoreCache& cache = snapshot.score_cache();
       for (size_t k = 0; k < m; ++k) {
         const size_t i = miss[k];
+        if (!admission[i].ok()) continue;  // Non-finite scores.
         const RankRequest& request = *miss_requests[k];
         const float* first = logits.data() + logits_row[k];
         cache.Put(request.session_id, set_hash[i], history_hash[i],
@@ -491,9 +508,14 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
     RankResponse& response = (*responses)[idx];
     const double queue_ms =
         queue_delays_ms == nullptr ? 0.0 : (*queue_delays_ms)[idx];
+    // Miss requests took the forward's rows in `miss` order.
+    const bool missed =
+        miss_cursor < miss.size() && miss[miss_cursor] == i;
+    const size_t k = missed ? miss_cursor++ : 0;
     if (!admission[i].ok()) {
-      // Client error, not a serve: no scores, no request sample (the
-      // latency/occupancy metrics count served traffic only).
+      // A client error, or a forward that produced a non-finite score:
+      // no scores, no request sample (the latency/occupancy metrics
+      // count served traffic only).
       response = RejectedResponse(request, snapshot, granted,
                                   std::move(admission[i]));
       response.latency_ms = service_ms + queue_ms;
@@ -523,7 +545,6 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
         response.scores[j] = hit_scores[i][j];
       }
     } else {
-      const size_t k = miss_cursor++;
       response.gate_shared = shared;
       response.gate_cache_hit = gate_lookup[k] == 1;
       response.encoding_cache_hit = encoding_lookup[k] == 1;

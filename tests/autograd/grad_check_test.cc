@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "nn/exec.h"
 #include "util/rng.h"
 
 namespace awmoe {
@@ -200,6 +201,29 @@ TEST(GradCheckTest, DetectsWrongGradient) {
       },
       {x});
   EXPECT_TRUE(good.ok) << good.message;
+}
+
+// The behaviour-stack ops. Each output is weighted by a random matrix
+// so every output element carries a distinct gradient.
+TEST(GradCheckTest, SumRowBlocks) {
+  Rng rng(31);
+  ExpectGradOk(
+      [](const std::vector<Var>& in) {
+        return ag::MeanAll(ag::Mul(ag::SumRowBlocks(in[0], 3), in[1]));
+      },
+      {RandomVar(6, 2, &rng), RandomVar(2, 2, &rng)});
+}
+
+TEST(GradCheckTest, ProductPathRepeatsReference) {
+  // b [2, 3] repeated over the three row blocks of a [6, 3]: b's
+  // gradient sums over every block.
+  Rng rng(32);
+  ExpectGradOk(
+      [](const std::vector<Var>& in) {
+        return ag::MeanAll(
+            ag::Mul(GraphExec().ProductPath(in[0], in[1], {}), in[2]));
+      },
+      {RandomVar(6, 3, &rng), RandomVar(2, 3, &rng), RandomVar(6, 9, &rng)});
 }
 
 }  // namespace

@@ -214,20 +214,20 @@ TEST_F(TrainerTest, ReferenceTierTrainingFingerprint) {
   {
     Rng rng(21);
     AwMoeRanker model(data_->meta, aw_config, &rng);
-    EXPECT_EQ(train_steps(&model, data_->meta, true), 0x0a49878e56601090ull)
+    EXPECT_EQ(train_steps(&model, data_->meta, true), 0x2ccb56b103bc9c71ull)
         << "AW-MoE, search mode";
   }
   {
     Rng rng(22);
     AwMoeRanker model(rec_meta, aw_config, &rng);
-    EXPECT_EQ(train_steps(&model, rec_meta, true), 0x9b498f520e8de138ull)
+    EXPECT_EQ(train_steps(&model, rec_meta, true), 0x0379dc233d39a068ull)
         << "AW-MoE, recommendation mode";
   }
   {
     Rng rng(23);
     DnnRanker model(data_->meta, TinyDims(), &rng);
     EXPECT_EQ(train_steps(&model, data_->meta, false),
-              0x5cf194b936a38a5eull)
+              0x14eda57117517fe6ull)
         << "DNN";
   }
 }

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -376,6 +377,40 @@ TEST_F(AsyncServingTest, UnknownModelFailsNotFoundWithoutQueueing) {
   ServingEngine empty_engine(&empty);
   EXPECT_EQ(empty_engine.Submit(RequestFor(2)).get().status.code(),
             StatusCode::kNotFound);
+}
+
+// A non-finite score resolves the future with kInternal: no scores, no
+// cache fill (the repeat fails again), and a healthy model sharing the
+// pool keeps serving.
+TEST_F(AsyncServingTest, NonFiniteScoresFailInternal) {
+  std::unique_ptr<Ranker> broken = model_->Clone();
+  // The last parameter is the gate bias: a NaN there reaches every row.
+  broken->Parameters().back().mutable_value()(0, 0) =
+      std::numeric_limits<float>::quiet_NaN();
+  ModelPool pool(data_->meta, standardizer_);
+  pool.Register("healthy", model_);
+  pool.Register("broken", broken.get());
+  ServingEngine engine(&pool);
+  RankRequest bad = RequestFor(0);
+  bad.model = "broken";
+  RankRequest good = RequestFor(1);
+  good.model = "healthy";
+  for (int round = 0; round < 2; ++round) {
+    std::future<RankResponse> failed = engine.Submit(bad);
+    std::future<RankResponse> served = engine.Submit(good);
+    const RankResponse failure = failed.get();
+    EXPECT_EQ(failure.status.code(), StatusCode::kInternal)
+        << "round " << round;
+    EXPECT_TRUE(failure.scores.empty());
+    EXPECT_FALSE(failure.score_cache_hit);
+    EXPECT_EQ(failure.session_id, bad.session_id);
+    const RankResponse response = served.get();
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    ASSERT_EQ(static_cast<int64_t>(response.scores.size()), ItemsOf(1));
+    for (double score : response.scores) EXPECT_TRUE(std::isfinite(score));
+    EXPECT_EQ(response.score_cache_hit, round == 1);
+  }
+  EXPECT_EQ(engine.pending_async_requests(), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/aw_moe.h"
@@ -373,6 +376,63 @@ TEST_F(ServingTest, UnknownModelRejectedNotAborted) {
   const RankResponse no_default = empty_engine.Rank(mixed[0]);
   EXPECT_EQ(no_default.status.code(), StatusCode::kNotFound);
   EXPECT_TRUE(no_default.scores.empty());
+}
+
+// A forward that produces a non-finite score is a model fault, not a
+// ranking: every request it scored comes back kInternal with no
+// scores, nothing is cached (a repeat is kInternal again, not a hit),
+// and a healthy model in the same pool keeps serving. Both tiers run:
+// the fast tier's sigmoid turns a NaN logit into a finite score, so
+// the check must not read the post-sigmoid floats.
+TEST_F(ServingTest, NonFiniteScoresRejectedNotServedOrCached) {
+  std::unique_ptr<Ranker> broken = model_->Clone();
+  // The last parameter is the gate bias: a NaN there reaches every row.
+  broken->Parameters().back().mutable_value()(0, 0) =
+      std::numeric_limits<float>::quiet_NaN();
+  std::vector<KernelTier> tiers = {KernelTier::kReference};
+  if (FastKernelTierAvailable()) tiers.push_back(KernelTier::kFast);
+  auto sessions = GroupBySession(data_->full_test);
+  ASSERT_GE(sessions.size(), 4u);
+  for (const KernelTier tier : tiers) {
+    ScopedKernelTier scoped(tier);
+    ModelPool pool(data_->meta, standardizer_);
+    pool.Register("healthy", model_);
+    pool.Register("broken", broken.get());
+    ServingEngine engine(&pool);
+    std::vector<RankRequest> mixed(4);
+    for (size_t r = 0; r < mixed.size(); ++r) {
+      mixed[r].session_id = sessions[r][0]->session_id;
+      mixed[r].items = sessions[r];
+      mixed[r].model = r % 2 == 0 ? "healthy" : "broken";
+    }
+    for (int round = 0; round < 2; ++round) {
+      const std::vector<RankResponse> responses = engine.RankBatch(mixed);
+      ASSERT_EQ(responses.size(), mixed.size());
+      for (size_t r = 0; r < mixed.size(); ++r) {
+        const RankResponse& response = responses[r];
+        const std::string where = std::string(KernelTierName(tier)) +
+                                  " round " + std::to_string(round) +
+                                  " request " + std::to_string(r);
+        if (mixed[r].model == "broken") {
+          EXPECT_EQ(response.status.code(), StatusCode::kInternal) << where;
+          EXPECT_TRUE(response.scores.empty()) << where;
+          EXPECT_FALSE(response.score_cache_hit) << where;
+          EXPECT_EQ(response.model, "broken") << where;
+        } else {
+          ASSERT_TRUE(response.status.ok()) << where << response.status;
+          ASSERT_EQ(response.scores.size(), mixed[r].items.size()) << where;
+          for (double score : response.scores) {
+            EXPECT_TRUE(std::isfinite(score)) << where;
+          }
+          // The healthy model's repeat is a level-1 hit: the cache is
+          // on, so the broken model's misses above are not its doing.
+          EXPECT_EQ(response.score_cache_hit, round == 1) << where;
+        }
+      }
+    }
+    // Only the healthy requests count as served traffic.
+    EXPECT_EQ(engine.stats().requests(), 4);
+  }
 }
 
 // §III-F is exact, not approximate: sharing the gate must not change a
