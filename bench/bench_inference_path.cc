@@ -155,7 +155,8 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
   auto workspace = model->CreateInferenceWorkspace(batch_size);
   std::vector<float> out(static_cast<size_t>(batch_size));
 
-  const int64_t width = model->SessionGateWidth();
+  const ServingTraits traits = model->Traits(fixture.data.meta);
+  const int64_t width = traits.gate_width;
   std::vector<float> gate_rows;
   SessionGate gate{nullptr, 0, 0};
   if (path == Path::kScoreIntoWithGate) {
@@ -163,7 +164,7 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
     model->GateInto(batch, workspace.get(), gate_rows);
     gate = SessionGate{gate_rows.data(), batch_size, width};
   }
-  const int64_t enc_width = model->SessionEncodingWidth();
+  const int64_t enc_width = traits.encoding_width;
   std::vector<float> enc_rows;
   SessionEncoding encoding{nullptr, 0, 0};
   if (path == Path::kEncodeSession || path == Path::kScoreWithEncoding) {
@@ -184,12 +185,16 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
       model->EncodeSessionInto(batch, workspace.get(), enc_rows);
       break;
     case Path::kScoreWithEncoding:
-      model->ScoreWithSessionInto(batch, nullptr, &encoding,
-                                  workspace.get(), out);
+      model->Score({.batch = batch,
+                    .workspace = workspace.get(),
+                    .out = out,
+                    .encoding = &encoding});
       break;
     default:
-      model->ScoreInto(batch, gate.data != nullptr ? &gate : nullptr,
-                       workspace.get(), out);
+      model->Score({.batch = batch,
+                    .workspace = workspace.get(),
+                    .out = out,
+                    .gate = gate.data != nullptr ? &gate : nullptr});
       break;
   }
 
@@ -207,11 +212,16 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
         break;
       }
       case Path::kScoreInto:
-        model->ScoreInto(batch, nullptr, workspace.get(), out);
+        model->Score({.batch = batch,
+                      .workspace = workspace.get(),
+                      .out = out});
         benchmark::DoNotOptimize(out.data());
         break;
       case Path::kScoreIntoWithGate:
-        model->ScoreInto(batch, &gate, workspace.get(), out);
+        model->Score({.batch = batch,
+                      .workspace = workspace.get(),
+                      .out = out,
+                      .gate = &gate});
         benchmark::DoNotOptimize(out.data());
         break;
       case Path::kEncodeSession:
@@ -219,8 +229,10 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
         benchmark::DoNotOptimize(enc_rows.data());
         break;
       case Path::kScoreWithEncoding:
-        model->ScoreWithSessionInto(batch, nullptr, &encoding,
-                                    workspace.get(), out);
+        model->Score({.batch = batch,
+                      .workspace = workspace.get(),
+                      .out = out,
+                      .encoding = &encoding});
         benchmark::DoNotOptimize(out.data());
         break;
     }

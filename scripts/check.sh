@@ -132,6 +132,20 @@ fi
 
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 
+# The scoring and capability names Score and Traits replaced stay on
+# Ranker only as forwarders for the benchmark harness (perfbench/src).
+# No other caller may appear before the benchmark drops them.
+echo "== no new callers of the Ranker forwarders =="
+FORWARDERS='ScoreInto|ScoreWithSessionInto|ScoreSlateInto|SupportsSlateScoring'
+FORWARDERS+='|SupportsSessionGateReuse|SupportsSessionEncodingReuse'
+FORWARDERS+='|SessionGateWidth|SessionEncodingWidth'
+if (cd "$REPO_ROOT" && grep -rnE "\b($FORWARDERS)\(" src tests bench examples) \
+    | grep -v '^src/models/ranker.h:'; then
+  echo "forwarder called outside src/models/ranker.h: use Score({...})" \
+       "or Traits(meta)"
+  exit 1
+fi
+
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" "${CMAKE_LAUNCHER_ARGS[@]}"
 

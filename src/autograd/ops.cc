@@ -198,12 +198,9 @@ Var SliceCols(const Var& a, int64_t begin, int64_t end) {
       [ai, begin, end](const VarImpl& self) {
         if (!ai->requires_grad) return;
         Matrix padded(ai->value.rows(), ai->value.cols());
-        for (int64_t r = 0; r < self.grad.rows(); ++r) {
-          const float* src = self.grad.row(r);
-          float* dst = padded.row(r) + begin;
-          for (int64_t c = 0; c < end - begin; ++c) dst[c] = src[c];
-        }
-        AccumulateGrad(ai.get(), padded);
+        CopyInto(MatrixView(self.grad),
+                 MutableMatrixView(padded).ColBlock(begin, end - begin));
+        AccumulateGrad(ai.get(), std::move(padded));
       });
 }
 
@@ -239,24 +236,25 @@ Var SumRowBlocks(const Var& a, int64_t blocks) {
   AWMOE_CHECK(blocks > 0 && x.rows() % blocks == 0)
       << "SumRowBlocks: " << x.ShapeString() << " in " << blocks
       << " blocks";
+  // Each row block of x is one row of `by_block`; the blocks are summed
+  // in position order into `sum`.
   const int64_t block_size = x.size() / blocks;
+  const ConstMatView by_block(x.data(), blocks, block_size, block_size);
   Matrix value(x.rows() / blocks, x.cols());
-  float* po = value.data();
-  std::copy(x.data(), x.data() + block_size, po);
+  const MatView sum{value.data(), 1, block_size, block_size};
+  CopyInto(by_block.RowBlock(0, 1), sum);
   for (int64_t j = 1; j < blocks; ++j) {
-    const float* pb = x.data() + j * block_size;
-    for (int64_t i = 0; i < block_size; ++i) po[i] = po[i] + pb[i];
+    AddInPlace(sum, by_block.RowBlock(j, 1));
   }
   Impl ai = a.impl();
   return MakeOpResult(
       std::move(value), "sum_row_blocks", {a},
       [ai, blocks, block_size](const VarImpl& self) {
         if (!ai->requires_grad) return;
+        // A stride-0 view repeats the gradient into every block.
         Matrix g(ai->value.rows(), ai->value.cols());
-        for (int64_t j = 0; j < blocks; ++j) {
-          std::copy(self.grad.data(), self.grad.data() + block_size,
-                    g.data() + j * block_size);
-        }
+        CopyInto(ConstMatView(self.grad.data(), blocks, block_size, 0),
+                 MatView{g.data(), blocks, block_size, block_size});
         AccumulateGrad(ai.get(), std::move(g));
       });
 }

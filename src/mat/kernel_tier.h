@@ -83,6 +83,13 @@ struct ConstMatView {
         << "ColBlock [" << begin << "," << begin + width << ") of " << cols;
     return ConstMatView(data + begin, rows, width, stride);
   }
+
+  /// Rows [begin, begin + count) as a sub-view (same columns).
+  ConstMatView RowBlock(int64_t begin, int64_t count) const {
+    AWMOE_DCHECK(begin >= 0 && count >= 0 && begin + count <= rows)
+        << "RowBlock [" << begin << "," << begin + count << ") of " << rows;
+    return ConstMatView(data + begin * stride, count, cols, stride);
+  }
 };
 
 /// Whole-matrix read view.

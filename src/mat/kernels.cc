@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mat/kernel_tier.h"
-
 namespace awmoe {
 
 namespace {
@@ -12,6 +10,22 @@ namespace {
 void CheckSameShape(const Matrix& a, const Matrix& b, const char* op) {
   AWMOE_CHECK(a.SameShape(b)) << op << ": shape mismatch " << a.ShapeString()
                               << " vs " << b.ShapeString();
+}
+
+void CheckSameShapeView(const ConstMatView& a, const ConstMatView& b,
+                        const char* op) {
+  AWMOE_CHECK(a.rows == b.rows && a.cols == b.cols)
+      << op << ": shape mismatch " << a.rows << "x" << a.cols << " vs "
+      << b.rows << "x" << b.cols;
+}
+
+/// A contiguous matrix as one [1, size] row, for the purely elementwise
+/// wrappers: an [N,1] column then runs one flat loop, not N 1-wide rows.
+ConstMatView FlatView(const Matrix& m) {
+  return ConstMatView(m.data(), 1, m.size(), m.size());
+}
+MatView MutableFlatView(Matrix& m) {
+  return MatView{m.data(), 1, m.size(), m.size()};
 }
 
 template <typename Fn>
@@ -65,11 +79,8 @@ Matrix Transpose(const Matrix& a) {
 
 Matrix Add(const Matrix& a, const Matrix& b) {
   CheckSameShape(a, b, "Add");
-  Matrix out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < a.size(); ++i) po[i] = pa[i] + pb[i];
+  Matrix out = a;
+  AddInPlace(MutableFlatView(out), FlatView(b));
   return out;
 }
 
@@ -86,10 +97,7 @@ Matrix Sub(const Matrix& a, const Matrix& b) {
 Matrix Mul(const Matrix& a, const Matrix& b) {
   CheckSameShape(a, b, "Mul");
   Matrix out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < a.size(); ++i) po[i] = pa[i] * pb[i];
+  MulInto(FlatView(a), FlatView(b), MutableFlatView(out));
   return out;
 }
 
@@ -105,9 +113,7 @@ Matrix Div(const Matrix& a, const Matrix& b) {
 
 void AddInPlace(Matrix* a, const Matrix& b) {
   CheckSameShape(*a, b, "AddInPlace");
-  float* pa = a->data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] += pb[i];
+  AddInPlace(MutableFlatView(*a), FlatView(b));
 }
 
 void AxpyInPlace(Matrix* a, float alpha, const Matrix& b) {
@@ -117,10 +123,7 @@ void AxpyInPlace(Matrix* a, float alpha, const Matrix& b) {
   for (int64_t i = 0; i < a->size(); ++i) pa[i] += alpha * pb[i];
 }
 
-void ScaleInPlace(Matrix* a, float s) {
-  float* pa = a->data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] *= s;
-}
+void ScaleInPlace(Matrix* a, float s) { ScaleInPlace(MutableFlatView(*a), s); }
 
 Matrix AddScalar(const Matrix& a, float s) {
   return ElementwiseUnary(a, [s](float x) { return x + s; });
@@ -131,7 +134,9 @@ Matrix MulScalar(const Matrix& a, float s) {
 }
 
 Matrix Relu(const Matrix& a) {
-  return ElementwiseUnary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
+  Matrix out = a;
+  ReluInPlace(MutableFlatView(out));
+  return out;
 }
 
 Matrix ReluBackward(const Matrix& grad, const Matrix& input) {
@@ -185,28 +190,14 @@ Matrix Clip(const Matrix& a, float lo, float hi) {
 }
 
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& b) {
-  AWMOE_CHECK(b.rows() == 1 && b.cols() == a.cols())
-      << "AddRowBroadcast: " << a.ShapeString() << " + " << b.ShapeString();
-  Matrix out(a.rows(), a.cols());
-  const float* pb = b.data();
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float* arow = a.row(r);
-    float* orow = out.row(r);
-    for (int64_t c = 0; c < a.cols(); ++c) orow[c] = arow[c] + pb[c];
-  }
+  Matrix out = a;
+  AddBiasInPlace(MutableMatrixView(out), b);
   return out;
 }
 
 Matrix MulColBroadcast(const Matrix& a, const Matrix& w) {
-  AWMOE_CHECK(w.cols() == 1 && w.rows() == a.rows())
-      << "MulColBroadcast: " << a.ShapeString() << " * " << w.ShapeString();
   Matrix out(a.rows(), a.cols());
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float wr = w(r, 0);
-    const float* arow = a.row(r);
-    float* orow = out.row(r);
-    for (int64_t c = 0; c < a.cols(); ++c) orow[c] = arow[c] * wr;
-  }
+  MulColBroadcastInto(MatrixView(a), MatrixView(w), MutableMatrixView(out));
   return out;
 }
 
@@ -301,33 +292,14 @@ double Norm(const Matrix& a) {
 }
 
 Matrix DotRows(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "DotRows");
   Matrix out(a.rows(), 1);
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float* arow = a.row(r);
-    const float* brow = b.row(r);
-    float acc = 0.0f;
-    for (int64_t c = 0; c < a.cols(); ++c) acc += arow[c] * brow[c];
-    out(r, 0) = acc;
-  }
+  DotRowsInto(MatrixView(a), MatrixView(b), MutableMatrixView(out));
   return out;
 }
 
 Matrix SoftmaxRows(const Matrix& a) {
-  AWMOE_CHECK(a.cols() > 0);
-  Matrix out(a.rows(), a.cols());
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float* arow = a.row(r);
-    float* orow = out.row(r);
-    float max_val = arow[0];
-    for (int64_t c = 1; c < a.cols(); ++c) max_val = std::max(max_val, arow[c]);
-    float denom = 0.0f;
-    for (int64_t c = 0; c < a.cols(); ++c) {
-      orow[c] = std::exp(arow[c] - max_val);
-      denom += orow[c];
-    }
-    for (int64_t c = 0; c < a.cols(); ++c) orow[c] /= denom;
-  }
+  Matrix out = a;
+  SoftmaxRowsInPlace(MutableMatrixView(out));
   return out;
 }
 
@@ -380,15 +352,9 @@ Matrix LogSumExpRows(const Matrix& a) {
 }
 
 Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& indices) {
-  Matrix out(static_cast<int64_t>(indices.size()), a.cols());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    int64_t idx = indices[i];
-    AWMOE_CHECK(idx >= 0 && idx < a.rows())
-        << "GatherRows: index " << idx << " out of " << a.rows();
-    const float* src = a.row(idx);
-    float* dst = out.row(static_cast<int64_t>(i));
-    std::copy(src, src + a.cols(), dst);
-  }
+  const int64_t count = static_cast<int64_t>(indices.size());
+  Matrix out(count, a.cols());
+  GatherRowsInto(a, indices.data(), count, 1, MutableMatrixView(out));
   return out;
 }
 
@@ -420,13 +386,10 @@ Matrix ConcatCols(const std::vector<const Matrix*>& parts) {
     total_cols += part->cols();
   }
   Matrix out(rows, total_cols);
+  const MatView view = MutableMatrixView(out);
   int64_t offset = 0;
   for (const Matrix* part : parts) {
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* src = part->row(r);
-      float* dst = out.row(r) + offset;
-      std::copy(src, src + part->cols(), dst);
-    }
+    CopyInto(MatrixView(*part), view.ColBlock(offset, part->cols()));
     offset += part->cols();
   }
   return out;
@@ -436,10 +399,7 @@ Matrix SliceCols(const Matrix& a, int64_t begin, int64_t end) {
   AWMOE_CHECK(0 <= begin && begin <= end && end <= a.cols())
       << "SliceCols: [" << begin << "," << end << ") of " << a.cols();
   Matrix out(a.rows(), end - begin);
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float* src = a.row(r) + begin;
-    std::copy(src, src + (end - begin), out.row(r));
-  }
+  CopyInto(MatrixColsView(a, begin, end - begin), MutableMatrixView(out));
   return out;
 }
 
@@ -447,29 +407,14 @@ Matrix SliceRows(const Matrix& a, int64_t begin, int64_t end) {
   AWMOE_CHECK(0 <= begin && begin <= end && end <= a.rows())
       << "SliceRows: [" << begin << "," << end << ") of " << a.rows();
   Matrix out(end - begin, a.cols());
-  for (int64_t r = begin; r < end; ++r) {
-    const float* src = a.row(r);
-    std::copy(src, src + a.cols(), out.row(r - begin));
-  }
+  CopyInto(MatrixView(a).RowBlock(begin, end - begin),
+           MutableMatrixView(out));
   return out;
 }
 
 Matrix TopKMaskRows(const Matrix& a, int64_t k) {
-  AWMOE_CHECK(k >= 1 && k <= a.cols())
-      << "TopKMaskRows: k=" << k << " cols=" << a.cols();
   Matrix out(a.rows(), a.cols());
-  std::vector<int64_t> order(static_cast<size_t>(a.cols()));
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float* arow = a.row(r);
-    for (int64_t c = 0; c < a.cols(); ++c) order[c] = c;
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [arow](int64_t x, int64_t y) {
-                        if (arow[x] != arow[y]) return arow[x] > arow[y];
-                        return x < y;
-                      });
-    float* orow = out.row(r);
-    for (int64_t i = 0; i < k; ++i) orow[order[i]] = 1.0f;
-  }
+  TopKMaskRowsInto(MatrixView(a), k, MutableMatrixView(out));
   return out;
 }
 
@@ -481,6 +426,138 @@ bool AllClose(const Matrix& a, const Matrix& b, float tol) {
     if (std::abs(pa[i] - pb[i]) > tol) return false;
   }
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// View kernels.
+// ---------------------------------------------------------------------------
+
+void CopyInto(const ConstMatView& src, MatView out) {
+  CheckSameShapeView(src, out, "CopyInto");
+  for (int64_t r = 0; r < src.rows; ++r) {
+    const float* s = src.row(r);
+    std::copy(s, s + src.cols, out.row(r));
+  }
+}
+
+void AddBiasInPlace(MatView a, const Matrix& bias) {
+  AWMOE_CHECK(bias.rows() == 1 && bias.cols() == a.cols)
+      << "AddBiasInPlace: " << a.rows << "x" << a.cols << " + "
+      << bias.ShapeString();
+  ActiveKernels().add_bias(a, bias);
+}
+
+void ReluInPlace(MatView a) { ActiveKernels().relu(a); }
+
+void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out) {
+  CheckSameShapeView(a, b, "MulInto");
+  CheckSameShapeView(a, out, "MulInto(out)");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float* pa = a.row(r);
+    const float* pb = b.row(r);
+    float* po = out.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) po[c] = pa[c] * pb[c];
+  }
+}
+
+void ConcatInteractionInto(const ConstMatView& a, const ConstMatView& b,
+                           MatView out) {
+  CheckSameShapeView(a, b, "ConcatInteractionInto");
+  AWMOE_CHECK(out.rows == a.rows && out.cols == 3 * a.cols)
+      << "ConcatInteractionInto: out " << out.rows << "x" << out.cols;
+  const int64_t d = a.cols;
+  CopyInto(a, out.ColBlock(0, d));
+  CopyInto(b, out.ColBlock(d, d));
+  MulInto(a, b, out.ColBlock(2 * d, d));
+}
+
+void AddInPlace(MatView a, const ConstMatView& b) {
+  CheckSameShapeView(a, b, "AddInPlace");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    float* pa = a.row(r);
+    const float* pb = b.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) pa[c] = pa[c] + pb[c];
+  }
+}
+
+void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
+                         MatView out) {
+  AWMOE_CHECK(w.cols == 1 && w.rows == a.rows)
+      << "MulColBroadcastInto: " << a.rows << "x" << a.cols << " * " << w.rows
+      << "x" << w.cols;
+  CheckSameShapeView(a, out, "MulColBroadcastInto(out)");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float wr = *w.row(r);
+    const float* arow = a.row(r);
+    float* orow = out.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) orow[c] = arow[c] * wr;
+  }
+}
+
+void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out) {
+  CheckSameShapeView(a, b, "DotRowsInto");
+  AWMOE_CHECK(out.rows == a.rows && out.cols == 1)
+      << "DotRowsInto: out " << out.rows << "x" << out.cols;
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float* arow = a.row(r);
+    const float* brow = b.row(r);
+    float acc = 0.0f;
+    for (int64_t c = 0; c < a.cols; ++c) acc += arow[c] * brow[c];
+    *out.row(r) = acc;
+  }
+}
+
+void SoftmaxRowsInPlace(MatView a) {
+  AWMOE_CHECK(a.cols > 0) << "SoftmaxRowsInPlace on empty rows";
+  for (int64_t r = 0; r < a.rows; ++r) {
+    float* arow = a.row(r);
+    float max_val = arow[0];
+    for (int64_t c = 1; c < a.cols; ++c) max_val = std::max(max_val, arow[c]);
+    float denom = 0.0f;
+    for (int64_t c = 0; c < a.cols; ++c) {
+      arow[c] = std::exp(arow[c] - max_val);
+      denom += arow[c];
+    }
+    for (int64_t c = 0; c < a.cols; ++c) arow[c] /= denom;
+  }
+}
+
+void ScaleInPlace(MatView a, float s) {
+  for (int64_t r = 0; r < a.rows; ++r) {
+    float* arow = a.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) arow[c] = arow[c] * s;
+  }
+}
+
+void TopKMaskRowsInto(const ConstMatView& a, int64_t k, MatView mask) {
+  AWMOE_CHECK(k >= 1 && k <= a.cols)
+      << "TopKMaskRowsInto: k=" << k << " cols=" << a.cols;
+  CheckSameShapeView(a, mask, "TopKMaskRowsInto(mask)");
+  for (int64_t r = 0; r < a.rows; ++r) {
+    const float* arow = a.row(r);
+    float* mrow = mask.row(r);
+    for (int64_t c = 0; c < a.cols; ++c) {
+      int64_t ahead = 0;
+      for (int64_t o = 0; o < a.cols; ++o) {
+        if (arow[o] > arow[c] || (arow[o] == arow[c] && o < c)) ++ahead;
+      }
+      mrow[c] = ahead < k ? 1.0f : 0.0f;
+    }
+  }
+}
+
+void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
+                    int64_t id_stride, MatView out) {
+  AWMOE_CHECK(out.rows == count && out.cols == table.cols())
+      << "GatherRowsInto: out " << out.rows << "x" << out.cols << " for "
+      << count << " rows of " << table.ShapeString();
+  for (int64_t i = 0; i < count; ++i) {
+    const int64_t idx = ids[i * id_stride];
+    AWMOE_CHECK(idx >= 0 && idx < table.rows())
+        << "GatherRowsInto: index " << idx << " out of " << table.rows();
+    const float* src = table.row(idx);
+    std::copy(src, src + table.cols(), out.row(i));
+  }
 }
 
 }  // namespace awmoe

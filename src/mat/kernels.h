@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mat/kernel_tier.h"
 #include "mat/matrix.h"
 
 namespace awmoe {
@@ -12,6 +13,15 @@ namespace awmoe {
 // AWMOE_CHECK (shape bugs are programmer errors, not recoverable states).
 // Kernels return results by value; gradient-accumulation variants mutate in
 // place and end in `InPlace`.
+//
+// The elementwise, broadcast and layout ops the AW-MoE forward is built
+// from have ONE implementation: the view kernels at the end of this
+// file, which Score runs over arena views (nn/inference.h, nn/exec.h).
+// The Matrix forms of those ops (Add, Mul, AddInPlace, ScaleInPlace,
+// AddRowBroadcast, Relu, MulColBroadcast, DotRows, SoftmaxRows,
+// GatherRows, ConcatCols, SliceCols, SliceRows, TopKMaskRows) shape-check,
+// allocate and call them, so training and serving run the same
+// per-element arithmetic by construction.
 
 // ---------------------------------------------------------------------------
 // GEMM family. Each call shape-checks, allocates the result and runs
@@ -148,6 +158,60 @@ Matrix TopKMaskRows(const Matrix& a, int64_t k);
 /// True if all elements of a and b are within `tol` of each other
 /// (and shapes match).
 bool AllClose(const Matrix& a, const Matrix& b, float tol);
+
+// ---------------------------------------------------------------------------
+// View kernels: write into caller-provided views (MatView / ConstMatView,
+// mat/kernel_tier.h) and never allocate. AddBiasInPlace and ReluInPlace
+// dispatch through the active tier's add_bias / relu rows, which are
+// bitwise equal at both tiers; the rest are plain scalar loops.
+// ---------------------------------------------------------------------------
+
+/// out = src (element copy).
+void CopyInto(const ConstMatView& src, MatView out);
+
+/// a[m,n] += bias[1,n] broadcast over rows.
+void AddBiasInPlace(MatView a, const Matrix& bias);
+
+/// a = max(a, 0) elementwise (-0.0 and NaN become +0.0).
+void ReluInPlace(MatView a);
+
+/// out = a * b elementwise (same shape; out may alias a or b).
+void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out);
+
+/// out[B, 3d] = [a | b | a*b] — the "product path" input layout shared
+/// by the activation unit (Fig. 4a) and the gate unit (Fig. 4c). One
+/// definition so the layout cannot drift between the two.
+void ConcatInteractionInto(const ConstMatView& a, const ConstMatView& b,
+                           MatView out);
+
+/// a += b elementwise (same shape).
+void AddInPlace(MatView a, const ConstMatView& b);
+
+/// out[r][c] = a[r][c] * w[r][0].
+void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
+                         MatView out);
+
+/// out[r][0] = dot(a.row(r), b.row(r)), summed in ascending column order.
+void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out);
+
+/// Row-wise softmax in place: max-subtracted, exp, then divided by the
+/// ascending-order sum.
+void SoftmaxRowsInPlace(MatView a);
+
+/// a *= s elementwise.
+void ScaleInPlace(MatView a, float s);
+
+/// Per row, mask = 1.0 at the k largest entries of `a` and 0.0 elsewhere,
+/// ties broken by lower column index: entry c is kept iff fewer than k
+/// entries rank strictly ahead of it. k must be in [1, cols]; `mask` has
+/// a's shape and must not alias it.
+void TopKMaskRowsInto(const ConstMatView& a, int64_t k, MatView mask);
+
+/// out.row(i) = table.row(ids[i * id_stride]); the stride lets callers
+/// gather one sequence position directly from the Batch's row-major
+/// [size * seq_len] id layout without building an index vector.
+void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
+                    int64_t id_stride, MatView out);
 
 }  // namespace awmoe
 

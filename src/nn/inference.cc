@@ -13,17 +13,6 @@
 
 namespace awmoe {
 
-namespace {
-
-void CheckSameShapeView(const ConstMatView& a, const ConstMatView& b,
-                        const char* op) {
-  AWMOE_CHECK(a.rows == b.rows && a.cols == b.cols)
-      << op << ": shape mismatch " << a.rows << "x" << a.cols << " vs "
-      << b.rows << "x" << b.cols;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------
 // Aligned storage.
 // ---------------------------------------------------------------------
@@ -245,18 +234,10 @@ int KernelRowParallelism() {
 }
 
 // ---------------------------------------------------------------------
-// Public kernels. Dispatching kernels validate shapes here, then jump
-// through the active tier table; the rest stay scalar reference code
-// shared by both tiers.
+// Public kernels. Shapes are validated here, then the GEMMs and the
+// sigmoid jump through a tier table; the elementwise kernels they
+// combine with are the mat/kernels.h view kernels.
 // ---------------------------------------------------------------------
-
-void CopyInto(const ConstMatView& src, MatView out) {
-  CheckSameShapeView(src, out, "CopyInto");
-  for (int64_t r = 0; r < src.rows; ++r) {
-    const float* s = src.row(r);
-    std::copy(s, s + src.cols, out.row(r));
-  }
-}
 
 void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out) {
   AWMOE_CHECK(a.cols == w.rows())
@@ -280,93 +261,11 @@ void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out) {
   table.matmul_nn(a, MatrixView(w), out);
 }
 
-void AddBiasInPlace(MatView a, const Matrix& bias) {
-  AWMOE_CHECK(bias.rows() == 1 && bias.cols() == a.cols)
-      << "AddBiasInPlace: " << a.rows << "x" << a.cols << " + "
-      << bias.ShapeString();
-  ActiveKernels().add_bias(a, bias);
-}
-
-void ReluInPlace(MatView a) { ActiveKernels().relu(a); }
-
 void SigmoidSpanInto(std::span<const float> x, std::span<float> out) {
   AWMOE_CHECK(x.size() == out.size())
       << "SigmoidSpanInto: " << x.size() << " vs " << out.size();
   ActiveKernels().sigmoid_span(x.data(), out.data(),
                                static_cast<int64_t>(x.size()));
-}
-
-void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out) {
-  CheckSameShapeView(a, b, "MulInto");
-  CheckSameShapeView(a, out, "MulInto(out)");
-  for (int64_t r = 0; r < a.rows; ++r) {
-    const float* pa = a.row(r);
-    const float* pb = b.row(r);
-    float* po = out.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) po[c] = pa[c] * pb[c];
-  }
-}
-
-void ConcatInteractionInto(const ConstMatView& a, const ConstMatView& b,
-                           MatView out) {
-  CheckSameShapeView(a, b, "ConcatInteractionInto");
-  AWMOE_CHECK(out.rows == a.rows && out.cols == 3 * a.cols)
-      << "ConcatInteractionInto: out " << out.rows << "x" << out.cols;
-  const int64_t d = a.cols;
-  CopyInto(a, out.ColBlock(0, d));
-  CopyInto(b, out.ColBlock(d, d));
-  MulInto(a, b, out.ColBlock(2 * d, d));
-}
-
-void AddInPlace(MatView a, const ConstMatView& b) {
-  CheckSameShapeView(a, b, "AddInPlace");
-  for (int64_t r = 0; r < a.rows; ++r) {
-    float* pa = a.row(r);
-    const float* pb = b.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) pa[c] = pa[c] + pb[c];
-  }
-}
-
-void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
-                         MatView out) {
-  AWMOE_CHECK(w.cols == 1 && w.rows == a.rows)
-      << "MulColBroadcastInto: " << a.rows << "x" << a.cols << " * "
-      << w.rows << "x" << w.cols;
-  CheckSameShapeView(a, out, "MulColBroadcastInto(out)");
-  for (int64_t r = 0; r < a.rows; ++r) {
-    const float wr = *w.row(r);
-    const float* arow = a.row(r);
-    float* orow = out.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) orow[c] = arow[c] * wr;
-  }
-}
-
-void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out) {
-  CheckSameShapeView(a, b, "DotRowsInto");
-  AWMOE_CHECK(out.rows == a.rows && out.cols == 1)
-      << "DotRowsInto: out " << out.rows << "x" << out.cols;
-  for (int64_t r = 0; r < a.rows; ++r) {
-    const float* arow = a.row(r);
-    const float* brow = b.row(r);
-    float acc = 0.0f;
-    for (int64_t c = 0; c < a.cols; ++c) acc += arow[c] * brow[c];
-    *out.row(r) = acc;
-  }
-}
-
-void SoftmaxRowsInPlace(MatView a) {
-  AWMOE_CHECK(a.cols > 0) << "SoftmaxRowsInPlace on empty rows";
-  for (int64_t r = 0; r < a.rows; ++r) {
-    float* arow = a.row(r);
-    float max_val = arow[0];
-    for (int64_t c = 1; c < a.cols; ++c) max_val = std::max(max_val, arow[c]);
-    float denom = 0.0f;
-    for (int64_t c = 0; c < a.cols; ++c) {
-      arow[c] = std::exp(arow[c] - max_val);
-      denom += arow[c];
-    }
-    for (int64_t c = 0; c < a.cols; ++c) arow[c] /= denom;
-  }
 }
 
 void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
@@ -389,50 +288,12 @@ void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
   GetKernelTable(KernelTier::kReference).matmul_nt(a, b, out);
 }
 
-void ScaleInPlace(MatView a, float s) {
-  for (int64_t r = 0; r < a.rows; ++r) {
-    float* arow = a.row(r);
-    for (int64_t c = 0; c < a.cols; ++c) arow[c] = arow[c] * s;
-  }
-}
-
 void TopKMulInPlace(MatView a, int64_t k, InferenceArena* arena) {
-  AWMOE_CHECK(k >= 1 && k <= a.cols)
-      << "TopKMulInPlace: k=" << k << " cols=" << a.cols;
   const size_t mark = arena->Mark();
-  MatView mask = arena->Alloc(1, a.cols);
-  for (int64_t r = 0; r < a.rows; ++r) {
-    float* arow = a.row(r);
-    // Element c survives iff fewer than k elements rank strictly ahead
-    // of it under (value desc, index asc) — the same selection as
-    // TopKMaskRows' partial_sort. Decisions go to a scratch row first:
-    // ranks must all be computed against the unmodified values.
-    float* mrow = mask.row(0);
-    for (int64_t c = 0; c < a.cols; ++c) {
-      int64_t ahead = 0;
-      for (int64_t o = 0; o < a.cols; ++o) {
-        if (arow[o] > arow[c] || (arow[o] == arow[c] && o < c)) ++ahead;
-      }
-      mrow[c] = ahead < k ? 1.0f : 0.0f;
-    }
-    // Multiply (not assign) so g * 0 keeps MulMask's signed zeros.
-    for (int64_t c = 0; c < a.cols; ++c) arow[c] = arow[c] * mrow[c];
-  }
+  const MatView mask = arena->Alloc(a.rows, a.cols);
+  TopKMaskRowsInto(a, k, mask);
+  MulInto(a, mask, a);
   arena->Rewind(mark);
-}
-
-void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
-                    int64_t id_stride, MatView out) {
-  AWMOE_CHECK(out.rows == count && out.cols == table.cols())
-      << "GatherRowsInto: out " << out.rows << "x" << out.cols << " for "
-      << count << " rows of " << table.ShapeString();
-  for (int64_t i = 0; i < count; ++i) {
-    const int64_t idx = ids[i * id_stride];
-    AWMOE_CHECK(idx >= 0 && idx < table.rows())
-        << "GatherRowsInto: index " << idx << " out of " << table.rows();
-    const float* src = table.row(idx);
-    std::copy(src, src + table.cols(), out.row(i));
-  }
 }
 
 }  // namespace awmoe

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mat/kernel_tier.h"
+#include "mat/kernels.h"
 #include "mat/matrix.h"
 
 namespace awmoe {
@@ -19,15 +20,17 @@ namespace awmoe {
 // owned by an InferenceWorkspace, and every kernel can write into a
 // caller-provided buffer.
 //
-// KERNEL TIERS: the hot kernels (MatMulInto, ReluInPlace,
-// AddBiasInPlace, SigmoidSpanInto) dispatch through the process-global
-// KernelDispatchTable of mat/kernel_tier.h. The same table carries the
-// NN/TN/NT GEMM rows behind the mat MatMul family, so training (every
-// autograd forward and backward product) runs on the active tier too.
+// KERNEL TIERS: the hot kernels (MatMulInto, SigmoidSpanInto and
+// mat/kernels.h's ReluInPlace and AddBiasInPlace) dispatch through the
+// process-global KernelDispatchTable of mat/kernel_tier.h. The same
+// table carries the NN/TN/NT GEMM rows behind the mat MatMul family
+// and the bias and ReLU rows behind AddRowBroadcast and Relu, so
+// training runs on the active tier too.
 //
 //  - kReference — BITWISE CONTRACT: performs exactly the per-element
 //    arithmetic, in exactly the accumulation order, of its
-//    mat/kernels.cc counterpart at the reference tier. The modules'
+//    mat/kernels.cc counterpart at the reference tier (the elementwise
+//    kernels ARE their mat counterparts' implementation). The modules'
 //    forwards reach these kernels through ArenaExec (nn/exec.h), which
 //    materialises one buffer per op of the graph expression instead
 //    of fusing, so Score reproduces the autograd forward bit for bit —
@@ -188,47 +191,18 @@ void SetKernelRowParallelism(int threads);
 int KernelRowParallelism();
 
 // ---------------------------------------------------------------------
-// Kernels. In the reference tier each mirrors the arithmetic of its
-// mat/kernels.cc namesake; MatMulInto / AddBiasInPlace / ReluInPlace /
-// SigmoidSpanInto dispatch through the active tier table.
+// Kernels. The elementwise, broadcast and layout view kernels the
+// forwards run (CopyInto, MulInto, AddBiasInPlace, SoftmaxRowsInPlace,
+// ...) live in mat/kernels.h, included above: one implementation that
+// the mat Matrix forms, and so training, wrap. What stays here needs
+// the arena or the row-parallel pool, or is pinned to one tier.
+// MatMulInto / SigmoidSpanInto dispatch through the active tier table.
 // ---------------------------------------------------------------------
-
-/// out = src (element copy).
-void CopyInto(const ConstMatView& src, MatView out);
 
 /// out = a[m,k] * w[k,n] through the active tier's NN row — the same
 /// row kernels.cc MatMul runs, so at either tier a layer's workspace
 /// output equals its autograd forward bitwise.
 void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out);
-
-/// a[m,n] += bias[1,n] broadcast over rows (AddRowBroadcast, in place).
-void AddBiasInPlace(MatView a, const Matrix& bias);
-
-/// a = max(a, 0) elementwise.
-void ReluInPlace(MatView a);
-
-/// out = a * b elementwise (same shape).
-void MulInto(const ConstMatView& a, const ConstMatView& b, MatView out);
-
-/// out[B, 3d] = [a | b | a*b] — the "product path" input layout shared
-/// by the activation unit (Fig. 4a) and the gate unit (Fig. 4c). One
-/// definition so the layout cannot drift between the two.
-void ConcatInteractionInto(const ConstMatView& a, const ConstMatView& b,
-                           MatView out);
-
-/// a += b elementwise (same shape).
-void AddInPlace(MatView a, const ConstMatView& b);
-
-/// out[r][c] = a[r][c] * w[r][0] (MulColBroadcast).
-void MulColBroadcastInto(const ConstMatView& a, const ConstMatView& w,
-                         MatView out);
-
-/// out[r][0] = dot(a.row(r), b.row(r)) (DotRows).
-void DotRowsInto(const ConstMatView& a, const ConstMatView& b, MatView out);
-
-/// Row-wise softmax in place (max-subtracted, same order as
-/// SoftmaxRows).
-void SoftmaxRowsInPlace(MatView a);
 
 /// out = a[m,k] * b[k,n] over views. Pinned to the reference tier's NN
 /// row (NOT dispatched on the active tier) — the attention probs * V
@@ -242,21 +216,12 @@ void MatMulViewInto(const ConstMatView& a, const ConstMatView& b,
 void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
                       MatView out);
 
-/// a *= s elementwise (same per-element arithmetic as MulScalar).
-void ScaleInPlace(MatView a, float s);
-
-/// Multiplies each row by its top-k mask: entries among the k largest
-/// (ties broken by lower column index, matching TopKMaskRows) are
-/// multiplied by 1, the rest by 0 — a multiply, not an assignment, so
-/// signed zeros match MulMask(g, TopKMaskRows(g, k)) bitwise. Uses one
-/// arena scratch row for the per-row decisions.
+/// Multiplies a by its TopKMaskRowsInto mask: entries among the k
+/// largest of their row are multiplied by 1, the rest by 0 — a
+/// multiply, not an assignment, so signed zeros match
+/// MulMask(g, TopKMaskRows(g, k)) bitwise. The mask is one arena
+/// scratch view of a's shape.
 void TopKMulInPlace(MatView a, int64_t k, InferenceArena* arena);
-
-/// out.row(i) = table.row(ids[i * id_stride]); the stride lets callers
-/// gather one sequence position directly from the Batch's row-major
-/// [size * seq_len] id layout without building an index vector.
-void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
-                    int64_t id_stride, MatView out);
 
 /// out[i] = sigmoid(x[i]) over contiguous spans (in-place allowed when
 /// out.data() == x.data()). Dispatches through the active tier: the

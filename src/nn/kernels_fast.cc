@@ -344,7 +344,10 @@ inline __m256 Exp256(__m256 x) {
 }
 
 /// Sign-split sigmoid mirroring StableSigmoid's structure: one exp of
-/// -|x| (never overflows), then 1/(1+t) or t/(1+t) by sign.
+/// -|x| (never overflows), then 1/(1+t) or t/(1+t) by sign. Exp256's
+/// clamp (max/min return the non-NaN operand) would turn a NaN lane
+/// finite, so NaN lanes of x are blended back into the result: a NaN
+/// logit stays NaN, as at the reference tier.
 inline __m256 Sigmoid256(__m256 x) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 zero = _mm256_setzero_ps();
@@ -353,7 +356,9 @@ inline __m256 Sigmoid256(__m256 x) {
   const __m256 denom = _mm256_add_ps(one, t);
   const __m256 pos = _mm256_div_ps(one, denom);
   const __m256 neg = _mm256_div_ps(t, denom);
-  return _mm256_blendv_ps(neg, pos, _mm256_cmp_ps(x, zero, _CMP_GE_OQ));
+  const __m256 y =
+      _mm256_blendv_ps(neg, pos, _mm256_cmp_ps(x, zero, _CMP_GE_OQ));
+  return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
 }
 
 void SigmoidSpanFast(const float* x, float* out, int64_t n) {

@@ -166,7 +166,10 @@ std::vector<float> ScoreIntoVector(Ranker* model, const Batch& batch,
                                    const SessionGate* gate,
                                    InferenceWorkspace* workspace) {
   std::vector<float> out(static_cast<size_t>(batch.size));
-  model->ScoreInto(batch, gate, workspace, out);
+  model->Score({.batch = batch,
+                .workspace = workspace,
+                .out = out,
+                .gate = gate});
   return out;
 }
 
@@ -277,7 +280,7 @@ TEST(InferencePathGateTest, SessionGateMatchesLegacyWithGateBitwise) {
   auto workspace = model.CreateInferenceWorkspace(16);
 
   // Gate rows from the kernel path must equal InferenceGate bitwise.
-  const int64_t k = model.SessionGateWidth();
+  const int64_t k = model.Traits(meta).gate_width;
   Matrix gate = model.InferenceGate(batch);
   std::vector<float> gate_rows(static_cast<size_t>(batch.size * k));
   model.GateInto(batch, workspace.get(), gate_rows);
@@ -316,9 +319,9 @@ TEST(InferencePathGateTest, CategoryMoeGateReuseMatchesDirectBitwise) {
   const DatasetMeta meta = TestMeta(false);
   Rng rng(31);
   CategoryMoeRanker model(meta, TinyDims(), &rng);
-  EXPECT_TRUE(model.SupportsSessionGateReuse(meta));
+  EXPECT_TRUE(model.Traits(meta).share_gate);
   EXPECT_FALSE(
-      model.SupportsSessionGateReuse(TestMeta(/*recommendation=*/true)));
+      model.Traits(TestMeta(/*recommendation=*/true)).share_gate);
 
   auto session = MakeSession(/*seed=*/99, /*session_id=*/2, /*items=*/5,
                              /*hist=*/3);
@@ -330,7 +333,7 @@ TEST(InferencePathGateTest, CategoryMoeGateReuseMatchesDirectBitwise) {
   std::vector<float> direct =
       ScoreIntoVector(&model, batch, nullptr, workspace.get());
 
-  const int64_t k = model.SessionGateWidth();
+  const int64_t k = model.Traits(meta).gate_width;
   std::vector<float> gate_rows(static_cast<size_t>(batch.size * k));
   model.GateInto(batch, workspace.get(), gate_rows);
   // All rows of one session share the query category -> identical.
@@ -436,8 +439,8 @@ TEST_P(InferencePathTest, SplitEncodeScoreMatchesFusedBitwise) {
   auto flat = Flatten(sessions);
   int covered = 0;
   for (NamedRanker& ranker : MakeRankers(meta)) {
-    const int64_t width = ranker.model->SessionEncodingWidth();
-    if (width == 0 || !ranker.model->SupportsSessionEncodingReuse(meta)) {
+    const int64_t width = ranker.model->Traits(meta).encoding_width;
+    if (width == 0 || !ranker.model->Traits(meta).share_encoding) {
       continue;
     }
     ++covered;
@@ -459,8 +462,10 @@ TEST_P(InferencePathTest, SplitEncodeScoreMatchesFusedBitwise) {
       ranker.model->EncodeSessionInto(batch, workspace.get(), encoding);
       SessionEncoding enc{encoding.data(), batch.size, width};
       std::vector<float> split(static_cast<size_t>(batch.size));
-      ranker.model->ScoreWithSessionInto(batch, nullptr, &enc,
-                                         workspace.get(), split);
+      ranker.model->Score({.batch = batch,
+                           .workspace = workspace.get(),
+                           .out = split,
+                           .encoding = &enc});
       for (int64_t i = 0; i < batch.size; ++i) {
         EXPECT_EQ(split[static_cast<size_t>(i)], want(i, 0))
             << ranker.label << " split-vs-legacy row " << i << " of "
@@ -484,8 +489,8 @@ TEST_P(InferencePathTest, ProbeRowBroadcastEncodingMatchesFusedBitwise) {
   const DatasetMeta meta = TestMeta(GetParam());
   auto sessions = MakeSessions(/*seed=*/2400);
   for (NamedRanker& ranker : MakeRankers(meta)) {
-    const int64_t width = ranker.model->SessionEncodingWidth();
-    if (width == 0 || !ranker.model->SupportsSessionEncodingReuse(meta)) {
+    const int64_t width = ranker.model->Traits(meta).encoding_width;
+    if (width == 0 || !ranker.model->Traits(meta).share_encoding) {
       continue;
     }
     auto workspace = ranker.model->CreateInferenceWorkspace(16);
@@ -498,7 +503,7 @@ TEST_P(InferencePathTest, ProbeRowBroadcastEncodingMatchesFusedBitwise) {
                           workspace.get());
 
       // Per-row encodings of one session are identical (the property
-      // SupportsSessionEncodingReuse declares)...
+      // Traits(meta).share_encoding declares)...
       std::vector<float> rows(static_cast<size_t>(batch.size * width));
       ranker.model->EncodeSessionInto(batch, workspace.get(), rows);
       for (int64_t i = 1; i < batch.size; ++i) {
@@ -516,8 +521,10 @@ TEST_P(InferencePathTest, ProbeRowBroadcastEncodingMatchesFusedBitwise) {
       ranker.model->EncodeSessionInto(probe, workspace.get(), probe_row);
       SessionEncoding broadcast{probe_row.data(), 1, width};
       std::vector<float> replay(static_cast<size_t>(batch.size));
-      ranker.model->ScoreWithSessionInto(batch, nullptr, &broadcast,
-                                         workspace.get(), replay);
+      ranker.model->Score({.batch = batch,
+                           .workspace = workspace.get(),
+                           .out = replay,
+                           .encoding = &broadcast});
       for (int64_t i = 0; i < batch.size; ++i) {
         EXPECT_EQ(replay[static_cast<size_t>(i)],
                   fused[static_cast<size_t>(i)])
@@ -535,8 +542,8 @@ TEST(InferencePathSessionEncodingTest, GatePlusEncodingMatchesFusedBitwise) {
   AwMoeConfig config;
   config.dims = TinyDims();
   AwMoeRanker model(meta, config, &rng);
-  ASSERT_TRUE(model.SupportsSessionGateReuse(meta));
-  ASSERT_TRUE(model.SupportsSessionEncodingReuse(meta));
+  ASSERT_TRUE(model.Traits(meta).share_gate);
+  ASSERT_TRUE(model.Traits(meta).share_encoding);
 
   auto session = MakeSession(/*seed=*/88, /*session_id=*/3, /*items=*/6,
                              /*hist=*/5);
@@ -548,17 +555,21 @@ TEST(InferencePathSessionEncodingTest, GatePlusEncodingMatchesFusedBitwise) {
   std::vector<float> fused =
       ScoreIntoVector(&model, batch, nullptr, workspace.get());
 
-  const int64_t k = model.SessionGateWidth();
+  const int64_t k = model.Traits(meta).gate_width;
   std::vector<float> gate_rows(static_cast<size_t>(batch.size * k));
   model.GateInto(batch, workspace.get(), gate_rows);
-  const int64_t w = model.SessionEncodingWidth();
+  const int64_t w = model.Traits(meta).encoding_width;
   std::vector<float> enc_rows(static_cast<size_t>(batch.size * w));
   model.EncodeSessionInto(batch, workspace.get(), enc_rows);
 
   SessionGate gate{gate_rows.data(), batch.size, k};
   SessionEncoding enc{enc_rows.data(), batch.size, w};
   std::vector<float> both(static_cast<size_t>(batch.size));
-  model.ScoreWithSessionInto(batch, &gate, &enc, workspace.get(), both);
+  model.Score({.batch = batch,
+               .workspace = workspace.get(),
+               .out = both,
+               .gate = &gate,
+               .encoding = &enc});
   for (int64_t i = 0; i < batch.size; ++i) {
     EXPECT_EQ(both[static_cast<size_t>(i)], fused[static_cast<size_t>(i)])
         << "row " << i;
@@ -579,8 +590,9 @@ TEST(InferencePathSessionEncodingTest, NullEncodingFallsBackToFused) {
         ScoreIntoVector(ranker.model.get(), batch, nullptr,
                         workspace.get());
     std::vector<float> null_enc(static_cast<size_t>(batch.size));
-    ranker.model->ScoreWithSessionInto(batch, nullptr, nullptr,
-                                       workspace.get(), null_enc);
+    ranker.model->Score({.batch = batch,
+                         .workspace = workspace.get(),
+                         .out = null_enc});
     for (int64_t i = 0; i < batch.size; ++i) {
       EXPECT_EQ(null_enc[static_cast<size_t>(i)],
                 fused[static_cast<size_t>(i)])

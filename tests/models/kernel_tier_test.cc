@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -162,7 +163,7 @@ std::vector<float> ScoreAtTier(Ranker* model, const Batch& batch,
                                KernelTier tier) {
   ScopedKernelTier pin(tier);
   std::vector<float> out(static_cast<size_t>(batch.size));
-  model->ScoreInto(batch, nullptr, workspace, out);
+  model->Score({.batch = batch, .workspace = workspace, .out = out});
   return out;
 }
 
@@ -219,7 +220,7 @@ TEST_P(KernelTierTest, GateIntoMatchesAcrossTiers) {
   Batch batch = CollateBatch(items, meta, nullptr);
   auto workspace = model.CreateInferenceWorkspace(16);
 
-  const int64_t k = model.SessionGateWidth();
+  const int64_t k = model.Traits(meta).gate_width;
   std::vector<float> reference(static_cast<size_t>(batch.size * k));
   std::vector<float> fast(reference.size());
   {
@@ -260,7 +261,9 @@ TEST_P(KernelTierTest, FastTierRowsIndependentOfBatchComposition) {
       for (const Example& ex : session) ptrs.push_back(&ex);
       Batch batch = CollateBatch(ptrs, meta, nullptr);
       std::vector<float> out(static_cast<size_t>(batch.size));
-      ranker.model->ScoreInto(batch, nullptr, workspace.get(), out);
+      ranker.model->Score({.batch = batch,
+                           .workspace = workspace.get(),
+                           .out = out});
       solo.push_back(std::move(out));
     }
     // Fused in reverse session order: different rows, same sessions.
@@ -270,7 +273,9 @@ TEST_P(KernelTierTest, FastTierRowsIndependentOfBatchComposition) {
     }
     Batch batch = CollateBatch(fused, meta, nullptr);
     std::vector<float> got(static_cast<size_t>(batch.size));
-    ranker.model->ScoreInto(batch, nullptr, workspace.get(), got);
+    ranker.model->Score({.batch = batch,
+                         .workspace = workspace.get(),
+                         .out = got});
     size_t row = 0;
     for (size_t s = sessions.size(); s-- > 0;) {
       for (float want : solo[s]) {
@@ -339,7 +344,9 @@ TEST(KernelDispatchTest, ForcedScalarDispatchIsBitwiseReference) {
       auto workspace = ranker.model->CreateInferenceWorkspace(8);
       Matrix want = ranker.model->InferenceLogits(batch);
       std::vector<float> got(static_cast<size_t>(batch.size));
-      ranker.model->ScoreInto(batch, nullptr, workspace.get(), got);
+      ranker.model->Score({.batch = batch,
+                           .workspace = workspace.get(),
+                           .out = got});
       for (int64_t i = 0; i < batch.size; ++i) {
         EXPECT_EQ(got[static_cast<size_t>(i)], want(i, 0))
             << ranker.label << " row " << i;
@@ -348,10 +355,41 @@ TEST(KernelDispatchTest, ForcedScalarDispatchIsBitwiseReference) {
   }
 }
 
+/// SigmoidSpanInto at `tier` on non-finite logits: NaN stays NaN (a
+/// NaN score must not pass as a probability), +Inf saturates to exactly
+/// 1 and -Inf to exactly 0. The 11-element span puts each value both in
+/// a full vector lane and in the padded tail, next to finite lanes.
+void CheckSigmoidNonFinite(KernelTier tier) {
+  ScopedKernelTier pin(tier);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> x = {nan,  inf,  -inf, 0.5f, -2.0f, 1.0f,
+                                0.0f, 3.0f, nan,  inf,  -inf};
+  std::vector<float> y(x.size());
+  SigmoidSpanInto(x, y);
+  for (size_t i = 0; i < x.size(); ++i) {
+    float solo = 0.0f;
+    SigmoidSpanInto(std::span<const float>(&x[i], 1),
+                    std::span<float>(&solo, 1));
+    if (std::isnan(x[i])) {
+      EXPECT_TRUE(std::isnan(y[i])) << KernelTierName(tier) << " lane " << i;
+      EXPECT_TRUE(std::isnan(solo)) << KernelTierName(tier) << " lane " << i;
+      continue;
+    }
+    if (std::isinf(x[i])) {
+      EXPECT_EQ(y[i], x[i] > 0.0f ? 1.0f : 0.0f)
+          << KernelTierName(tier) << " lane " << i;
+    }
+    // Finite and infinite lanes keep their bits next to NaN lanes.
+    EXPECT_EQ(std::bit_cast<uint32_t>(y[i]), std::bit_cast<uint32_t>(solo))
+        << KernelTierName(tier) << " lane " << i;
+  }
+}
+
 // Reference-tier SigmoidSpanInto == StableSigmoid element for element;
 // fast-tier within epsilon of it, and position-independent (the same
 // value produces the same bits in a full vector lane and in a masked
-// tail lane).
+// tail lane). Non-finite logits behave alike at both tiers.
 TEST(KernelDispatchTest, SigmoidSpanTierContracts) {
   std::vector<float> x;
   for (float v : {-100.0f, -88.5f, -20.0f, -3.25f, -1.0f, -0.5f, -0.0f,
@@ -369,8 +407,10 @@ TEST(KernelDispatchTest, SigmoidSpanTierContracts) {
   for (size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(reference[i], StableSigmoid(x[i])) << "x=" << x[i];
   }
+  CheckSigmoidNonFinite(KernelTier::kReference);
 
   if (!FastKernelTierAvailable()) return;
+  CheckSigmoidNonFinite(KernelTier::kFast);
   ScopedKernelTier pin(KernelTier::kFast);
   std::vector<float> fast(x.size());
   SigmoidSpanInto(x, fast);
@@ -391,6 +431,67 @@ TEST(KernelDispatchTest, SigmoidSpanTierContracts) {
   std::vector<float> in_place = x;
   SigmoidSpanInto(in_place, in_place);
   EXPECT_EQ(in_place, fast);
+}
+
+/// Bit patterns of a matrix, so NaN entries compare equal to
+/// themselves and -0.0 differs from +0.0.
+std::vector<uint32_t> Bits(const Matrix& m) {
+  std::vector<uint32_t> bits(static_cast<size_t>(m.size()));
+  for (int64_t i = 0; i < m.size(); ++i) {
+    bits[static_cast<size_t>(i)] = std::bit_cast<uint32_t>(m.data()[i]);
+  }
+  return bits;
+}
+
+/// Entries cycle through -0.0, +0.0, NaN, +Inf, -Inf and a random
+/// finite value, offset by `phase` so bias and input specials meet in
+/// different combinations.
+Matrix SpecialMatrix(int64_t rows, int64_t cols, int64_t phase, Rng* rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0f, 0.0f,
+                            std::numeric_limits<float>::quiet_NaN(), inf,
+                            -inf};
+  Matrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    const int64_t slot = (i + phase) % 6;
+    m.data()[i] = slot < 5 ? specials[slot]
+                           : static_cast<float>(rng->Uniform(-2.0, 2.0));
+  }
+  return m;
+}
+
+// The bias and ReLU rows training runs through AddRowBroadcast and Relu
+// are bitwise equal at both tiers: vaddps adds like the scalar add, and
+// maxps(x, +0) maps -0.0 and NaN to +0.0 like `x > 0 ? x : 0`. Column
+// counts straddle the 8-lane vector body and its scalar tail.
+TEST(KernelDispatchTest, BiasAndReluRowsBitwiseAcrossTiers) {
+  if (!FastKernelTierAvailable()) {
+    GTEST_SKIP() << "fast kernel tier unavailable on this build/CPU";
+  }
+  const KernelDispatchTable& reference =
+      GetKernelTable(KernelTier::kReference);
+  const KernelDispatchTable& fast = GetKernelTable(KernelTier::kFast);
+  Rng rng(41);
+  for (const int64_t cols : {1, 7, 8, 9, 17}) {
+    const Matrix a = SpecialMatrix(3, cols, /*phase=*/0, &rng);
+    const Matrix bias = SpecialMatrix(1, cols, /*phase=*/cols % 6, &rng);
+
+    Matrix bias_ref = a, bias_fast = a, relu_ref = a, relu_fast = a;
+    reference.add_bias(MutableMatrixView(bias_ref), bias);
+    fast.add_bias(MutableMatrixView(bias_fast), bias);
+    reference.relu(MutableMatrixView(relu_ref));
+    fast.relu(MutableMatrixView(relu_fast));
+    EXPECT_EQ(Bits(bias_fast), Bits(bias_ref)) << "add_bias cols=" << cols;
+    EXPECT_EQ(Bits(relu_fast), Bits(relu_ref)) << "relu cols=" << cols;
+
+    for (const KernelTier tier : {KernelTier::kReference, KernelTier::kFast}) {
+      ScopedKernelTier pin(tier);
+      EXPECT_EQ(Bits(AddRowBroadcast(a, bias)), Bits(bias_ref))
+          << "AddRowBroadcast " << KernelTierName(tier) << " cols=" << cols;
+      EXPECT_EQ(Bits(Relu(a)), Bits(relu_ref))
+          << "Relu " << KernelTierName(tier) << " cols=" << cols;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

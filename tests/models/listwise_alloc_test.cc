@@ -158,12 +158,21 @@ TEST(ListwiseAllocTest, SteadyStateScoreSlateIntoAllocatesNothing) {
   std::vector<float> out(static_cast<size_t>(batch.size));
   // Warm-up: the first pass materialises arena slabs, the second proves
   // they settled.
-  model.ScoreSlateInto(batch, starts, workspace.get(), out);
-  model.ScoreSlateInto(batch, starts, workspace.get(), out);
+  model.Score({.batch = batch,
+               .workspace = workspace.get(),
+               .out = out,
+               .slate_starts = starts});
+  model.Score({.batch = batch,
+               .workspace = workspace.get(),
+               .out = out,
+               .slate_starts = starts});
   {
     CountingScope scope;
     for (int pass = 0; pass < 5; ++pass) {
-      model.ScoreSlateInto(batch, starts, workspace.get(), out);
+      model.Score({.batch = batch,
+                   .workspace = workspace.get(),
+                   .out = out,
+                   .slate_starts = starts});
     }
     EXPECT_EQ(scope.count(), 0)
         << "steady-state ScoreSlateInto hit the heap";
@@ -184,12 +193,12 @@ TEST(ListwiseAllocTest, SteadyStateScoreIntoShimAllocatesNothing) {
   ListwiseReranker model(meta, TinyDims(), TinyListwiseDims(), &rng);
   auto workspace = model.CreateInferenceWorkspace(32);
   std::vector<float> out(static_cast<size_t>(batch.size));
-  model.ScoreInto(batch, nullptr, workspace.get(), out);
-  model.ScoreInto(batch, nullptr, workspace.get(), out);
+  model.Score({.batch = batch, .workspace = workspace.get(), .out = out});
+  model.Score({.batch = batch, .workspace = workspace.get(), .out = out});
   {
     CountingScope scope;
     for (int pass = 0; pass < 5; ++pass) {
-      model.ScoreInto(batch, nullptr, workspace.get(), out);
+      model.Score({.batch = batch, .workspace = workspace.get(), .out = out});
     }
     EXPECT_EQ(scope.count(), 0) << "steady-state ScoreInto shim hit the heap";
   }
@@ -212,12 +221,20 @@ TEST(ListwiseAllocTest, SmallerSlatesAfterWarmupAllocateNothing) {
   ListwiseReranker model(meta, TinyDims(), TinyListwiseDims(), &rng);
   auto workspace = model.CreateInferenceWorkspace(32);
   std::vector<float> out(static_cast<size_t>(big.size));
-  model.ScoreSlateInto(big, big_starts, workspace.get(), out);
+  model.Score({.batch = big,
+               .workspace = workspace.get(),
+               .out = out,
+               .slate_starts = big_starts});
   {
     CountingScope scope;
-    model.ScoreSlateInto(small, small_starts, workspace.get(),
-                         {out.data(), static_cast<size_t>(small.size)});
-    model.ScoreSlateInto(big, big_starts, workspace.get(), out);
+    model.Score({.batch = small,
+                 .workspace = workspace.get(),
+                 .out = {out.data(), static_cast<size_t>(small.size)},
+                 .slate_starts = small_starts});
+    model.Score({.batch = big,
+                 .workspace = workspace.get(),
+                 .out = out,
+                 .slate_starts = big_starts});
     EXPECT_EQ(scope.count(), 0);
   }
 }

@@ -144,7 +144,10 @@ std::vector<float> ScoreSlates(ListwiseReranker* model, const Batch& batch,
   std::vector<int64_t> starts;
   SlateStartsFromBatch(batch, &starts);
   std::vector<float> out(static_cast<size_t>(batch.size));
-  model->ScoreSlateInto(batch, starts, workspace, out);
+  model->Score({.batch = batch,
+                .workspace = workspace,
+                .out = out,
+                .slate_starts = starts});
   return out;
 }
 
@@ -233,7 +236,7 @@ TEST(ListwiseRerankerTest, CloneProducesIdenticalScores) {
   auto model = MakeModel(34);
   std::unique_ptr<Ranker> clone = model->Clone();
   ASSERT_NE(clone, nullptr);
-  EXPECT_TRUE(clone->SupportsSlateScoring());
+  EXPECT_TRUE(clone->Traits(meta).slate_scoring());
 
   Batch batch = CollateBatch(Flatten(sessions), meta, nullptr);
   Matrix want = model->InferenceLogits(batch);
@@ -253,7 +256,7 @@ std::vector<Example> TrainingSplit(uint64_t seed, int64_t num_sessions) {
   return train;
 }
 
-// Trainer end-to-end on the ListNet loss: SupportsSlateScoring switches
+// Trainer end-to-end on the ListNet loss: a slate-scoring model switches
 // BuildTrainingLoss to listwise softmax cross-entropy and the iterator
 // to session-grouped batches; the loss must come down.
 TEST(ListwiseRerankerTest, TrainerLowersListwiseLoss) {
@@ -326,8 +329,9 @@ TEST(ListwiseRerankerTest, ExplicitSlateStartsKeepSameIdSlatesDistinct) {
   // The workspace path honours the explicit starts identically.
   auto workspace = model->CreateInferenceWorkspace(batch.size);
   std::vector<float> inferred(static_cast<size_t>(batch.size));
-  model->ScoreInto(batch, /*gate=*/nullptr, workspace.get(),
-                   std::span<float>(inferred));
+  model->Score({.batch = batch,
+                .workspace = workspace.get(),
+                .out = std::span<float>(inferred)});
   for (int64_t i = 0; i < batch.size; ++i) {
     EXPECT_EQ(inferred[static_cast<size_t>(i)], got(i, 0)) << "row " << i;
   }

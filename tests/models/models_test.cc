@@ -388,7 +388,7 @@ TEST(RankerCloneTest, AwMoeCloneSharesGateEligibilityAndConfig) {
   std::unique_ptr<Ranker> clone = model.Clone();
   ASSERT_NE(clone, nullptr);
   EXPECT_EQ(clone->name(), "AW-MoE & CL");
-  EXPECT_TRUE(clone->SupportsSessionGateReuse(meta));
+  EXPECT_TRUE(clone->Traits(meta).share_gate);
   auto* aw_clone = dynamic_cast<AwMoeRanker*>(clone.get());
   ASSERT_NE(aw_clone, nullptr);
   // The §III-F serving path must agree bitwise across replicas too.

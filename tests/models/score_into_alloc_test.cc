@@ -185,12 +185,18 @@ TEST_P(ScoreIntoAllocTest, SteadyStateScoreIntoAllocatesNothing) {
     std::vector<float> out(static_cast<size_t>(batch.size));
     // Warm-up: the first pass materialises arena slabs, the second
     // proves they settled.
-    ranker.model->ScoreInto(batch, nullptr, workspace.get(), out);
-    ranker.model->ScoreInto(batch, nullptr, workspace.get(), out);
+    ranker.model->Score({.batch = batch,
+                         .workspace = workspace.get(),
+                         .out = out});
+    ranker.model->Score({.batch = batch,
+                         .workspace = workspace.get(),
+                         .out = out});
     {
       CountingScope scope;
       for (int pass = 0; pass < 5; ++pass) {
-        ranker.model->ScoreInto(batch, nullptr, workspace.get(), out);
+        ranker.model->Score({.batch = batch,
+                             .workspace = workspace.get(),
+                             .out = out});
       }
       EXPECT_EQ(scope.count(), 0)
           << ranker.label << ": steady-state ScoreInto hit the heap";
@@ -206,19 +212,25 @@ TEST_P(ScoreIntoAllocTest, SteadyStateGatePathAllocatesNothing) {
   const Batch batch = CollateBatch(items, meta, nullptr);
 
   for (NamedRanker& ranker : MakeRankers(meta)) {
-    const int64_t width = ranker.model->SessionGateWidth();
+    const int64_t width = ranker.model->Traits(meta).gate_width;
     if (width == 0) continue;  // DNN / DIN have no gate.
     auto workspace = ranker.model->CreateInferenceWorkspace(32);
     std::vector<float> gate_rows(static_cast<size_t>(batch.size * width));
     std::vector<float> out(static_cast<size_t>(batch.size));
     ranker.model->GateInto(batch, workspace.get(), gate_rows);
     SessionGate gate{gate_rows.data(), batch.size, width};
-    ranker.model->ScoreInto(batch, &gate, workspace.get(), out);
+    ranker.model->Score({.batch = batch,
+                         .workspace = workspace.get(),
+                         .out = out,
+                         .gate = &gate});
     {
       CountingScope scope;
       for (int pass = 0; pass < 5; ++pass) {
         ranker.model->GateInto(batch, workspace.get(), gate_rows);
-        ranker.model->ScoreInto(batch, &gate, workspace.get(), out);
+        ranker.model->Score({.batch = batch,
+                             .workspace = workspace.get(),
+                             .out = out,
+                             .gate = &gate});
       }
       EXPECT_EQ(scope.count(), 0)
           << ranker.label << ": steady-state gate path hit the heap";
@@ -238,21 +250,25 @@ TEST_P(ScoreIntoAllocTest, SteadyStateSplitEncodeScoreAllocatesNothing) {
   const Batch batch = CollateBatch(items, meta, nullptr);
 
   for (NamedRanker& ranker : MakeRankers(meta)) {
-    const int64_t width = ranker.model->SessionEncodingWidth();
+    const int64_t width = ranker.model->Traits(meta).encoding_width;
     if (width == 0) continue;
     auto workspace = ranker.model->CreateInferenceWorkspace(32);
     std::vector<float> rows(static_cast<size_t>(batch.size * width));
     std::vector<float> out(static_cast<size_t>(batch.size));
     ranker.model->EncodeSessionInto(batch, workspace.get(), rows);
     SessionEncoding enc{rows.data(), batch.size, width};
-    ranker.model->ScoreWithSessionInto(batch, nullptr, &enc,
-                                       workspace.get(), out);
+    ranker.model->Score({.batch = batch,
+                         .workspace = workspace.get(),
+                         .out = out,
+                         .encoding = &enc});
     {
       CountingScope scope;
       for (int pass = 0; pass < 5; ++pass) {
         ranker.model->EncodeSessionInto(batch, workspace.get(), rows);
-        ranker.model->ScoreWithSessionInto(batch, nullptr, &enc,
-                                           workspace.get(), out);
+        ranker.model->Score({.batch = batch,
+                             .workspace = workspace.get(),
+                             .out = out,
+                             .encoding = &enc});
       }
       EXPECT_EQ(scope.count(), 0)
           << ranker.label << ": steady-state split path hit the heap";
@@ -270,8 +286,8 @@ TEST_P(ScoreIntoAllocTest, SteadyStateGatePlusEncodingAllocatesNothing) {
   const Batch batch = CollateBatch(items, meta, nullptr);
 
   for (NamedRanker& ranker : MakeRankers(meta)) {
-    const int64_t gate_width = ranker.model->SessionGateWidth();
-    const int64_t enc_width = ranker.model->SessionEncodingWidth();
+    const int64_t gate_width = ranker.model->Traits(meta).gate_width;
+    const int64_t enc_width = ranker.model->Traits(meta).encoding_width;
     if (gate_width == 0 || enc_width == 0) continue;
     auto workspace = ranker.model->CreateInferenceWorkspace(32);
     std::vector<float> gate_rows(
@@ -283,15 +299,21 @@ TEST_P(ScoreIntoAllocTest, SteadyStateGatePlusEncodingAllocatesNothing) {
     ranker.model->EncodeSessionInto(batch, workspace.get(), enc_rows);
     SessionGate gate{gate_rows.data(), batch.size, gate_width};
     SessionEncoding enc{enc_rows.data(), batch.size, enc_width};
-    ranker.model->ScoreWithSessionInto(batch, &gate, &enc,
-                                       workspace.get(), out);
+    ranker.model->Score({.batch = batch,
+                         .workspace = workspace.get(),
+                         .out = out,
+                         .gate = &gate,
+                         .encoding = &enc});
     {
       CountingScope scope;
       for (int pass = 0; pass < 5; ++pass) {
         ranker.model->GateInto(batch, workspace.get(), gate_rows);
         ranker.model->EncodeSessionInto(batch, workspace.get(), enc_rows);
-        ranker.model->ScoreWithSessionInto(batch, &gate, &enc,
-                                           workspace.get(), out);
+        ranker.model->Score({.batch = batch,
+                             .workspace = workspace.get(),
+                             .out = out,
+                             .gate = &gate,
+                             .encoding = &enc});
       }
       EXPECT_EQ(scope.count(), 0)
           << ranker.label << ": steady-state gate+encoding path hit the heap";
@@ -313,11 +335,17 @@ TEST_P(ScoreIntoAllocTest, SmallerBatchAfterWarmupAllocatesNothing) {
   for (NamedRanker& ranker : MakeRankers(meta)) {
     auto workspace = ranker.model->CreateInferenceWorkspace(32);
     std::vector<float> out(static_cast<size_t>(big.size));
-    ranker.model->ScoreInto(big, nullptr, workspace.get(), out);
+    ranker.model->Score({.batch = big,
+                         .workspace = workspace.get(),
+                         .out = out});
     {
       CountingScope scope;
-      ranker.model->ScoreInto(small, nullptr, workspace.get(), out);
-      ranker.model->ScoreInto(big, nullptr, workspace.get(), out);
+      ranker.model->Score({.batch = small,
+                           .workspace = workspace.get(),
+                           .out = out});
+      ranker.model->Score({.batch = big,
+                           .workspace = workspace.get(),
+                           .out = out});
       EXPECT_EQ(scope.count(), 0) << ranker.label;
     }
   }
