@@ -1,5 +1,5 @@
 // Ablation bench for the §V future-work extensions implemented in this
-// repo (design choices called out in DESIGN.md §2):
+// repo (see docs/reproduction.md#extensions-beyond-the-paper):
 //   - sparsely-gated MoE: top-k expert selection (k = 1, 2 vs dense);
 //   - expert-disagreement (diversity) regularisation;
 //   - item-reordering contrastive augmentation (mask+reorder vs mask).

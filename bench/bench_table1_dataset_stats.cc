@@ -2,8 +2,9 @@
 // sessions, users, queries, examples, pos:neg ratio and examples per
 // session for the training set, the full test set and both long-tail test
 // sets. Absolute counts are scaled down from the paper's billion-scale log
-// (see DESIGN.md); the *relationships* (train balanced 1:1, test ~1:10,
-// long-tail sets smaller with shorter histories) are the reproduced shape.
+// (see docs/reproduction.md#the-synthetic-corpora); the *relationships*
+// (train balanced 1:1, test ~1:10, long-tail sets smaller with shorter
+// histories) are the reproduced shape.
 
 #include <cstdio>
 

@@ -47,7 +47,7 @@ int Run(int argc, char** argv) {
   }
 
   // 1. Simulate a JD-style search log (stands in for the paper's
-  //    proprietary corpus; see DESIGN.md).
+  //    proprietary corpus; see docs/reproduction.md).
   std::printf("Generating synthetic search log...\n");
   JdConfig jd;
   jd.train_sessions = train_sessions;

@@ -49,9 +49,14 @@ Var Add(const Var& a, const Var& b) {
   Matrix value = ::awmoe::Add(a.value(), b.value());
   Impl ai = a.impl(), bi = b.impl();
   return MakeOpResult(std::move(value), "add", {a, b},
-                      [ai, bi](const VarImpl& self) {
-                        AccumulateGrad(ai.get(), self.grad);
-                        AccumulateGrad(bi.get(), self.grad);
+                      [ai, bi](VarImpl& self) {
+                        // The last consumer takes the buffer itself.
+                        if (bi->requires_grad) {
+                          AccumulateGrad(ai.get(), self.grad);
+                          AccumulateGrad(bi.get(), std::move(self.grad));
+                        } else {
+                          AccumulateGrad(ai.get(), std::move(self.grad));
+                        }
                       });
 }
 
@@ -59,9 +64,13 @@ Var Sub(const Var& a, const Var& b) {
   Matrix value = ::awmoe::Sub(a.value(), b.value());
   Impl ai = a.impl(), bi = b.impl();
   return MakeOpResult(std::move(value), "sub", {a, b},
-                      [ai, bi](const VarImpl& self) {
-                        AccumulateGrad(ai.get(), self.grad);
-                        AccumulateGrad(bi.get(), ::awmoe::Neg(self.grad));
+                      [ai, bi](VarImpl& self) {
+                        Matrix neg;
+                        if (bi->requires_grad) neg = ::awmoe::Neg(self.grad);
+                        AccumulateGrad(ai.get(), std::move(self.grad));
+                        if (bi->requires_grad) {
+                          AccumulateGrad(bi.get(), std::move(neg));
+                        }
                       });
 }
 
@@ -83,10 +92,12 @@ Var AddBias(const Var& a, const Var& bias) {
   Matrix value = AddRowBroadcast(a.value(), bias.value());
   Impl ai = a.impl(), bi = bias.impl();
   return MakeOpResult(std::move(value), "add_bias", {a, bias},
-                      [ai, bi](const VarImpl& self) {
-                        AccumulateGrad(ai.get(), self.grad);
+                      [ai, bi](VarImpl& self) {
+                        Matrix bias_grad;
+                        if (bi->requires_grad) bias_grad = ColSum(self.grad);
+                        AccumulateGrad(ai.get(), std::move(self.grad));
                         if (bi->requires_grad) {
-                          AccumulateGrad(bi.get(), ColSum(self.grad));
+                          AccumulateGrad(bi.get(), std::move(bias_grad));
                         }
                       });
 }
@@ -104,8 +115,8 @@ Var AddScalar(const Var& a, float s) {
   Matrix value = ::awmoe::AddScalar(a.value(), s);
   Impl ai = a.impl();
   return MakeOpResult(std::move(value), "add_scalar", {a},
-                      [ai](const VarImpl& self) {
-                        AccumulateGrad(ai.get(), self.grad);
+                      [ai](VarImpl& self) {
+                        AccumulateGrad(ai.get(), std::move(self.grad));
                       });
 }
 

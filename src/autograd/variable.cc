@@ -82,6 +82,13 @@ const Matrix& Var::grad() const {
   return impl_->grad;
 }
 
+Matrix Var::TakeGrad() {
+  AWMOE_CHECK(has_grad()) << "TakeGrad() but no gradient accumulated";
+  Matrix grad = std::move(impl_->grad);
+  ZeroGrad();
+  return grad;
+}
+
 void Var::ZeroGrad() {
   AWMOE_CHECK(defined());
   impl_->has_grad = false;
@@ -131,20 +138,30 @@ void Var::Backward() {
 
   // Seed: d(self)/d(self) = 1.
   internal_ag::AccumulateGrad(impl_.get(), Matrix::Full(1, 1, 1.0f));
+  const Matrix root_grad = impl_->grad;
 
   // order is post-order (children before parents in DFS tree), so walking it
-  // backwards visits each node after all its consumers.
+  // backwards visits each node after all its consumers. Once a node's
+  // closure has run, nothing reads or accumulates into its gradient
+  // again, so an op result's gradient is released right there: live
+  // gradient memory follows the walk's frontier instead of growing to
+  // the sum over every node.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     VarImpl* node = *it;
     if (node->backward_fn && node->has_grad) {
       node->backward_fn(*node);
+      node->grad = Matrix();
+      node->has_grad = false;
     }
   }
+  // The root keeps its 1x1 gradient, whatever its closure did with it.
+  impl_->grad = root_grad;
+  impl_->has_grad = true;
 }
 
 Var MakeOpResult(
     Matrix value, const char* op, std::vector<Var> parents,
-    std::function<void(const internal_ag::VarImpl&)> backward_fn) {
+    std::function<void(internal_ag::VarImpl&)> backward_fn) {
   auto impl = std::make_shared<internal_ag::VarImpl>();
   impl->value = std::move(value);
   impl->op = op;

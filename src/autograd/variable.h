@@ -15,14 +15,19 @@ namespace internal_ag {
 /// closure; Backward() walks the DAG in reverse topological order.
 struct VarImpl {
   Matrix value;
-  Matrix grad;  // Allocated lazily on first accumulation.
+  /// Allocated lazily on first accumulation. An op result's gradient
+  /// lives only while Backward() needs it: it is released as soon as
+  /// the node's backward_fn has run. Leaves and the root keep theirs.
+  Matrix grad;
   bool requires_grad = false;
   bool has_grad = false;
   const char* op = "leaf";
   std::vector<std::shared_ptr<VarImpl>> parents;
   /// Reads `self.grad` (and possibly `self.value`) and accumulates into
-  /// parent grads. Null for leaves.
-  std::function<void(const VarImpl& self)> backward_fn;
+  /// parent grads; a pass-through op may move `self.grad` into its
+  /// last consumer, since Backward() drops it right after. Null for
+  /// leaves.
+  std::function<void(VarImpl& self)> backward_fn;
 };
 
 /// Accumulates `g` into `node`'s gradient (no-op if the node does not
@@ -78,11 +83,17 @@ class Var {
   /// The accumulated gradient. CHECK-fails if no gradient is present.
   const Matrix& grad() const;
 
+  /// Moves the accumulated gradient out and clears it, as ZeroGrad()
+  /// does. CHECK-fails if no gradient is present.
+  Matrix TakeGrad();
+
   /// Drops the accumulated gradient (shape is kept lazily).
   void ZeroGrad();
 
   /// Runs reverse-mode differentiation from this node, which must hold a
-  /// 1x1 scalar; seeds d(self)/d(self) = 1.
+  /// 1x1 scalar; seeds d(self)/d(self) = 1. Afterwards only the leaves
+  /// that require grad and this node hold gradients: every other op
+  /// result's gradient is released once its backward closure has run.
   void Backward();
 
   /// Number of graph parents (0 for leaves). Exposed for tests.
@@ -100,17 +111,16 @@ class Var {
 
   std::shared_ptr<internal_ag::VarImpl> impl_;
 
-  friend Var MakeOpResult(Matrix value, const char* op,
-                          std::vector<Var> parents,
-                          std::function<void(const internal_ag::VarImpl&)>
-                              backward_fn);
+  friend Var MakeOpResult(
+      Matrix value, const char* op, std::vector<Var> parents,
+      std::function<void(internal_ag::VarImpl&)> backward_fn);
 };
 
 /// Builds an op-result Var: if graph recording is enabled and any parent
 /// requires grad, the node is wired into the graph; otherwise it is a
 /// detached leaf (cheap inference path).
 Var MakeOpResult(Matrix value, const char* op, std::vector<Var> parents,
-                 std::function<void(const internal_ag::VarImpl&)> backward_fn);
+                 std::function<void(internal_ag::VarImpl&)> backward_fn);
 
 /// RAII guard that disables graph recording in its scope (like
 /// torch::NoGradGuard). Nestable.

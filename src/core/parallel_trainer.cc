@@ -1,9 +1,13 @@
 #include "core/parallel_trainer.h"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "autograd/variable.h"
 #include "core/contrastive.h"
+#include "mat/kernels.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -34,6 +38,24 @@ ParallelTrainer::ParallelTrainer(Ranker* model,
         << model->name() << " does not implement Clone()";
     replica.params = replica.clone->Parameters();
     AWMOE_CHECK(replica.params.size() == params_.size());
+  }
+  grad_sum_.reserve(params_.size());
+  for (const Var& p : params_) grad_sum_.emplace_back(p.rows(), p.cols());
+  has_grad_.assign(params_.size(), 0);
+  grad_norms_.assign(params_.size(), 0.0);
+  // Largest parameter first, each onto the least-loaded worker.
+  std::vector<size_t> by_size(params_.size());
+  std::iota(by_size.begin(), by_size.end(), size_t{0});
+  std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
+    return params_[a].value().size() > params_[b].value().size();
+  });
+  owned_params_.resize(replicas_.size());
+  std::vector<int64_t> load(replicas_.size(), 0);
+  for (const size_t i : by_size) {
+    const size_t w = static_cast<size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    owned_params_[w].push_back(i);
+    load[w] += params_[i].value().size();
   }
   if (config_.num_workers > 1) {
     threads_.reserve(static_cast<size_t>(config_.num_workers));
@@ -72,18 +94,80 @@ void ParallelTrainer::ComputeShard(int worker, size_t s) {
   std::vector<Matrix>& grads = shard_grads_[s];
   grads.resize(replica.params.size());
   for (size_t i = 0; i < replica.params.size(); ++i) {
-    if (replica.params[i].has_grad()) {
-      grads[i] = replica.params[i].grad();
-    } else {
-      grads[i] = Matrix();
-    }
+    Var& p = replica.params[i];
+    grads[i] = p.has_grad() ? p.TakeGrad() : Matrix();
   }
   shard_terms_[s] = terms;
+}
+
+void ParallelTrainer::ReduceParameter(size_t param) {
+  Matrix& sum = grad_sum_[param];
+  float* dst = sum.data();
+  const int64_t n = sum.size();
+  bool any = false;
+  // Shard-index order regardless of worker scheduling: this fixed
+  // float summation order is what makes the reduced gradient — and
+  // therefore the whole run — independent of num_workers, bitwise.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Matrix& g = shard_grads_[s][param];
+    if (g.empty()) continue;
+    AWMOE_CHECK(g.size() == n) << "shard gradient of parameter " << param;
+    const float ws = shard_weights_[s];
+    const float* src = g.data();
+    if (!any) {
+      // 0.0f + x, not x: the rounding of a zero-initialised
+      // accumulator (a -0 product lands as +0).
+      for (int64_t k = 0; k < n; ++k) dst[k] = 0.0f + ws * src[k];
+    } else {
+      for (int64_t k = 0; k < n; ++k) dst[k] += ws * src[k];
+    }
+    any = true;
+    g = Matrix();  // Spent: free it now rather than at the next step.
+  }
+  has_grad_[param] = any;
+  if (any && config_.base.grad_clip > 0.0) grad_norms_[param] = Norm(sum);
+}
+
+void ParallelTrainer::UpdateParameter(size_t param) {
+  if (!has_grad_[param]) return;
+  Matrix& grad = grad_sum_[param];
+  if (clip_) ScaleInPlace(&grad, clip_scale_);
+  optimizer_->UpdateParameter(param, grad.data());
+  // Synchronous data parallelism: every replica reads the stepped
+  // weights before the next shard group touches it.
+  const Matrix& value = params_[param].value();
+  for (WorkerReplica& replica : replicas_) {
+    Matrix& to = replica.params[param].mutable_value();
+    std::copy(value.data(), value.data() + value.size(), to.data());
+  }
+}
+
+void ParallelTrainer::RunWorkerPhase(int worker, Phase phase) {
+  switch (phase) {
+    case Phase::kShards:
+      while (true) {
+        const size_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
+        if (s >= shards_.size()) break;
+        ComputeShard(worker, s);
+      }
+      break;
+    case Phase::kReduce:
+      for (const size_t i : owned_params_[static_cast<size_t>(worker)]) {
+        ReduceParameter(i);
+      }
+      break;
+    case Phase::kUpdate:
+      for (const size_t i : owned_params_[static_cast<size_t>(worker)]) {
+        UpdateParameter(i);
+      }
+      break;
+  }
 }
 
 void ParallelTrainer::WorkerLoop(int worker) {
   int64_t seen_generation = 0;
   while (true) {
+    Phase phase = Phase::kShards;
     {
       std::unique_lock<std::mutex> lock(mu_);
       start_cv_.wait(lock, [&] {
@@ -91,12 +175,9 @@ void ParallelTrainer::WorkerLoop(int worker) {
       });
       if (stopping_) return;
       seen_generation = generation_;
+      phase = phase_;
     }
-    while (true) {
-      const size_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards_.size()) break;
-      ComputeShard(worker, s);
-    }
+    RunWorkerPhase(worker, phase);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--pending_workers_ == 0) done_cv_.notify_all();
@@ -104,16 +185,15 @@ void ParallelTrainer::WorkerLoop(int worker) {
   }
 }
 
-void ParallelTrainer::RunShards() {
-  shard_grads_.assign(shards_.size(), {});
-  shard_terms_.assign(shards_.size(), {});
+void ParallelTrainer::RunPhase(Phase phase) {
+  next_shard_.store(0, std::memory_order_relaxed);
   if (threads_.empty()) {
-    for (size_t s = 0; s < shards_.size(); ++s) ComputeShard(0, s);
+    RunWorkerPhase(0, phase);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    next_shard_.store(0, std::memory_order_relaxed);
+    phase_ = phase;
     pending_workers_ = static_cast<int>(threads_.size());
     ++generation_;
   }
@@ -122,43 +202,38 @@ void ParallelTrainer::RunShards() {
   done_cv_.wait(lock, [&] { return pending_workers_ == 0; });
 }
 
-void ParallelTrainer::ReduceAndStep() {
+void ParallelTrainer::Step() {
   int64_t total_rows = 0;
   for (const Shard& shard : shards_) total_rows += shard.rows;
   AWMOE_CHECK(total_rows > 0);
+  shard_weights_.clear();
+  for (const Shard& shard : shards_) {
+    shard_weights_.push_back(static_cast<float>(shard.rows) /
+                             static_cast<float>(total_rows));
+  }
+  shard_grads_.resize(shards_.size());
+  shard_terms_.assign(shards_.size(), {});
 
-  optimizer_->ZeroGrad();
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Matrix acc;
-    // Shard-index order regardless of worker scheduling: this fixed
-    // float summation order is what makes the reduced gradient — and
-    // therefore the whole run — independent of num_workers, bitwise.
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const Matrix& g = shard_grads_[s][i];
-      if (g.empty()) continue;
-      const float ws = static_cast<float>(shards_[s].rows) /
-                       static_cast<float>(total_rows);
-      if (acc.empty()) acc = Matrix(g.rows(), g.cols());
-      const float* src = g.data();
-      float* dst = acc.data();
-      for (int64_t k = 0; k < g.size(); ++k) dst[k] += ws * src[k];
+  RunPhase(Phase::kShards);
+  RunPhase(Phase::kReduce);
+  // The global norm sums the per-parameter norms in parameter order,
+  // exactly as ClipGradNorm does on the serial path.
+  clip_ = false;
+  const double max_norm = config_.base.grad_clip;
+  if (max_norm > 0.0) {
+    double total_sq = 0.0;
+    for (size_t i = 0; i < params_.size(); ++i) {
+      if (has_grad_[i]) total_sq += grad_norms_[i] * grad_norms_[i];
     }
-    if (!acc.empty()) {
-      internal_ag::AccumulateGrad(params_[i].impl().get(), acc);
+    const double total = std::sqrt(total_sq);
+    if (total > max_norm) {
+      clip_ = true;
+      clip_scale_ = GradClipScale(total, max_norm);
     }
   }
-
-  if (config_.base.grad_clip > 0.0) {
-    ClipGradNorm(&params_, config_.base.grad_clip);
-  }
-  optimizer_->Step();
+  optimizer_->AdvanceStep();
+  RunPhase(Phase::kUpdate);
   ++steps_;
-
-  // Synchronous data parallelism: every replica re-reads the stepped
-  // primary weights before the next shard group touches it.
-  for (WorkerReplica& replica : replicas_) {
-    CopyParametersInto(*model_, replica.clone.get());
-  }
 }
 
 EpochStats ParallelTrainer::TrainEpoch(const std::vector<Example>& train,
@@ -192,8 +267,7 @@ EpochStats ParallelTrainer::TrainEpoch(const std::vector<Example>& train,
       shards_.push_back(std::move(shard));
     }
     if (shards_.empty()) break;
-    RunShards();
-    ReduceAndStep();
+    Step();
     for (const BatchLossTerms& terms : shard_terms_) {
       rank_total += terms.rank_loss;
       cl_total += terms.cl_loss;

@@ -45,8 +45,9 @@ struct ParallelTrainerConfig {
 /// shuffled batch stream, fans them out to `num_workers` threads — each
 /// holding a private deep clone of the model, because autograd gradient
 /// accumulation on shared leaves is not thread-safe — and reduces the
-/// shard gradients into one averaged update on the primary model, after
-/// which every clone is re-synchronised from the primary's weights.
+/// shard gradients into one averaged update on the primary model, which
+/// every clone then receives. The reduce, the clip and the AdamW update
+/// run on the same workers, each over a fixed set of whole parameters.
 ///
 /// Determinism contract (pinned by core_parallel_trainer_test):
 ///  - WORKER-COUNT INDEPENDENCE, bitwise: shard gradients are reduced
@@ -104,20 +105,38 @@ class ParallelTrainer {
     std::vector<Var> params;
   };
 
+  /// What the workers run between two handshakes.
+  enum class Phase {
+    kShards,  // Claim shards and compute their gradients.
+    kReduce,  // Own parameters: reduce the shard gradients, take norms.
+    kUpdate,  // Own parameters: clip, AdamW, write every replica.
+  };
+
   /// Computes shard `s`'s gradients on worker `w`'s clone into
   /// shard_grads_[s] (one Matrix per parameter; empty = no gradient).
   void ComputeShard(int worker, size_t s);
 
-  /// Reduces shard_grads_ in shard order into the primary parameters,
-  /// clips, steps the optimizer, and re-syncs every clone.
-  void ReduceAndStep();
+  /// Reduces the shard gradients of `param` in shard order into
+  /// grad_sum_[param] and records its norm.
+  void ReduceParameter(size_t param);
+
+  /// Applies the step's clip scale and AdamW update to `param` and
+  /// writes its new value into every replica.
+  void UpdateParameter(size_t param);
+
+  /// One step: the shard phase, the reduce phase, the global norm on
+  /// the coordinator, the update phase.
+  void Step();
+
+  /// Runs `phase` to completion across the workers (inline on the
+  /// calling thread when single-threaded).
+  void RunPhase(Phase phase);
+
+  /// Worker `worker`'s share of `phase`.
+  void RunWorkerPhase(int worker, Phase phase);
 
   /// Persistent worker thread body (num_workers > 1 only).
   void WorkerLoop(int worker);
-
-  /// Runs the staged shards_ to completion across the workers (or
-  /// inline when single-threaded).
-  void RunShards();
 
   Ranker* model_;
   ParallelTrainerConfig config_;
@@ -130,13 +149,25 @@ class ParallelTrainer {
   std::unique_ptr<AdamW> optimizer_;
   std::vector<WorkerReplica> replicas_;
   int64_t steps_ = 0;
+  /// The parameters each worker reduces and updates, balanced by
+  /// element count; fixed at construction.
+  std::vector<std::vector<size_t>> owned_params_;
 
-  // Per-group staging: written by the coordinator before workers are
+  // Per-step state: written by the coordinator before workers are
   // released (the generation handshake under mu_ orders the accesses),
   // then each slot written by exactly one worker.
   std::vector<Shard> shards_;
+  std::vector<float> shard_weights_;  // rows_s / total rows.
   std::vector<std::vector<Matrix>> shard_grads_;
   std::vector<BatchLossTerms> shard_terms_;
+  /// The reduced gradient per parameter (value-shaped, allocated once).
+  std::vector<Matrix> grad_sum_;
+  /// Per parameter: whether any shard produced a gradient this step
+  /// (char, not vector<bool>: workers write neighbouring slots).
+  std::vector<char> has_grad_;
+  std::vector<double> grad_norms_;
+  bool clip_ = false;
+  float clip_scale_ = 1.0f;
 
   // Worker pool handshake (threads exist only when num_workers > 1).
   std::vector<std::thread> threads_;
@@ -144,6 +175,7 @@ class ParallelTrainer {
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   int64_t generation_ = 0;
+  Phase phase_ = Phase::kShards;
   int pending_workers_ = 0;
   bool stopping_ = false;
   std::atomic<size_t> next_shard_{0};

@@ -11,7 +11,8 @@ namespace awmoe {
 
 /// Configuration of the synthetic JD-style search-log world. Defaults are
 /// sized for single-core CPU training; the *structure* (not the scale)
-/// is what reproduces the paper's phenomena (see DESIGN.md §1).
+/// is what reproduces the paper's phenomena (see
+/// docs/reproduction.md#the-synthetic-corpora).
 struct JdConfig {
   int64_t num_users = 8000;
   int64_t num_items = 4000;

@@ -11,8 +11,9 @@ namespace awmoe {
 
 /// Dense row-major float32 matrix. This is the only tensor type in the
 /// library: every activation in the models is a [batch, dim] matrix, and
-/// sequences are handled positionally (see DESIGN.md §4), so a 2-D type
-/// keeps the kernels and the autodiff engine small and auditable.
+/// sequences are handled positionally (see
+/// docs/reproduction.md#model-scale), so a 2-D type keeps the kernels and
+/// the autodiff engine small and auditable.
 ///
 /// Matrix is a value type: copy copies the buffer, move steals it.
 class Matrix {

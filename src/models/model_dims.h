@@ -8,7 +8,8 @@ namespace awmoe {
 
 /// Layer widths for every unit in Fig. 4. `PaperScale()` reproduces the
 /// published sizes; `Default()` is a quarter-scale variant sized for
-/// single-core CPU training (the benches use it — see DESIGN.md §4).
+/// single-core CPU training (the benches use it — see
+/// docs/reproduction.md#model-scale).
 struct ModelDims {
   int64_t emb_dim = 8;
   /// Hidden dims of the per-feature-type tower MLPs (paper: 64x32).

@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "mat/kernels.h"
 #include "util/check.h"
 
@@ -83,28 +87,73 @@ AdamW::AdamW(std::vector<Var> params, float lr, float weight_decay,
 }
 
 void AdamW::Step() {
-  ++step_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
+  AdvanceStep();
   for (size_t i = 0; i < params_.size(); ++i) {
-    Var& p = params_[i];
+    const Var& p = params_[i];
     if (!p.has_grad()) continue;
-    float* value = p.mutable_value().data();
-    const float* g = p.grad().data();
-    float* m = m_[i].data();
-    float* v = v_[i].data();
-    const int64_t n = p.value().size();
-    for (int64_t j = 0; j < n; ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-      float m_hat = m[j] / bc1;
-      float v_hat = v[j] / bc2;
-      // Decoupled decay: shrink the weight directly, outside the moment
-      // machinery (Loshchilov & Hutter eq. 12).
-      value[j] -=
-          lr_ * (m_hat / (std::sqrt(v_hat) + epsilon_) + weight_decay_ * value[j]);
-    }
+    UpdateParameter(i, p.grad().data());
   }
+}
+
+void AdamW::AdvanceStep() {
+  ++step_;
+  bias_correction1_ = 1.0f - std::pow(beta1_, static_cast<float>(step_));
+  bias_correction2_ = 1.0f - std::pow(beta2_, static_cast<float>(step_));
+}
+
+void AdamW::UpdateParameter(size_t param, const float* grad) {
+  const float lr = lr_, b1 = beta1_, b2 = beta2_, eps = epsilon_;
+  const float wd = weight_decay_;
+  const float bc1 = bias_correction1_, bc2 = bias_correction2_;
+  const float c1 = 1.0f - b1, c2 = 1.0f - b2;
+  Matrix& value = params_[param].mutable_value();
+  float* x = value.data();
+  float* m = m_[param].data();
+  float* v = v_[param].data();
+  const int64_t n = value.size();
+  int64_t j = 0;
+#if defined(__SSE2__)
+  // Four lanes of exactly the scalar loop's operations in its order.
+  // The scalar loop does not vectorise by itself: std::sqrt may set
+  // errno, so the compiler keeps a call per element. _mm_sqrt_ps is the
+  // same correctly rounded square root, and this file is built without
+  // FMA, so no multiply-add is contracted: the lanes match the scalar
+  // loop bit for bit.
+  const __m128 vb1 = _mm_set1_ps(b1), vc1 = _mm_set1_ps(c1);
+  const __m128 vb2 = _mm_set1_ps(b2), vc2 = _mm_set1_ps(c2);
+  const __m128 vbc1 = _mm_set1_ps(bc1), vbc2 = _mm_set1_ps(bc2);
+  const __m128 vlr = _mm_set1_ps(lr), veps = _mm_set1_ps(eps);
+  const __m128 vwd = _mm_set1_ps(wd);
+  for (; j + 4 <= n; j += 4) {
+    const __m128 g = _mm_loadu_ps(grad + j);
+    const __m128 mj = _mm_add_ps(_mm_mul_ps(vb1, _mm_loadu_ps(m + j)),
+                                 _mm_mul_ps(vc1, g));
+    const __m128 vj = _mm_add_ps(_mm_mul_ps(vb2, _mm_loadu_ps(v + j)),
+                                 _mm_mul_ps(_mm_mul_ps(vc2, g), g));
+    _mm_storeu_ps(m + j, mj);
+    _mm_storeu_ps(v + j, vj);
+    const __m128 m_hat = _mm_div_ps(mj, vbc1);
+    const __m128 v_hat = _mm_div_ps(vj, vbc2);
+    const __m128 xj = _mm_loadu_ps(x + j);
+    const __m128 update =
+        _mm_add_ps(_mm_div_ps(m_hat, _mm_add_ps(_mm_sqrt_ps(v_hat), veps)),
+                   _mm_mul_ps(vwd, xj));
+    _mm_storeu_ps(x + j, _mm_sub_ps(xj, _mm_mul_ps(vlr, update)));
+  }
+#endif
+  for (; j < n; ++j) {
+    m[j] = b1 * m[j] + c1 * grad[j];
+    v[j] = b2 * v[j] + c2 * grad[j] * grad[j];
+    const float m_hat = m[j] / bc1;
+    const float v_hat = v[j] / bc2;
+    // Decoupled decay: shrink the weight directly, outside the moment
+    // machinery (Loshchilov & Hutter eq. 12).
+    x[j] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + wd * x[j]);
+  }
+}
+
+float GradClipScale(double total_norm, double max_norm) {
+  return static_cast<float>(max_norm / (total_norm + 1e-12));
 }
 
 double ClipGradNorm(std::vector<Var>* params, double max_norm) {
@@ -117,13 +166,9 @@ double ClipGradNorm(std::vector<Var>* params, double max_norm) {
   }
   double total = std::sqrt(total_sq);
   if (total > max_norm) {
-    float scale = static_cast<float>(max_norm / (total + 1e-12));
+    const float scale = GradClipScale(total, max_norm);
     for (Var& p : *params) {
-      if (!p.has_grad()) continue;
-      // Scale the accumulated gradient in place.
-      Matrix scaled = MulScalar(p.grad(), scale);
-      p.ZeroGrad();
-      internal_ag::AccumulateGrad(p.impl().get(), scaled);
+      if (p.has_grad()) ScaleInPlace(&p.impl()->grad, scale);
     }
   }
   return total;

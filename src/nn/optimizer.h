@@ -71,17 +71,36 @@ class Adam : public Optimizer {
 
 /// AdamW (Loshchilov & Hutter): Adam with decoupled weight decay, the
 /// optimizer the paper trains with (§IV-D).
+///
+/// Step() is AdvanceStep() followed by UpdateParameter() for every
+/// parameter that holds a gradient. A caller that owns the gradients
+/// itself (ParallelTrainer) runs the same two calls, spreading one
+/// step's UpdateParameter calls over threads.
 class AdamW : public Adam {
  public:
   AdamW(std::vector<Var> params, float lr, float weight_decay = 1e-4f,
         float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f);
   void Step() override;
 
+  /// Starts a step: advances the step count and its bias corrections.
+  void AdvanceStep();
+
+  /// Applies the current step's update to parameter `param`, reading
+  /// its gradient from `grad` (value-sized). Calls for different
+  /// parameters may run concurrently.
+  void UpdateParameter(size_t param, const float* grad);
+
   float weight_decay() const { return weight_decay_; }
 
  private:
   float weight_decay_;
+  float bias_correction1_ = 1.0f;
+  float bias_correction2_ = 1.0f;
 };
+
+/// The factor ClipGradNorm scales every gradient by when the global
+/// norm `total_norm` exceeds `max_norm`.
+float GradClipScale(double total_norm, double max_norm);
 
 /// Rescales all gradients so their global L2 norm is at most `max_norm`.
 /// Returns the pre-clip norm.

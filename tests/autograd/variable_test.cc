@@ -120,6 +120,49 @@ TEST(VariableTest, DeepChainBackward) {
   EXPECT_NEAR(a.grad()(0, 0), expected, 1e-3f);
 }
 
+TEST(VariableTest, BackwardReleasesOpResultGradients) {
+  // loss = sum(2 * ((a + b - b) + bias + 1) - a) = sum(a + 2 bias + 2),
+  // built from every pass-through op (add, sub, add_bias, add_scalar)
+  // and a shared operand (v + v). Backward leaves gradients on the
+  // leaves and the root only; the leaves' are exact small integers.
+  Var a(Matrix::FromVector(2, 2, {1.0f, -2.0f, 0.5f, 3.0f}), true);
+  Var b(Matrix::FromVector(2, 2, {4.0f, 1.0f, -1.0f, 2.0f}), true);
+  Var bias(Matrix::RowVector({0.25f, -0.75f}), true);
+  Var constant(Matrix::Full(2, 2, 7.0f));
+  const Var s = ag::Add(a, b);
+  const Var t = ag::Sub(s, b);
+  const Var u = ag::AddBias(t, bias);
+  const Var v = ag::AddScalar(u, 1.0f);
+  const Var w = ag::Add(v, v);
+  const Var z = ag::Sub(w, a);
+  const Var c = ag::Add(z, constant);
+  Var loss = ag::SumAll(c);
+  loss.Backward();
+
+  for (const Var& op_result : {s, t, u, v, w, z, c}) {
+    EXPECT_FALSE(op_result.has_grad()) << op_result.OpName();
+  }
+  EXPECT_FALSE(constant.has_grad());
+  ASSERT_TRUE(loss.has_grad());
+  EXPECT_EQ(loss.grad()(0, 0), 1.0f);
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(a.grad().data()[i], 1.0f) << i;
+    EXPECT_EQ(b.grad().data()[i], 0.0f) << i;
+  }
+  EXPECT_EQ(bias.grad()(0, 0), 4.0f);
+  EXPECT_EQ(bias.grad()(0, 1), 4.0f);
+}
+
+TEST(VariableTest, TakeGradMovesTheGradientOut) {
+  Var a(Matrix::Full(1, 2, 1.0f), /*requires_grad=*/true);
+  Var out = ag::SumAll(ag::Scale(a, 3.0f));
+  out.Backward();
+  const Matrix grad = a.TakeGrad();
+  EXPECT_FALSE(a.has_grad());
+  EXPECT_EQ(grad(0, 0), 3.0f);
+  EXPECT_EQ(grad(0, 1), 3.0f);
+}
+
 TEST(VariableDeathTest, BackwardRequiresScalar) {
   Var a(Matrix::Full(2, 2, 1.0f), /*requires_grad=*/true);
   Var out = ag::Scale(a, 2.0f);

@@ -6,6 +6,7 @@
 #include "core/parallel_trainer.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "mat/kernel_tier.h"
 #include "models/dnn_ranker.h"
 #include "models/ranker.h"
+#include "util/hash.h"
 
 namespace awmoe {
 namespace {
@@ -88,6 +90,20 @@ double MaxParamAbsDiff(const Ranker& a, const Ranker& b) {
     }
   }
   return max_diff;
+}
+
+/// FNV-1a over the float bits of every parameter, in parameter order.
+uint64_t ParameterFingerprint(const Ranker& model) {
+  uint64_t h = kFnv1a64Offset;
+  for (const Var& p : model.Parameters()) {
+    const Matrix& m = p.value();
+    for (int64_t i = 0; i < m.size(); ++i) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, m.data() + i, sizeof(bits));
+      h = Fnv1a64Mix(h, bits);
+    }
+  }
+  return h;
 }
 
 /// Every kernel tier this build and CPU can run.
@@ -246,6 +262,39 @@ TEST_F(ParallelTrainerTest, TrainingLearns) {
   ASSERT_EQ(history.size(), 3u);
   EXPECT_GT(history.front().num_batches, 0);
   EXPECT_LT(history.back().mean_rank_loss, history.front().mean_rank_loss);
+}
+
+// Pins what a parallel step produces across commits: AW-MoE with the
+// contrastive loss, 2 workers, 2 shards per step, four steps at the
+// reference tier (pure scalar code, so the hash does not depend on the
+// optimisation level). The reduce, the norm, the clip and the AdamW
+// update all sit inside the hash, once with the clip inactive (every
+// step's global gradient norm is below 10) and once with it active on
+// every step. Update the constants only for a deliberate change to the
+// training arithmetic, never for a refactor of how the step runs.
+TEST_F(ParallelTrainerTest, ReferenceTierFingerprint) {
+  ScopedKernelTier tier(KernelTier::kReference);
+  ASSERT_GE(data_->train.size(), 256u);
+  const std::vector<Example> train(data_->train.begin(),
+                                   data_->train.begin() + 256);
+  auto fingerprint = [&](double grad_clip) {
+    ParallelTrainerConfig config;
+    config.base.batch_size = 32;
+    config.base.epochs = 1;
+    config.base.seed = 41;
+    config.base.contrastive = true;
+    config.base.grad_clip = grad_clip;
+    config.num_workers = 2;
+    config.grad_accumulation = 2;
+    Rng rng(17);
+    AwMoeRanker model(data_->meta, TinyAwMoeConfig(), &rng);
+    ParallelTrainer trainer(&model, config);
+    trainer.Train(train, data_->meta, standardizer_);
+    EXPECT_EQ(trainer.steps(), 4);
+    return ParameterFingerprint(model);
+  };
+  EXPECT_EQ(fingerprint(10.0), 0x83caae552a3a269eull) << "clipping inactive";
+  EXPECT_EQ(fingerprint(1e-3), 0xc432dd1596e6c87bull) << "clipping active";
 }
 
 }  // namespace

@@ -239,7 +239,9 @@ TEST_P(KernelTierTest, GateIntoMatchesAcrossTiers) {
 // The serving engine fuses arbitrary session subsets into micro-batches
 // and expects a given row to score identically no matter who shares the
 // batch. The fast tier's masked tails are designed to preserve exactly
-// this: solo-vs-fused must agree BITWISE at the fast tier.
+// this: solo-vs-fused must agree BITWISE at the fast tier. The fused
+// batch is 112 candidate rows (672 stacked behaviour rows), past a
+// serving flush of 64 candidates.
 TEST_P(KernelTierTest, FastTierRowsIndependentOfBatchComposition) {
   if (!FastKernelTierAvailable()) {
     GTEST_SKIP() << "fast kernel tier unavailable on this build/CPU";
@@ -249,12 +251,17 @@ TEST_P(KernelTierTest, FastTierRowsIndependentOfBatchComposition) {
   const int64_t hists[] = {0, 2, 6, 4, 1};
   const int64_t items[] = {3, 1, 5, 2, 4};
   std::vector<std::vector<Example>> sessions;
-  for (int64_t s = 0; s < 5; ++s) {
+  int64_t fused_rows = 0;
+  for (int64_t s = 0; s < 20; ++s) {
+    const int64_t n = s < 5 ? items[s] : 3 + (s * 7) % 8;
+    const int64_t hist = s < 5 ? hists[s] : s % 7;
     sessions.push_back(MakeSession(2200 + static_cast<uint64_t>(s) * 97,
-                                   300 + s, items[s], hists[s]));
+                                   300 + s, n, hist));
+    fused_rows += n;
   }
+  ASSERT_GE(fused_rows, 64);
   for (NamedRanker& ranker : MakeRankers(meta)) {
-    auto workspace = ranker.model->CreateInferenceWorkspace(32);
+    auto workspace = ranker.model->CreateInferenceWorkspace(fused_rows);
     std::vector<std::vector<float>> solo;
     for (const auto& session : sessions) {
       std::vector<const Example*> ptrs;
@@ -628,28 +635,37 @@ TEST(GemmRowTest, FastNTMatchesReferenceAcrossTransposeChunks) {
 // same bits whether its A row is multiplied alone or among m rows, and
 // an output row of TN does not depend on A's other columns. This is what
 // keeps data-parallel training bitwise worker-count independent and
-// fused serving batches bitwise equal to solo ones.
+// fused serving batches bitwise equal to solo ones. m sweeps the row
+// block tails (1-17), the 64- and 128-row boundaries, and 640: a
+// 64-candidate serving flush with 10 behaviour positions stacked.
 TEST(GemmRowTest, OutputRowsIndependentOfComposition) {
   Rng rng(406);
-  const int64_t m = 11, k = 37, n = 21;
+  const int64_t k = 37, n = 21;
+  std::vector<int64_t> row_counts;
+  for (int64_t m = 1; m <= 17; ++m) row_counts.push_back(m);
+  for (const int64_t m : {63, 64, 65, 127, 128, 129, 640}) {
+    row_counts.push_back(m);
+  }
   for (const KernelTier tier : AvailableTiers()) {
     for (const GemmForm form : kGemmForms) {
-      const GemmOperands ops = MakeOperands(form, m, k, n, &rng);
-      const Matrix full = RunGemmRow(tier, form, MatrixView(ops.a),
-                                     MatrixView(ops.b), m, n);
-      for (int64_t i = 0; i < m; ++i) {
-        // Row i's own operand: A row i (NN/NT) or A column i (TN), as a
-        // one-row / one-column view into the same storage.
-        const ConstMatView a_alone =
-            form == GemmForm::kTN
-                ? ConstMatView(ops.a.data() + i, k, 1, ops.a.cols())
-                : ConstMatView(ops.a.row(i), 1, k, k);
-        const Matrix alone =
-            RunGemmRow(tier, form, a_alone, MatrixView(ops.b), 1, n);
-        for (int64_t j = 0; j < n; ++j) {
-          EXPECT_EQ(alone(0, j), full(i, j))
-              << KernelTierName(tier) << " " << GemmFormName(form)
-              << " row " << i << " col " << j;
+      for (const int64_t m : row_counts) {
+        const GemmOperands ops = MakeOperands(form, m, k, n, &rng);
+        const Matrix full = RunGemmRow(tier, form, MatrixView(ops.a),
+                                       MatrixView(ops.b), m, n);
+        for (int64_t i = 0; i < m; ++i) {
+          // Row i's own operand: A row i (NN/NT) or A column i (TN), as a
+          // one-row / one-column view into the same storage.
+          const ConstMatView a_alone =
+              form == GemmForm::kTN
+                  ? ConstMatView(ops.a.data() + i, k, 1, ops.a.cols())
+                  : ConstMatView(ops.a.row(i), 1, k, k);
+          const Matrix alone =
+              RunGemmRow(tier, form, a_alone, MatrixView(ops.b), 1, n);
+          for (int64_t j = 0; j < n; ++j) {
+            ASSERT_EQ(alone(0, j), full(i, j))
+                << KernelTierName(tier) << " " << GemmFormName(form)
+                << " m=" << m << " row " << i << " col " << j;
+          }
         }
       }
     }

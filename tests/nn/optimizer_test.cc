@@ -1,6 +1,9 @@
 #include "nn/optimizer.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +96,70 @@ TEST(OptimizerTest, ZeroGradClearsAll) {
   EXPECT_TRUE(a.has_grad());
   opt.ZeroGrad();
   EXPECT_FALSE(a.has_grad());
+}
+
+// The AdamW loop as it ran before the update went 4-wide: the reference
+// the vector update must match bit for bit.
+void ScalarAdamWStep(int64_t step, float lr, float wd, const Matrix& grad,
+                     std::vector<float>* x, std::vector<float>* m,
+                     std::vector<float>* v) {
+  const float beta1 = 0.9f, beta2 = 0.999f, epsilon = 1e-8f;
+  const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(step));
+  const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(step));
+  const float* g = grad.data();
+  for (size_t j = 0; j < x->size(); ++j) {
+    (*m)[j] = beta1 * (*m)[j] + (1.0f - beta1) * g[j];
+    (*v)[j] = beta2 * (*v)[j] + (1.0f - beta2) * g[j] * g[j];
+    float m_hat = (*m)[j] / bc1;
+    float v_hat = (*v)[j] / bc2;
+    (*x)[j] -= lr * (m_hat / (std::sqrt(v_hat) + epsilon) + wd * (*x)[j]);
+  }
+}
+
+void SetGrad(Var* p, const Matrix& grad) {
+  p->ZeroGrad();
+  internal_ag::AccumulateGrad(p->impl().get(), grad);
+}
+
+// Step() runs four lanes at a time; lengths 0-9 cover every tail, the
+// AW-MoE parameter count covers a long run, and a zero gradient leaves
+// only the decay term.
+TEST(AdamWTest, VectorUpdateMatchesScalarLoopBitwise) {
+  std::vector<int64_t> lengths;
+  for (int64_t n = 0; n <= 9; ++n) lengths.push_back(n);
+  lengths.push_back(112270);
+  const float lr = 2e-3f, wd = 1e-5f;
+  for (const int64_t n : lengths) {
+    for (const bool zero_grad : {false, true}) {
+      Rng rng(static_cast<uint64_t>(n) + 1);
+      Matrix init(1, n);
+      for (int64_t j = 0; j < n; ++j) {
+        init.data()[j] = static_cast<float>(rng.Normal());
+      }
+      Var p(init, /*requires_grad=*/true);
+      AdamW optimizer({p}, lr, wd);
+      std::vector<float> x(init.data(), init.data() + n);
+      std::vector<float> m(static_cast<size_t>(n), 0.0f);
+      std::vector<float> v(static_cast<size_t>(n), 0.0f);
+      for (int64_t step = 1; step <= 3; ++step) {
+        Matrix grad(1, n);
+        if (!zero_grad) {
+          for (int64_t j = 0; j < n; ++j) {
+            grad.data()[j] = static_cast<float>(rng.Normal()) * 0.1f;
+          }
+        }
+        SetGrad(&p, grad);
+        optimizer.Step();
+        ScalarAdamWStep(step, lr, wd, grad, &x, &m, &v);
+        for (int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(p.value().data()[j]),
+                    std::bit_cast<uint32_t>(x[static_cast<size_t>(j)]))
+              << "n=" << n << " zero_grad=" << zero_grad << " step " << step
+              << " element " << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(ClipGradNormTest, ClipsLargeGradients) {
