@@ -16,6 +16,41 @@ using internal_ag::EnsureGrad;
 using internal_ag::VarImpl;
 using Impl = std::shared_ptr<VarImpl>;
 
+namespace {
+
+/// The backward of an elementwise unary op: rewrites the gradient the
+/// node owns, g[i] = fn(g[i], i), and hands that buffer on to the
+/// parent, so the closure allocates nothing.
+template <class Fn>
+void TransformGradInto(VarImpl& self, VarImpl* parent, Fn fn) {
+  if (!parent->requires_grad) return;
+  float* g = self.grad.data();
+  const int64_t n = self.grad.size();
+  for (int64_t i = 0; i < n; ++i) g[i] = fn(g[i], i);
+  AccumulateGrad(parent, std::move(self.grad));
+}
+
+/// The row-softmax Jacobian in place, dx = y * (g - rowsum(g * y)): the
+/// ops of Mul, RowSum, BroadcastCol, Sub and Mul, in their order, into
+/// g's own buffer.
+void SoftmaxBackwardInPlace(Matrix* grad, const Matrix& y) {
+  for (int64_t r = 0; r < grad->rows(); ++r) {
+    float* g = grad->row(r);
+    const float* yr = y.row(r);
+    float s = 0.0f;
+    for (int64_t c = 0; c < grad->cols(); ++c) {
+      const float gy = g[c] * yr[c];
+      s += gy;
+    }
+    for (int64_t c = 0; c < grad->cols(); ++c) {
+      const float centered = g[c] - s;
+      g[c] = yr[c] * centered;
+    }
+  }
+}
+
+}  // namespace
+
 Var MatMul(const Var& a, const Var& b) {
   Matrix value = ::awmoe::MatMul(a.value(), b.value());
   Impl ai = a.impl(), bi = b.impl();
@@ -106,8 +141,10 @@ Var Scale(const Var& a, float s) {
   Matrix value = MulScalar(a.value(), s);
   Impl ai = a.impl();
   return MakeOpResult(std::move(value), "scale", {a},
-                      [ai, s](const VarImpl& self) {
-                        AccumulateGrad(ai.get(), MulScalar(self.grad, s));
+                      [ai, s](VarImpl& self) {
+                        if (!ai->requires_grad) return;
+                        ScaleInPlace(&self.grad, s);
+                        AccumulateGrad(ai.get(), std::move(self.grad));
                       });
 }
 
@@ -126,8 +163,10 @@ Var Relu(const Var& a) {
   Matrix value = ::awmoe::Relu(a.value());
   Impl ai = a.impl();
   return MakeOpResult(
-      std::move(value), "relu", {a}, [ai](const VarImpl& self) {
-        AccumulateGrad(ai.get(), ReluBackward(self.grad, ai->value));
+      std::move(value), "relu", {a}, [ai](VarImpl& self) {
+        if (!ai->requires_grad) return;
+        ReluBackwardInPlace(&self.grad, ai->value);
+        AccumulateGrad(ai.get(), std::move(self.grad));
       });
 }
 
@@ -135,11 +174,15 @@ Var Sigmoid(const Var& a) {
   Matrix value = ::awmoe::Sigmoid(a.value());
   Impl ai = a.impl();
   return MakeOpResult(
-      std::move(value), "sigmoid", {a}, [ai](const VarImpl& self) {
-        // dy/dx = y (1 - y), reading y back from self.value.
-        Matrix one_minus = ::awmoe::AddScalar(::awmoe::Neg(self.value), 1.0f);
-        Matrix dydx = ::awmoe::Mul(self.value, one_minus);
-        AccumulateGrad(ai.get(), ::awmoe::Mul(self.grad, dydx));
+      std::move(value), "sigmoid", {a}, [ai](VarImpl& self) {
+        // dy/dx = y (1 - y), reading y back from self.value, as
+        // (-y) + 1, then y * that, then g * that.
+        const float* y = self.value.data();
+        TransformGradInto(self, ai.get(), [y](float g, int64_t i) {
+          const float one_minus = -y[i] + 1.0f;
+          const float dydx = y[i] * one_minus;
+          return g * dydx;
+        });
       });
 }
 
@@ -147,31 +190,39 @@ Var Tanh(const Var& a) {
   Matrix value = ::awmoe::Tanh(a.value());
   Impl ai = a.impl();
   return MakeOpResult(
-      std::move(value), "tanh", {a}, [ai](const VarImpl& self) {
-        Matrix dydx =
-            ::awmoe::AddScalar(::awmoe::Neg(Square(self.value)), 1.0f);
-        AccumulateGrad(ai.get(), ::awmoe::Mul(self.grad, dydx));
+      std::move(value), "tanh", {a}, [ai](VarImpl& self) {
+        // dy/dx = -(y * y) + 1.
+        const float* y = self.value.data();
+        TransformGradInto(self, ai.get(), [y](float g, int64_t i) {
+          const float square = y[i] * y[i];
+          const float dydx = -square + 1.0f;
+          return g * dydx;
+        });
       });
 }
 
 Var Exp(const Var& a) {
   Matrix value = ::awmoe::Exp(a.value());
   Impl ai = a.impl();
-  return MakeOpResult(std::move(value), "exp", {a},
-                      [ai](const VarImpl& self) {
-                        AccumulateGrad(ai.get(),
-                                       ::awmoe::Mul(self.grad, self.value));
-                      });
+  return MakeOpResult(std::move(value), "exp", {a}, [ai](VarImpl& self) {
+    const float* y = self.value.data();
+    TransformGradInto(self, ai.get(),
+                      [y](float g, int64_t i) { return g * y[i]; });
+  });
 }
 
 Var Log(const Var& a, float floor) {
   Matrix value = ::awmoe::Log(a.value(), floor);
   Impl ai = a.impl();
   return MakeOpResult(
-      std::move(value), "log", {a}, [ai, floor](const VarImpl& self) {
-        Matrix clipped =
-            Clip(ai->value, floor, std::numeric_limits<float>::max());
-        AccumulateGrad(ai.get(), Div(self.grad, clipped));
+      std::move(value), "log", {a}, [ai, floor](VarImpl& self) {
+        // g / Clip(x, floor, max).
+        const float* x = ai->value.data();
+        TransformGradInto(self, ai.get(), [x, floor](float g, int64_t i) {
+          const float clipped = std::min(
+              std::max(x[i], floor), std::numeric_limits<float>::max());
+          return g / clipped;
+        });
       });
 }
 
@@ -242,32 +293,35 @@ Var MulColBroadcast(const Var& a, const Var& w) {
       });
 }
 
-Var SumRowBlocks(const Var& a, int64_t blocks) {
+Var ScatterSumRows(const Var& a, const std::vector<int64_t>& index,
+                   int64_t n) {
   const Matrix& x = a.value();
-  AWMOE_CHECK(blocks > 0 && x.rows() % blocks == 0)
-      << "SumRowBlocks: " << x.ShapeString() << " in " << blocks
-      << " blocks";
-  // Each row block of x is one row of `by_block`; the blocks are summed
-  // in position order into `sum`.
-  const int64_t block_size = x.size() / blocks;
-  const ConstMatView by_block(x.data(), blocks, block_size, block_size);
-  Matrix value(x.rows() / blocks, x.cols());
-  const MatView sum{value.data(), 1, block_size, block_size};
-  CopyInto(by_block.RowBlock(0, 1), sum);
-  for (int64_t j = 1; j < blocks; ++j) {
-    AddInPlace(sum, by_block.RowBlock(j, 1));
+  AWMOE_CHECK(static_cast<int64_t>(index.size()) == x.rows() && n >= 0)
+      << "ScatterSumRows: " << index.size() << " indices for "
+      << x.ShapeString() << " into " << n << " rows";
+  Matrix value(n, x.cols());
+  const MatView out = MutableMatrixView(value);
+  std::vector<bool> seen(static_cast<size_t>(n), false);
+  for (size_t i = 0; i < index.size(); ++i) {
+    const int64_t r = index[i];
+    AWMOE_CHECK(r >= 0 && r < n)
+        << "ScatterSumRows: index " << r << " out of " << n;
+    const ConstMatView row =
+        MatrixView(x).RowBlock(static_cast<int64_t>(i), 1);
+    if (seen[static_cast<size_t>(r)]) {
+      AddInPlace(out.RowBlock(r, 1), row);
+    } else {
+      CopyInto(row, out.RowBlock(r, 1));
+      seen[static_cast<size_t>(r)] = true;
+    }
   }
   Impl ai = a.impl();
-  return MakeOpResult(
-      std::move(value), "sum_row_blocks", {a},
-      [ai, blocks, block_size](const VarImpl& self) {
-        if (!ai->requires_grad) return;
-        // A stride-0 view repeats the gradient into every block.
-        Matrix g(ai->value.rows(), ai->value.cols());
-        CopyInto(ConstMatView(self.grad.data(), blocks, block_size, 0),
-                 MatView{g.data(), blocks, block_size, block_size});
-        AccumulateGrad(ai.get(), std::move(g));
-      });
+  return MakeOpResult(std::move(value), "scatter_sum_rows", {a},
+                      [ai, index](const VarImpl& self) {
+                        if (!ai->requires_grad) return;
+                        AccumulateGrad(ai.get(),
+                                       ::awmoe::GatherRows(self.grad, index));
+                      });
 }
 
 Var DotRows(const Var& a, const Var& b) {
@@ -315,13 +369,10 @@ Var SoftmaxRows(const Var& a) {
   Matrix value = ::awmoe::SoftmaxRows(a.value());
   Impl ai = a.impl();
   return MakeOpResult(
-      std::move(value), "softmax_rows", {a}, [ai](const VarImpl& self) {
-        // dx = y * (g - rowsum(g*y)).
-        Matrix gy = ::awmoe::Mul(self.grad, self.value);
-        Matrix s = ::awmoe::RowSum(gy);
-        Matrix centered = ::awmoe::Sub(
-            self.grad, ::awmoe::BroadcastCol(s, self.grad.cols()));
-        AccumulateGrad(ai.get(), ::awmoe::Mul(self.value, centered));
+      std::move(value), "softmax_rows", {a}, [ai](VarImpl& self) {
+        if (!ai->requires_grad) return;
+        SoftmaxBackwardInPlace(&self.grad, self.value);
+        AccumulateGrad(ai.get(), std::move(self.grad));
       });
 }
 
@@ -330,14 +381,12 @@ Var MaskedSoftmaxRows(const Var& a, const Matrix& mask) {
   Impl ai = a.impl();
   return MakeOpResult(
       std::move(value), "masked_softmax_rows", {a},
-      [ai](const VarImpl& self) {
+      [ai](VarImpl& self) {
         // Same Jacobian as SoftmaxRows: masked columns carry y == 0, so
         // they contribute nothing to the row sum and receive dx == 0.
-        Matrix gy = ::awmoe::Mul(self.grad, self.value);
-        Matrix s = ::awmoe::RowSum(gy);
-        Matrix centered = ::awmoe::Sub(
-            self.grad, ::awmoe::BroadcastCol(s, self.grad.cols()));
-        AccumulateGrad(ai.get(), ::awmoe::Mul(self.value, centered));
+        if (!ai->requires_grad) return;
+        SoftmaxBackwardInPlace(&self.grad, self.value);
+        AccumulateGrad(ai.get(), std::move(self.grad));
       });
 }
 
@@ -356,9 +405,12 @@ Var MulMask(const Var& a, const Matrix& mask) {
   Matrix value = ::awmoe::Mul(a.value(), mask);
   Impl ai = a.impl();
   return MakeOpResult(std::move(value), "mul_mask", {a},
-                      [ai, mask](const VarImpl& self) {
-                        AccumulateGrad(ai.get(),
-                                       ::awmoe::Mul(self.grad, mask));
+                      [ai, mask](VarImpl& self) {
+                        const float* m = mask.data();
+                        TransformGradInto(self, ai.get(),
+                                          [m](float g, int64_t i) {
+                                            return g * m[i];
+                                          });
                       });
 }
 

@@ -63,11 +63,13 @@ Var GatherRows(const Var& table, const std::vector<int64_t>& indices);
 /// attention-weighted-sum building block (Eq. 3 / Eq. 8 of the paper).
 Var MulColBroadcast(const Var& a, const Var& w);
 
-/// A[blocks*n, c] -> [n, c]: the sum of the `blocks` row blocks of `a`,
-/// added in block order (((a_0 + a_1) + a_2) + ...), so it equals a
-/// chain of Add nodes bit for bit. The gradient is copied into every
-/// block. Pools a position-major behaviour stack over its positions.
-Var SumRowBlocks(const Var& a, int64_t blocks);
+/// A[m, c] -> [n, c]: row i of `a` is summed into row index[i], in
+/// ascending i; the first row an output row receives is copied, so
+/// each output row equals a chain of Add nodes bit for bit, and rows no
+/// index names are +0. The gradient of row i is the output gradient's
+/// row index[i]. Pools a behaviour stack into its examples.
+Var ScatterSumRows(const Var& a, const std::vector<int64_t>& index,
+                   int64_t n);
 
 /// Rowwise dot product of equally shaped a, b: [m,1]. Used as the
 /// similarity f(.) in the InfoNCE loss (Eq. 10).

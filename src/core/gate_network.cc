@@ -46,26 +46,31 @@ MatOf<X> GateNetwork::Run(const X& x, const Batch& batch,
   // Per-item modes run a gate unit per behaviour item (Eq. 7) and pool
   // its activations; pooled modes pool the behaviour hiddens and run one
   // gate unit on top. Attention modes weigh each position by the
-  // activation unit (Eq. 8), the others by the mask alone. Every unit
-  // runs once, over the stack of all positions.
+  // activation unit (Eq. 8), the others equally. Every unit runs once,
+  // over the stack of the real positions (nn/exec.h).
   const bool per_item = config_.mode == GateMode::kFull ||
                         config_.mode == GateMode::kBaseGateUnit;
   const bool weighted = config_.mode == GateMode::kFull ||
                         config_.mode == GateMode::kBaseActivationUnit;
-  const int64_t l = batch.seq_len;
-  const ConstMatView mask = MatrixView(batch.behavior_mask);
-  const MatOf<X> h_b =
-      BehaviorHidden(x, *embeddings_, item_tower_, batch, x.Alloc(l * b, h));
+  const typename X::RowList list =
+      x.BehaviorRows(MatrixView(batch.behavior_mask));
+  const StackRows rows = list;
+  const int64_t n = rows.size();
+  const MatOf<X> h_b = BehaviorHidden(x, *embeddings_, item_tower_, batch,
+                                      rows, x.Alloc(n, h));
   MatOf<X> w;
-  if (weighted) w = activation_unit_.Run(x, h_b, h_ref, x.Alloc(l * b, 1));
+  if (weighted) {
+    w = activation_unit_.Run(x, h_b, h_ref, &rows, x.Alloc(n, 1));
+  }
   MatOf<X> g;
   if (per_item) {
-    const MatOf<X> rows = gate_unit_.Run(x, h_b, h_ref, x.Alloc(l * b, k));
-    g = x.Pool(rows, weighted ? &w : nullptr, mask, out);
+    const MatOf<X> units =
+        gate_unit_.Run(x, h_b, h_ref, &rows, x.Alloc(n, k));
+    g = x.Pool(units, weighted ? &w : nullptr, rows, out);
   } else {
     const MatOf<X> pooled =
-        x.Pool(h_b, weighted ? &w : nullptr, mask, x.Alloc(b, h));
-    g = gate_unit_.Run(x, pooled, h_ref, out);
+        x.Pool(h_b, weighted ? &w : nullptr, rows, x.Alloc(b, h));
+    g = gate_unit_.Run(x, pooled, h_ref, nullptr, out);
   }
 
   g = x.AddBias(g, gate_bias_);

@@ -139,19 +139,16 @@ Matrix Relu(const Matrix& a) {
   return out;
 }
 
-Matrix ReluBackward(const Matrix& grad, const Matrix& input) {
-  CheckSameShape(grad, input, "ReluBackward");
-  Matrix out(grad.rows(), grad.cols());
-  const float* pg = grad.data();
+void ReluBackwardInPlace(Matrix* grad, const Matrix& input) {
+  CheckSameShape(*grad, input, "ReluBackwardInPlace");
+  float* pg = grad->data();
   const float* pi = input.data();
-  float* po = out.data();
-  const int64_t n = grad.size();
+  const int64_t n = grad->size();
   for (int64_t i = 0; i < n; ++i) {
     // Unconditional load: a plain select the compiler vectorises.
     const float g = pg[i];
-    po[i] = pi[i] > 0.0f ? g : 0.0f;
+    pg[i] = pi[i] > 0.0f ? g : 0.0f;
   }
-  return out;
 }
 
 Matrix Sigmoid(const Matrix& a) {
@@ -354,7 +351,7 @@ Matrix LogSumExpRows(const Matrix& a) {
 Matrix GatherRows(const Matrix& a, const std::vector<int64_t>& indices) {
   const int64_t count = static_cast<int64_t>(indices.size());
   Matrix out(count, a.cols());
-  GatherRowsInto(a, indices.data(), count, 1, MutableMatrixView(out));
+  GatherRowsInto(a, indices.data(), count, MutableMatrixView(out));
   return out;
 }
 
@@ -547,12 +544,12 @@ void TopKMaskRowsInto(const ConstMatView& a, int64_t k, MatView mask) {
 }
 
 void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
-                    int64_t id_stride, MatView out) {
+                    MatView out) {
   AWMOE_CHECK(out.rows == count && out.cols == table.cols())
       << "GatherRowsInto: out " << out.rows << "x" << out.cols << " for "
       << count << " rows of " << table.ShapeString();
   for (int64_t i = 0; i < count; ++i) {
-    const int64_t idx = ids[i * id_stride];
+    const int64_t idx = ids[i];
     AWMOE_CHECK(idx >= 0 && idx < table.rows())
         << "GatherRowsInto: index " << idx << " out of " << table.rows();
     const float* src = table.row(idx);

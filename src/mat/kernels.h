@@ -65,8 +65,8 @@ Matrix AddScalar(const Matrix& a, float s);
 Matrix MulScalar(const Matrix& a, float s);
 
 Matrix Relu(const Matrix& a);
-/// Gradient of ReLU: grad where input > 0, else 0.
-Matrix ReluBackward(const Matrix& grad, const Matrix& input);
+/// Gradient of ReLU, in place: grad where input > 0, else 0.
+void ReluBackwardInPlace(Matrix* grad, const Matrix& input);
 
 /// Numerically stable logistic sigmoid.
 Matrix Sigmoid(const Matrix& a);
@@ -207,11 +207,9 @@ void ScaleInPlace(MatView a, float s);
 /// a's shape and must not alias it.
 void TopKMaskRowsInto(const ConstMatView& a, int64_t k, MatView mask);
 
-/// out.row(i) = table.row(ids[i * id_stride]); the stride lets callers
-/// gather one sequence position directly from the Batch's row-major
-/// [size * seq_len] id layout without building an index vector.
+/// out.row(i) = table.row(ids[i]).
 void GatherRowsInto(const Matrix& table, const int64_t* ids, int64_t count,
-                    int64_t id_stride, MatView out);
+                    MatView out);
 
 }  // namespace awmoe
 

@@ -10,20 +10,24 @@ AttentionUnit::AttentionUnit(int64_t hidden_dim,
 
 template <class X>
 MatOf<X> AttentionUnit::Run(const X& x, const MatOf<X>& h_user,
-                            const MatOf<X>& h_ref, DstOf<X> out) const {
+                            const MatOf<X>& h_ref, const StackRows* rows,
+                            DstOf<X> out) const {
   AWMOE_CHECK(x.Cols(h_user) == hidden_dim_ && x.Cols(h_ref) == hidden_dim_)
       << "AttentionUnit: dims " << x.Cols(h_user) << "/" << x.Cols(h_ref)
       << " vs " << hidden_dim_;
   const typename X::Scope scope(x);
-  const MatOf<X> joined = x.ProductPath(
-      h_user, h_ref, x.Alloc(x.Rows(h_user), 3 * hidden_dim_));
+  const DstOf<X> dst = x.Alloc(x.Rows(h_user), 3 * hidden_dim_);
+  const MatOf<X> joined = rows != nullptr
+                              ? x.ProductPath(h_user, h_ref, *rows, dst)
+                              : x.ProductPath(h_user, h_ref, dst);
   return mlp_.Run(x, joined, out);
 }
 
 template Var AttentionUnit::Run(const GraphExec&, const Var&, const Var&,
-                                GraphExec::Dst) const;
+                                const StackRows*, GraphExec::Dst) const;
 template MatView AttentionUnit::Run(const ArenaExec&, const MatView&,
-                                    const MatView&, MatView) const;
+                                    const MatView&, const StackRows*,
+                                    MatView) const;
 
 void AttentionUnit::CollectParameters(std::vector<Var>* params) const {
   mlp_.CollectParameters(params);

@@ -25,13 +25,16 @@ class AttentionUnit : public Module {
   AttentionUnit(int64_t hidden_dim, std::vector<int64_t> mlp_dims,
                 int64_t out_dim, Rng* rng);
 
-  /// h_user, h_ref: [B, hidden_dim] -> [B, out_dim], on either executor.
+  /// h_user, h_ref: [B, hidden_dim] -> [B, out_dim], on either
+  /// executor. With a row list, h_user is a behaviour stack
+  /// [rows->size(), hidden_dim] and each of its rows meets its own
+  /// example's h_ref row (nn/exec.h).
   template <class X>
   MatOf<X> Run(const X& x, const MatOf<X>& h_user, const MatOf<X>& h_ref,
-               DstOf<X> out) const;
+               const StackRows* rows, DstOf<X> out) const;
 
   Var Forward(const Var& h_user, const Var& h_ref) const {
-    return Run(GraphExec(), h_user, h_ref, {});
+    return Run(GraphExec(), h_user, h_ref, nullptr, {});
   }
 
   void CollectParameters(std::vector<Var>* params) const override;

@@ -15,55 +15,59 @@ template <class X>
 MatOf<X> EmbeddingSet::CategoryInput(
     const X& x, const std::vector<int64_t>& cat_ids) const {
   const int64_t n = static_cast<int64_t>(cat_ids.size());
-  return x.Gather(cat_, cat_ids.data(), n, /*id_stride=*/1,
-                  x.Alloc(n, emb_dim_));
+  return x.Gather(cat_, cat_ids.data(), n, x.Alloc(n, emb_dim_));
 }
 
 template <class X>
 MatOf<X> EmbeddingSet::ItemInput(const X& x, const int64_t* items,
                                  const int64_t* cats, const int64_t* brands,
-                                 int64_t count, int64_t id_stride,
-                                 const ConstMatView& attrs,
-                                 int64_t blocks) const {
+                                 const ConstMatView& attrs, int64_t count,
+                                 const StackRows* rows) const {
   const int64_t e = emb_dim_;
-  const int64_t rows = blocks * count;
-  const int64_t attr_width = attrs.cols / blocks;
-  const DstOf<X> out = x.Alloc(rows, item_dim() + attr_width);
+  const int64_t n = rows != nullptr ? rows->size() : count;
+  const int64_t attr_width =
+      rows != nullptr ? attrs.cols / rows->seq_len : attrs.cols;
+  const DstOf<X> out = x.Alloc(n, item_dim() + attr_width);
   const DstOf<X> triple = x.ColBlock(out, 0, item_dim());
-  const MatOf<X> embedded = x.Concat(
-      {x.Gather(item_, items, count, id_stride, x.ColBlock(triple, 0, e),
-                blocks),
-       x.Gather(cat_, cats, count, id_stride, x.ColBlock(triple, e, e),
-                blocks),
-       x.Gather(brand_, brands, count, id_stride,
-                x.ColBlock(triple, 2 * e, e), blocks)},
-      triple);
-  return x.Concat(
-      {embedded,
-       x.Constant(attrs, x.ColBlock(out, item_dim(), attr_width), blocks)},
-      out);
+  const auto gather = [&](const EmbeddingTable& table, const int64_t* ids,
+                          DstOf<X> dst) {
+    return rows != nullptr ? x.Gather(table, ids, *rows, dst)
+                           : x.Gather(table, ids, count, dst);
+  };
+  const DstOf<X> attr_out = x.ColBlock(out, item_dim(), attr_width);
+  const MatOf<X> embedded =
+      x.Concat({gather(item_, items, x.ColBlock(triple, 0, e)),
+                gather(cat_, cats, x.ColBlock(triple, e, e)),
+                gather(brand_, brands, x.ColBlock(triple, 2 * e, e))},
+               triple);
+  return x.Concat({embedded, rows != nullptr
+                                 ? x.Constant(attrs, *rows, attr_out)
+                                 : x.Constant(attrs, attr_out)},
+                  out);
 }
 
 template <class X>
 MatOf<X> EmbeddingSet::TargetInput(const X& x, const Batch& batch) const {
   return ItemInput(x, batch.target_items.data(), batch.target_cats.data(),
-                   batch.target_brands.data(), batch.size, /*id_stride=*/1,
-                   MatrixView(batch.target_attrs), /*blocks=*/1);
+                   batch.target_brands.data(), MatrixView(batch.target_attrs),
+                   batch.size, /*rows=*/nullptr);
 }
 
 template <class X>
-MatOf<X> EmbeddingSet::BehaviorInput(const X& x, const Batch& batch) const {
-  AWMOE_CHECK(batch.seq_len > 0) << "BehaviorInput: empty sequence layout";
+MatOf<X> EmbeddingSet::BehaviorInput(const X& x, const Batch& batch,
+                                     const StackRows& rows) const {
+  AWMOE_CHECK(rows.batch == batch.size && rows.seq_len == batch.seq_len)
+      << "BehaviorInput: " << rows.batch << "x" << rows.seq_len
+      << " row list for a " << batch.size << "x" << batch.seq_len
+      << " batch";
   return ItemInput(x, batch.behavior_items.data(), batch.behavior_cats.data(),
-                   batch.behavior_brands.data(), batch.size,
-                   /*id_stride=*/batch.seq_len,
-                   MatrixView(batch.behavior_attrs),
-                   /*blocks=*/batch.seq_len);
+                   batch.behavior_brands.data(),
+                   MatrixView(batch.behavior_attrs), batch.size, &rows);
 }
 
 template <class X>
 MatOf<X> EmbeddingSet::QueryInput(const X& x, const Batch& batch) const {
-  return x.Gather(query_, batch.query_ids.data(), batch.size, /*id_stride=*/1,
+  return x.Gather(query_, batch.query_ids.data(), batch.size,
                   x.Alloc(batch.size, emb_dim_));
 }
 
@@ -73,10 +77,8 @@ MatOf<X> EmbeddingSet::ProfileInput(const X& x, const Batch& batch) const {
   const int64_t b = batch.size;
   const DstOf<X> out = x.Alloc(b, 2 * e + batch.numeric.cols());
   return x.Concat(
-      {x.Gather(age_, batch.age_segments.data(), b, /*id_stride=*/1,
-                x.ColBlock(out, 0, e)),
-       x.Gather(shop_, batch.target_shops.data(), b, /*id_stride=*/1,
-                x.ColBlock(out, e, e)),
+      {x.Gather(age_, batch.age_segments.data(), b, x.ColBlock(out, 0, e)),
+       x.Gather(shop_, batch.target_shops.data(), b, x.ColBlock(out, e, e)),
        x.Constant(MatrixView(batch.numeric),
                   x.ColBlock(out, 2 * e, batch.numeric.cols()))},
       out);
@@ -86,8 +88,8 @@ MatOf<X> EmbeddingSet::ProfileInput(const X& x, const Batch& batch) const {
   template MatOf<X> EmbeddingSet::CategoryInput(                            \
       const X&, const std::vector<int64_t>&) const;                         \
   template MatOf<X> EmbeddingSet::TargetInput(const X&, const Batch&) const; \
-  template MatOf<X> EmbeddingSet::BehaviorInput(const X&, const Batch&)    \
-      const;                                                                \
+  template MatOf<X> EmbeddingSet::BehaviorInput(const X&, const Batch&,    \
+                                                const StackRows&) const;    \
   template MatOf<X> EmbeddingSet::QueryInput(const X&, const Batch&) const; \
   template MatOf<X> EmbeddingSet::ProfileInput(const X&, const Batch&) const;
 AWMOE_EMBEDDING_SET_INPUTS(GraphExec)

@@ -33,12 +33,12 @@ class EmbeddingSet : public Module {
   template <class X>
   MatOf<X> TargetInput(const X& x, const Batch& batch) const;
 
-  /// The same layout for every behaviour position, as the
-  /// position-major stack [seq_len * size, width] (row j*size + r is
-  /// position j of example r; nn/exec.h), read straight out of the
-  /// Batch's row-major [size * seq_len] id layout.
+  /// The same layout for the listed behaviour positions, as the
+  /// behaviour stack [rows.size(), width] (nn/exec.h), read straight
+  /// out of the Batch's row-major [size * seq_len] id layout.
   template <class X>
-  MatOf<X> BehaviorInput(const X& x, const Batch& batch) const;
+  MatOf<X> BehaviorInput(const X& x, const Batch& batch,
+                         const StackRows& rows) const;
 
   /// Query embedding: [B, emb_dim].
   template <class X>
@@ -55,13 +55,13 @@ class EmbeddingSet : public Module {
   int64_t item_dim() const { return 3 * emb_dim_; }
 
  private:
-  /// [item | cat | brand | attrs] of `count` items whose ids sit
-  /// `id_stride` apart, for `blocks` consecutive positions stacked
-  /// position-major (attrs holds one column block per position).
+  /// [item | cat | brand | attrs] of `count` target items (rows null)
+  /// or of a behaviour stack's listed rows (attrs holds one column
+  /// block per position).
   template <class X>
   MatOf<X> ItemInput(const X& x, const int64_t* items, const int64_t* cats,
-                     const int64_t* brands, int64_t count, int64_t id_stride,
-                     const ConstMatView& attrs, int64_t blocks) const;
+                     const int64_t* brands, const ConstMatView& attrs,
+                     int64_t count, const StackRows* rows) const;
 
   int64_t emb_dim_;
   EmbeddingTable item_;

@@ -56,28 +56,34 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
                                x.ColBlock(out, h, h));
   }
 
-  // v_u: behaviour pooling (Eq. 3), padded positions masked out.
+  // v_u: behaviour pooling (Eq. 3) over the real positions only.
   MatOf<X> v_user;
   if (encoding != nullptr && pooling_ == UserPooling::kSumPool) {
     // The blob carries the pooled vector itself; nothing to weigh.
     v_user = x.Constant(encoding->ColBlock(0, h), x.ColBlock(out, 0, h));
   } else {
     const typename X::Scope scope(x);
-    const int64_t l = batch.seq_len;
-    // Every position's h_bj at once, replayed from the blob's column
-    // blocks when one is given (a broadcast one-row blob keeps stride 0).
+    const typename X::RowList list =
+        x.BehaviorRows(MatrixView(batch.behavior_mask));
+    const StackRows rows = list;
+    // Every real position's h_bj at once, replayed from the blob's
+    // column blocks when one is given (a broadcast one-row blob keeps
+    // stride 0).
+    const DstOf<X> h_b_out = x.Alloc(rows.size(), h);
     const MatOf<X> h_b =
         encoding != nullptr
-            ? x.Constant(encoding->ColBlock(0, l * h), x.Alloc(l * b, h), l)
-            : BehaviorHidden(x, *embeddings_, item_tower_, batch,
-                             x.Alloc(l * b, h));
+            ? x.Constant(encoding->ColBlock(0, batch.seq_len * h), rows,
+                         h_b_out)
+            : BehaviorHidden(x, *embeddings_, item_tower_, batch, rows,
+                             h_b_out);
     const bool attention = pooling_ == UserPooling::kAttention;
     MatOf<X> w;
     if (attention) {
-      w = activation_unit_.Run(x, h_b, h_target, x.Alloc(l * b, 1));
+      w = activation_unit_.Run(x, h_b, h_target, &rows,
+                               x.Alloc(rows.size(), 1));
     }
-    v_user = x.Pool(h_b, attention ? &w : nullptr,
-                    MatrixView(batch.behavior_mask), x.ColBlock(out, 0, h));
+    v_user = x.Pool(h_b, attention ? &w : nullptr, rows,
+                    x.ColBlock(out, 0, h));
   }
 
   // h_o: profile + cross/numeric features.
@@ -129,20 +135,23 @@ void InputNetwork::EncodeSessionInto(const Batch& batch,
   {
     const ArenaExec::Scope scope(x);
     const int64_t l = batch.seq_len;
-    const MatView h_b =
-        BehaviorHidden(x, *embeddings_, item_tower_, batch, x.Alloc(l * b, h));
-    if (pooling_ == UserPooling::kAttention) {
-      // Row block j of the stack is column block j of the blob.
+    // The attention blob keeps every position, padded ones included, so
+    // its layout does not depend on the mask; sum pooling weighs the
+    // real positions equally, so the pooled v_user itself is
+    // candidate-independent: cache it pooled.
+    const bool attention = pooling_ == UserPooling::kAttention;
+    const StackRows rows =
+        attention ? x.AllRows(b, l)
+                  : x.BehaviorRows(MatrixView(batch.behavior_mask));
+    const MatView h_b = BehaviorHidden(x, *embeddings_, item_tower_, batch,
+                                       rows, x.Alloc(rows.size(), h));
+    if (attention) {
+      // Row block j of the all-positions stack is column block j.
       for (int64_t j = 0; j < l; ++j) {
         CopyInto(h_b.RowBlock(j * b, b), out.ColBlock(j * h, h));
       }
     } else {
-      // Sum pooling weighs positions by the mask alone, so the pooled
-      // v_user itself is candidate-independent: cache it pooled.
-      const MatView v_user = x.Pool(h_b, nullptr,
-                                    MatrixView(batch.behavior_mask),
-                                    x.Alloc(b, h));
-      CopyInto(v_user, out.ColBlock(0, h));
+      CopyInto(x.Pool(h_b, nullptr, rows, x.Alloc(b, h)), out.ColBlock(0, h));
     }
   }
 

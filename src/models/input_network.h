@@ -21,16 +21,16 @@ enum class UserPooling {
   kAttention,  // DIN-style activation-unit weighting (Eq. 3, [2]).
 };
 
-/// h_b: `tower` over every behaviour position at once (Eq. 2, Eq. 6),
-/// into `out` [seq_len * B, hidden], the position-major stack of
+/// h_b: `tower` over the listed behaviour positions at once (Eq. 2,
+/// Eq. 6), into `out` [rows.size(), hidden], the behaviour stack of
 /// nn/exec.h. The one behaviour-tower body of the input and gate
 /// networks.
 template <class X>
 MatOf<X> BehaviorHidden(const X& x, const EmbeddingSet& embeddings,
                         const Mlp& tower, const Batch& batch,
-                        DstOf<X> out) {
+                        const StackRows& rows, DstOf<X> out) {
   const typename X::Scope scope(x);
-  return tower.Run(x, embeddings.BehaviorInput(x, batch), out);
+  return tower.Run(x, embeddings.BehaviorInput(x, batch, rows), out);
 }
 
 /// The input network of Fig. 3b: embeds every feature type, runs the
@@ -73,10 +73,11 @@ class InputNetwork : public Module {
   /// h_bj (§III-C attention inputs) are cacheable but the pooled v_user
   /// is NOT — the activation unit reads the candidate's h_target — so
   /// the blob carries the positions; with sum pooling v_user itself is
-  /// candidate-independent. The behaviour stack is computed by the same
-  /// helpers as Run, into arena storage, and its row blocks are copied
-  /// into the blob's column blocks, so replaying it through Run
-  /// reproduces the fused forward bit for bit.
+  /// candidate-independent. The attention blob is computed over every
+  /// position (padded ones included) by the same helpers as Run, into
+  /// arena storage, and the stack's row blocks are copied into the
+  /// blob's column blocks; Run replays only its batch's real rows out
+  /// of it, so the replay reproduces the fused forward bit for bit.
   void EncodeSessionInto(const Batch& batch, InferenceArena* arena,
                          MatView out) const;
 

@@ -180,7 +180,7 @@ void ListwiseReranker::Score(const ScoreCall& call) {
       const int64_t begin = slate_starts[s];
       const int64_t len = SlateEnd(slate_starts, s, B) - begin;
       for (int64_t h = 0; h < ldims_.num_heads; ++h) {
-        const size_t mark = arena->Mark();
+        const InferenceArena::Marker mark = arena->Mark();
         MatView scores = arena->Alloc(len, len);
         const ConstMatView qb(q.row(begin) + h * dh, len, dh, q.stride);
         const ConstMatView kb(k.row(begin) + h * dh, len, dh, k.stride);

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -33,14 +35,29 @@ namespace awmoe {
 // nothing. A new fused kernel goes into an ArenaExec op.
 //
 // THE BEHAVIOUR STACK: the per-item units (the item tower, the §III-C
-// activation unit, the §III-F gate unit) run once over every behaviour
-// position, as one position-major stack of L*B rows — row j*B + r is
-// position j of example r. The blocked Gather/Constant build it,
-// ProductPath repeats the per-example reference over its row blocks,
-// and Pool folds it back to [B, c], adding positions in order. Every
+// activation unit, the §III-F gate unit) run once over the real
+// behaviour positions of a batch, as one stack of rows. A StackRows
+// list, built from behavior_mask > 0, names them: the (position j,
+// example r) pairs in position-major order, ascending r within each j.
+// Padded positions get no row, so a long-tail user costs only the
+// behaviours it has. The listed Gather/Constant build the stack,
+// ProductPath pairs each row with its own example's reference row, and
+// Pool adds each row into its example's [B, c] output row in position
+// order (the first copied; an example with no row pools to +0). Every
 // per-row kernel's arithmetic is independent of the row count and the
-// row's position (mat/kernel_tier.h), so a stacked forward produces the
-// floats of one [B]-row pass per position, bit for bit.
+// row's position (mat/kernel_tier.h), and a padded row could only add
+// +-0 terms to sums that start from +0, so the stack produces the floats
+// of the fully padded one at every real row, bit for bit.
+
+/// A behaviour stack's row list: a view of its StackRows (arena or
+/// graph-owned storage) and the [batch, seq_len] layout they index.
+struct StackRows {
+  std::span<const StackRow> rows;
+  int64_t batch = 0;    // Examples B.
+  int64_t seq_len = 0;  // Positions L.
+
+  int64_t size() const { return static_cast<int64_t>(rows.size()); }
+};
 
 template <class X>
 using MatOf = typename X::Mat;
@@ -56,11 +73,31 @@ class GraphExec {
   struct Scope {
     explicit Scope(const GraphExec&) {}
   };
+  /// A row list with its storage; reads as its StackRows.
+  class RowList {
+   public:
+    RowList(std::vector<StackRow> rows, int64_t batch, int64_t seq_len)
+        : rows_(std::move(rows)), batch_(batch), seq_len_(seq_len) {}
+    RowList(const RowList&) = delete;
+    RowList& operator=(const RowList&) = delete;
+    operator StackRows() const {  // NOLINT(google-explicit-constructor)
+      return {rows_, batch_, seq_len_};
+    }
+
+   private:
+    std::vector<StackRow> rows_;
+    int64_t batch_;
+    int64_t seq_len_;
+  };
 
   Dst Alloc(int64_t, int64_t) const { return {}; }
   Dst ColBlock(Dst, int64_t, int64_t) const { return {}; }
   static int64_t Rows(const Var& a) { return a.rows(); }
   static int64_t Cols(const Var& a) { return a.cols(); }
+
+  /// The real rows (mask > 0) of a [B, L] behaviour mask,
+  /// position-major, ascending example within a position.
+  RowList BehaviorRows(const ConstMatView& mask) const;
 
   /// in * w.
   Var MatMul(const Var& in, const Var& w, Dst) const {
@@ -71,29 +108,41 @@ class GraphExec {
     return ag::AddBias(a, bias);
   }
   Var Relu(const Var& a) const { return ag::Relu(a); }
-  /// [a | b' | a*b'], the product-path input of Fig. 4a/4c, where b'
-  /// repeats b over the row blocks of a (b.rows divides a.rows): one
-  /// reference row per example, shared by every behaviour position.
+  /// [a | b | a*b], the product-path input of Fig. 4a/4c, for
+  /// row-aligned a and b.
   Var ProductPath(const Var& a, const Var& b, Dst) const;
-  /// Masked pooling of a position-major stack (Eq. 3, Eq. 8): with
-  /// `mask` the batch's [B, L] behaviour mask and rows [L*B, c],
-  ///   out = sum_j rows_j * (w_j * mask_j)   (w = [L*B, 1])
-  ///   out = sum_j rows_j * mask_j           (w null)
-  /// summed in position order, as [B, c].
-  Var Pool(const Var& rows, const Var* w, const ConstMatView& mask,
+  /// The same over a behaviour stack a: listed row i is paired with
+  /// b's row rows[i].example, one reference row per example.
+  Var ProductPath(const Var& a, const Var& b, const StackRows& rows,
+                  Dst) const;
+  /// Pooling of a behaviour stack (Eq. 3, Eq. 8) into [B, c]:
+  ///   out_r = sum over r's listed rows i of stack_i * w_i   (w [n, 1])
+  ///   out_r = sum over r's listed rows i of stack_i         (w null)
+  /// added in position order, the first copied.
+  Var Pool(const Var& stack, const Var* w, const StackRows& rows,
            Dst) const;
   Var SoftmaxRows(const Var& a) const { return ag::SoftmaxRows(a); }
   /// Keeps each row's k largest entries, zeroes the rest.
   Var TopK(const Var& a, int64_t k) const;
-  /// Row j*count + i is table row ids[i * id_stride + j], i < count,
-  /// j < blocks: `blocks` gathers stacked position-major.
+  /// Row i is table row ids[i], i < count.
   Var Gather(const EmbeddingTable& table, const int64_t* ids, int64_t count,
-             int64_t id_stride, Dst, int64_t blocks = 1) const;
-  /// A non-differentiated input. With blocks > 1 the `blocks` column
-  /// blocks of `value` are stacked as row blocks.
-  Var Constant(const ConstMatView& value, Dst, int64_t blocks = 1) const;
+             Dst) const;
+  /// Listed row i is table row ids[example * seq_len + position]: the
+  /// stack gathered straight out of a Batch's row-major id layout.
+  Var Gather(const EmbeddingTable& table, const int64_t* ids,
+             const StackRows& rows, Dst) const;
+  /// A non-differentiated input.
+  Var Constant(const ConstMatView& value, Dst) const {
+    return Var(ToMatrix(value));
+  }
+  /// Listed row i is column block `position` (value.cols / seq_len
+  /// wide) of value's row `example`.
+  Var Constant(const ConstMatView& value, const StackRows& rows, Dst) const;
   /// Column concatenation of parts.
   Var Concat(const Parts& parts, Dst) const { return ag::ConcatCols(parts); }
+
+ private:
+  static Matrix ToMatrix(const ConstMatView& value);
 };
 
 class ArenaExec {
@@ -116,7 +165,7 @@ class ArenaExec {
 
    private:
     InferenceArena* arena_;
-    size_t mark_;
+    InferenceArena::Marker mark_;
   };
 
   explicit ArenaExec(InferenceArena* arena) : arena_(arena) {}
@@ -129,6 +178,13 @@ class ArenaExec {
   }
   static int64_t Rows(const MatView& a) { return a.rows; }
   static int64_t Cols(const MatView& a) { return a.cols; }
+
+  /// Row lists live in the arena, scoped like its views.
+  using RowList = StackRows;
+  RowList BehaviorRows(const ConstMatView& mask) const;
+  /// Every position of a [batch, seq_len] layout: the stack
+  /// EncodeSessionInto caches, padded positions included.
+  RowList AllRows(int64_t batch, int64_t seq_len) const;
 
   // Results land in `out`, or in place where the graph op is
   // elementwise on its first operand.
@@ -144,13 +200,20 @@ class ArenaExec {
     ReluInPlace(a);
     return a;
   }
-  /// One ConcatInteractionInto per row block of `a`; b is never tiled.
-  MatView ProductPath(const MatView& a, const MatView& b, MatView out) const;
-  /// A loop over the positions' row-block views: [B]-row temporaries
-  /// scoped to each position, position 0 written straight into `out`,
-  /// later positions added in order.
-  MatView Pool(const MatView& rows, const MatView* w,
-               const ConstMatView& mask, MatView out) const;
+  MatView ProductPath(const MatView& a, const MatView& b,
+                      MatView out) const {
+    ConcatInteractionInto(a, b, out);
+    return out;
+  }
+  /// One ConcatInteractionInto per run of listed rows whose examples
+  /// are consecutive; b is never tiled.
+  MatView ProductPath(const MatView& a, const MatView& b,
+                      const StackRows& rows, MatView out) const;
+  /// Zero-fills `out`, then per listed row copies (first) or adds its
+  /// term into its example's row; the weighted term goes through one
+  /// scoped [1, c] temporary.
+  MatView Pool(const MatView& stack, const MatView* w, const StackRows& rows,
+               MatView out) const;
   MatView SoftmaxRows(const MatView& a) const {
     SoftmaxRowsInPlace(a);
     return a;
@@ -160,23 +223,18 @@ class ArenaExec {
     return a;
   }
   MatView Gather(const EmbeddingTable& table, const int64_t* ids,
-                 int64_t count, int64_t id_stride, MatView out,
-                 int64_t blocks = 1) const {
-    for (int64_t j = 0; j < blocks; ++j) {
-      GatherRowsInto(table.table().value(), ids + j, count, id_stride,
-                     out.RowBlock(j * count, count));
-    }
+                 int64_t count, MatView out) const {
+    GatherRowsInto(table.table().value(), ids, count, out);
     return out;
   }
-  MatView Constant(const ConstMatView& value, MatView out,
-                   int64_t blocks = 1) const {
-    const int64_t width = value.cols / blocks;
-    for (int64_t j = 0; j < blocks; ++j) {
-      CopyInto(value.ColBlock(j * width, width),
-               out.RowBlock(j * value.rows, value.rows));
-    }
+  MatView Gather(const EmbeddingTable& table, const int64_t* ids,
+                 const StackRows& rows, MatView out) const;
+  MatView Constant(const ConstMatView& value, MatView out) const {
+    CopyInto(value, out);
     return out;
   }
+  MatView Constant(const ConstMatView& value, const StackRows& rows,
+                   MatView out) const;
   MatView Concat(const Parts&, MatView out) const { return out; }
 
  private:

@@ -61,6 +61,28 @@ MatView InferenceArena::Alloc(int64_t rows, int64_t cols) {
   return MatView{slab.data(), rows, cols, stride};
 }
 
+std::span<StackRow> InferenceArena::AllocStackRows(int64_t n) {
+  AWMOE_CHECK(n >= 0) << "InferenceArena::AllocStackRows " << n;
+  if (next_rows_ == row_slabs_.size()) row_slabs_.emplace_back();
+  std::vector<StackRow>& slab = row_slabs_[next_rows_++];
+  // Only ever grows, like the float slabs.
+  if (slab.size() < static_cast<size_t>(n)) {
+    slab.resize(static_cast<size_t>(n));
+  }
+  return std::span<StackRow>(slab.data(), static_cast<size_t>(n));
+}
+
+size_t InferenceArena::capacity_bytes() const {
+  size_t bytes = 0;
+  for (const AlignedBuffer& slab : slabs_) {
+    bytes += slab.capacity() * sizeof(float);
+  }
+  for (const std::vector<StackRow>& slab : row_slabs_) {
+    bytes += slab.capacity() * sizeof(StackRow);
+  }
+  return bytes;
+}
+
 std::span<float> InferenceWorkspace::Staging(StagingSlot slot, int64_t n) {
   AWMOE_CHECK(n >= 0) << "Staging size " << n;
   AlignedBuffer& buffer = staging_[slot];
@@ -289,7 +311,7 @@ void MatMulNTViewInto(const ConstMatView& a, const ConstMatView& b,
 }
 
 void TopKMulInPlace(MatView a, int64_t k, InferenceArena* arena) {
-  const size_t mark = arena->Mark();
+  const InferenceArena::Marker mark = arena->Mark();
   const MatView mask = arena->Alloc(a.rows, a.cols);
   TopKMaskRowsInto(a, k, mask);
   MulInto(a, mask, a);

@@ -98,6 +98,15 @@ class AlignedBuffer {
   size_t capacity_ = 0;  // In floats.
 };
 
+/// One row of a behaviour stack (nn/exec.h): position `position` of
+/// example `example`. `first` marks the example's first listed row,
+/// where pooling copies instead of adding.
+struct StackRow {
+  int32_t position = 0;
+  int32_t example = 0;
+  bool first = false;
+};
+
 /// Bump allocator over persistent float slabs. Alloc() hands out the
 /// next slab (grown in place when too small, so a warmed arena
 /// allocates nothing); Reset() rewinds to the first slab for the next
@@ -112,24 +121,41 @@ class AlignedBuffer {
 /// (kAlignFloats), so view.row(r) is 64-byte aligned for all r. The
 /// padding lanes are never read or written by kernels (all kernels
 /// iterate c < cols), so the bitwise contract is unaffected.
+///
+/// Behaviour-stack row lists (AllocStackRows) bump through a second
+/// slab list of the same kind; a mark covers both cursors.
 class InferenceArena {
  public:
   static constexpr int64_t kAlignFloats =
       static_cast<int64_t>(AlignedBuffer::kAlignment / sizeof(float));
 
+  /// Both cursors, for Rewind.
+  struct Marker {
+    size_t floats = 0;
+    size_t rows = 0;
+  };
+
   MatView Alloc(int64_t rows, int64_t cols);
-  void Reset() { next_ = 0; }
-  size_t Mark() const { return next_; }
-  void Rewind(size_t mark) {
-    AWMOE_DCHECK(mark <= next_) << "Rewind past cursor";
-    next_ = mark;
+  /// Room for a row list of up to `n` rows.
+  std::span<StackRow> AllocStackRows(int64_t n);
+  void Reset() { next_ = next_rows_ = 0; }
+  Marker Mark() const { return {next_, next_rows_}; }
+  void Rewind(Marker mark) {
+    AWMOE_DCHECK(mark.floats <= next_ && mark.rows <= next_rows_)
+        << "Rewind past cursor";
+    next_ = mark.floats;
+    next_rows_ = mark.rows;
   }
-  /// Slabs currently materialised (test introspection).
+  /// Float slabs currently materialised (test introspection).
   size_t num_slabs() const { return slabs_.size(); }
+  /// Bytes the slabs of both kinds hold: the lane's warmed footprint.
+  size_t capacity_bytes() const;
 
  private:
   std::vector<AlignedBuffer> slabs_;
   size_t next_ = 0;
+  std::vector<std::vector<StackRow>> row_slabs_;
+  size_t next_rows_ = 0;
 };
 
 /// Preallocated per-lane state of the Score path: the activation

@@ -1,11 +1,11 @@
-// Live gradient memory of one training backward pass: a global
-// operator-new interposer tracks the bytes currently allocated, and
-// the peak reached inside Var::Backward on one 128-row contrastive
-// AW-MoE batch (the train_epoch benchmark's shard) must stay below a
-// fixed bound. Backward releases each op result's gradient once its
-// closure has run, which peaks at 0.95 MB on this batch; a pass that
-// kept every intermediate gradient alive until the graph died peaked
-// at 9.37 MB, all of it still held when Backward returned.
+// Gradient memory of one training backward pass: a global operator-new
+// interposer tracks the bytes currently allocated and counts every
+// allocation, and the peak reached inside Var::Backward on one 128-row
+// contrastive AW-MoE batch (the train_epoch benchmark's shard) must
+// stay below a fixed bound, as must the number of heap allocations the
+// pass makes. Backward releases each op result's gradient once its
+// closure has run, and the elementwise closures rewrite the gradient
+// they own instead of allocating a fresh one.
 
 #include <atomic>
 #include <cstdio>
@@ -36,11 +36,16 @@ namespace {
 constexpr std::size_t kHeader = 16;
 std::atomic<int64_t> g_live_bytes{0};
 std::atomic<int64_t> g_peak_bytes{0};
+std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_allocated_bytes{0};
 
 void* TrackedAlloc(std::size_t size) {
   char* block = static_cast<char*>(std::malloc(size + kHeader));
   if (block == nullptr) return nullptr;
   *reinterpret_cast<std::size_t*>(block) = size;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<int64_t>(size),
+                              std::memory_order_relaxed);
   const int64_t live =
       g_live_bytes.fetch_add(static_cast<int64_t>(size),
                              std::memory_order_relaxed) +
@@ -124,20 +129,37 @@ TEST(BackwardMemoryTest, PeakLiveBytesOfOneContrastiveBatch) {
 
   const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
   g_peak_bytes.store(before, std::memory_order_relaxed);
+  const int64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  const int64_t allocated_before =
+      g_allocated_bytes.load(std::memory_order_relaxed);
   loss.Backward();
+  const int64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  const int64_t allocated =
+      g_allocated_bytes.load(std::memory_order_relaxed) - allocated_before;
   const int64_t peak =
       g_peak_bytes.load(std::memory_order_relaxed) - before;
   const int64_t retained =
       g_live_bytes.load(std::memory_order_relaxed) - before;
   std::printf("Backward on 128 contrastive rows: peak live %.2f MB, "
-              "retained %.2f MB\n",
+              "retained %.2f MB, %lld allocations, %.2f MB allocated\n",
               static_cast<double>(peak) / 1e6,
-              static_cast<double>(retained) / 1e6);
+              static_cast<double>(retained) / 1e6,
+              static_cast<long long>(allocations),
+              static_cast<double>(allocated) / 1e6);
   RecordProperty("peak_live_bytes", std::to_string(peak));
+  RecordProperty("allocations", std::to_string(allocations));
+  RecordProperty("allocated_bytes", std::to_string(allocated));
   EXPECT_LT(peak, 2'500'000);
   // What stays alive is the leaves' gradients (the parameters), not the
   // intermediate ones.
   EXPECT_LT(retained, 1'000'000);
+  // 492 allocations totalling 4.23 MB on this batch; elementwise
+  // closures that allocate their results (519, 5.27 MB) cross these
+  // bounds.
+  EXPECT_LE(allocations, 500);
+  EXPECT_LT(allocated, 5'000'000);
 }
 
 }  // namespace

@@ -205,25 +205,34 @@ TEST(GradCheckTest, DetectsWrongGradient) {
 
 // The behaviour-stack ops. Each output is weighted by a random matrix
 // so every output element carries a distinct gradient.
-TEST(GradCheckTest, SumRowBlocks) {
+TEST(GradCheckTest, ScatterSumRows) {
+  // Six rows into four outputs: output 1 takes three rows (first copied,
+  // then added), output 3 one, outputs 0 and 2 none.
   Rng rng(31);
   ExpectGradOk(
       [](const std::vector<Var>& in) {
-        return ag::MeanAll(ag::Mul(ag::SumRowBlocks(in[0], 3), in[1]));
+        return ag::MeanAll(
+            ag::Mul(ag::ScatterSumRows(in[0], {1, 3, 1, 1, 2, 2}, 4), in[1]));
       },
-      {RandomVar(6, 2, &rng), RandomVar(2, 2, &rng)});
+      {RandomVar(6, 2, &rng), RandomVar(4, 2, &rng)});
 }
 
-TEST(GradCheckTest, ProductPathRepeatsReference) {
-  // b [2, 3] repeated over the three row blocks of a [6, 3]: b's
-  // gradient sums over every block.
+TEST(GradCheckTest, ProductPathPairsStackRowsWithTheirReference) {
+  // A [2 examples, 3 positions] mask with holes lists (position,
+  // example) = (0,0), (0,1), (1,1), (2,0): b's gradient sums over each
+  // example's rows only.
+  const Matrix mask = Matrix::FromVector(2, 3, {1.0f, 0.0f, 1.0f,  //
+                                                1.0f, 1.0f, 0.0f});
+  const GraphExec::RowList list = GraphExec().BehaviorRows(MatrixView(mask));
+  const StackRows rows = list;
+  ASSERT_EQ(rows.size(), 4);
   Rng rng(32);
   ExpectGradOk(
-      [](const std::vector<Var>& in) {
+      [&rows](const std::vector<Var>& in) {
         return ag::MeanAll(
-            ag::Mul(GraphExec().ProductPath(in[0], in[1], {}), in[2]));
+            ag::Mul(GraphExec().ProductPath(in[0], in[1], rows, {}), in[2]));
       },
-      {RandomVar(6, 3, &rng), RandomVar(2, 3, &rng), RandomVar(6, 9, &rng)});
+      {RandomVar(4, 3, &rng), RandomVar(2, 3, &rng), RandomVar(4, 9, &rng)});
 }
 
 }  // namespace

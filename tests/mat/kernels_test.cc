@@ -91,8 +91,8 @@ TEST(KernelsTest, ReluAndBackward) {
   Matrix a = Matrix::FromVector(1, 4, {-1, 0, 2, -3});
   EXPECT_TRUE(AllClose(Relu(a), Matrix::FromVector(1, 4, {0, 0, 2, 0}), 0.0f));
   Matrix g = Matrix::Full(1, 4, 1.0f);
-  EXPECT_TRUE(AllClose(ReluBackward(g, a),
-                       Matrix::FromVector(1, 4, {0, 0, 1, 0}), 0.0f));
+  ReluBackwardInPlace(&g, a);
+  EXPECT_TRUE(AllClose(g, Matrix::FromVector(1, 4, {0, 0, 1, 0}), 0.0f));
 }
 
 TEST(KernelsTest, SigmoidValuesAndStability) {

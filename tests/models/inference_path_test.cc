@@ -7,15 +7,18 @@
 // sessions freely.
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/aw_moe.h"
 #include "data/batcher.h"
+#include "data/jd_synthetic.h"
 #include "mat/kernels.h"
 #include "models/category_moe.h"
 #include "models/dnn_ranker.h"
@@ -602,6 +605,55 @@ TEST(InferencePathSessionEncodingTest, NullEncodingFallsBackToFused) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, InferencePathTest, ::testing::Bool());
+
+// The warmed footprint of one serving lane (ROADMAP item 4): the arena
+// bytes a 64-row ModelDims::Default AW-MoE lane holds after Score,
+// GateInto and EncodeSessionInto on a fixed JD batch. The arena keeps
+// one slab per Alloc index, each grown to the largest request any of
+// the three made there; a second round must not grow it.
+TEST(InferenceArenaFootprintTest, WarmedDefaultLaneBytes) {
+  JdConfig jd;
+  jd.seed = 11;
+  jd.train_sessions = 60;
+  jd.test_sessions = 40;
+  jd.longtail1_sessions = 5;
+  jd.longtail2_sessions = 5;
+  const JdDataset data = JdSyntheticGenerator(jd).Generate();
+  Standardizer standardizer;
+  standardizer.Fit(data.train);
+  ASSERT_GE(data.train.size(), 64u);
+  std::vector<const Example*> rows;
+  for (size_t r = 0; r < 64; ++r) rows.push_back(&data.train[r]);
+  const Batch batch = CollateBatch(rows, data.meta, &standardizer);
+
+  AwMoeConfig config;
+  config.dims = ModelDims::Default();
+  Rng rng(3);
+  AwMoeRanker model(data.meta, config, &rng);
+  const ServingTraits traits = model.Traits(data.meta);
+  auto workspace = model.CreateInferenceWorkspace(batch.size);
+  std::vector<float> scores(static_cast<size_t>(batch.size));
+  std::vector<float> gate(static_cast<size_t>(batch.size * traits.gate_width));
+  std::vector<float> encoding(
+      static_cast<size_t>(batch.size * traits.encoding_width));
+  size_t warmed = 0;
+  for (int round = 0; round < 2; ++round) {
+    model.Score({.batch = batch, .workspace = workspace.get(), .out = scores});
+    model.GateInto(batch, workspace.get(), gate);
+    model.EncodeSessionInto(batch, workspace.get(), encoding);
+    const size_t bytes = workspace->arena()->capacity_bytes();
+    if (round == 1) {
+      EXPECT_EQ(bytes, warmed) << "a warmed lane grew";
+    }
+    warmed = bytes;
+  }
+  std::printf("64-row ModelDims::Default lane, %.0f of %lld positions "
+              "real: %zu arena bytes\n",
+              SumAll(batch.behavior_mask),
+              static_cast<long long>(batch.size * batch.seq_len), warmed);
+  RecordProperty("arena_bytes", std::to_string(warmed));
+  EXPECT_LT(warmed, 800'000u);
+}
 
 }  // namespace
 }  // namespace awmoe

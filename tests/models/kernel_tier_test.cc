@@ -730,7 +730,7 @@ TEST(InferenceArenaTest, SlabsAndRowsAre64ByteAligned) {
 TEST(InferenceArenaTest, RewindToMarkTakenBeforeSlabSpill) {
   InferenceArena arena;
   const MatView first = arena.Alloc(4, 8);
-  const size_t mark = arena.Mark();
+  const InferenceArena::Marker mark = arena.Mark();
   // Spill: materialise several more slabs past the mark.
   for (int i = 0; i < 6; ++i) arena.Alloc(16, 32);
   const size_t spilled = arena.num_slabs();

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "core/aw_moe.h"
 #include "data/batcher.h"
 #include "data/jd_synthetic.h"
+#include "models/model_dims.h"
 #include "serving/model_pool.h"
 #include "serving/request.h"
 #include "serving/serving_engine.h"
@@ -391,6 +393,111 @@ TEST_F(ShardedFleetTest, SubmitStormMatchesSingleEngineBitwise) {
   reference.Stop();
   // Leak check: one live snapshot per shard pool (single stable arm).
   EXPECT_EQ(fleet->live_snapshots(), 4);
+}
+
+// search_fresh's end-to-end verification in tier 1: a Submit storm of
+// fresh 12-candidate pages over a ModelDims::Default model, on a 2-shard
+// fleet that fuses requests into 64-item micro-batches, must match a
+// single-replica engine with every cache off bit for bit (memcmp, so a
+// -0 against a +0 counts). Sessions have zero, one or all seq_len
+// behaviours valid, so each micro-batch mixes every stack shape.
+TEST_F(ShardedFleetTest, FreshPageStormMatchesCachesOffEngineBitwise) {
+  AwMoeConfig config;
+  config.dims = ModelDims::Default();
+  Rng rng(21);
+  const AwMoeRanker model(data_->meta, config, &rng);
+
+  FleetOptions options;
+  options.num_shards = 2;
+  options.engine.max_batch_items = 64;
+  options.engine.max_queue_delay_ms = 0.5;
+  options.engine.async_flush_lanes = 1;
+  // Every request must be scored, however slow the tier: no shedding.
+  options.admission.enabled = false;
+  ShardedServingFleet fleet(data_->meta, standardizer_, options);
+  fleet.RegisterOwned("aw-moe", model.Clone());
+  ModelPool reference_pool(data_->meta, standardizer_);
+  reference_pool.RegisterOwned("aw-moe", model.Clone());
+  ServingEngineOptions caches_off;
+  caches_off.gate_cache_capacity = 0;
+  caches_off.score_cache_capacity = 0;
+  caches_off.encoding_cache_capacity = 0;
+  ServingEngine reference(&reference_pool, caches_off);
+
+  // 96 sessions of 12 candidates each; a session's candidates share its
+  // user, query and behaviour history.
+  constexpr int kSessions = 96;
+  constexpr int kItems = 12;
+  const DatasetMeta& meta = data_->meta;
+  const std::vector<Example>& corpus = data_->full_test;
+  std::vector<Example> storage;
+  storage.reserve(kSessions * kItems);
+  std::vector<RankRequest> requests(kSessions);
+  for (int s = 0; s < kSessions; ++s) {
+    const int64_t hist = s % 3 == 0 ? 0 : s % 3 == 1 ? 1 : meta.max_seq_len;
+    Example user = corpus[static_cast<size_t>(s) % corpus.size()];
+    user.behavior_items.clear();
+    user.behavior_cats.clear();
+    user.behavior_brands.clear();
+    user.behavior_attrs.clear();
+    for (int64_t j = 0; j < hist; ++j) {
+      user.behavior_items.push_back(1 +
+                                    (s * 7 + j * 13) % (meta.num_items - 1));
+      user.behavior_cats.push_back(1 + (s + j) % (meta.num_cats - 1));
+      user.behavior_brands.push_back(1 + (s * 3 + j) % (meta.num_brands - 1));
+      for (int64_t c = 0; c < Example::kItemAttrs; ++c) {
+        user.behavior_attrs.push_back(
+            0.25f * static_cast<float>((s + j + c) % 5) - 0.5f);
+      }
+    }
+    user.history_len = hist;
+    requests[s].session_id = 50'000 + s;
+    for (int i = 0; i < kItems; ++i) {
+      Example item =
+          corpus[static_cast<size_t>(s * kItems + i) % corpus.size()];
+      item.behavior_items = user.behavior_items;
+      item.behavior_cats = user.behavior_cats;
+      item.behavior_brands = user.behavior_brands;
+      item.behavior_attrs = user.behavior_attrs;
+      item.history_len = hist;
+      item.query_id = user.query_id;
+      item.query_cat = user.query_cat;
+      item.user_id = user.user_id;
+      item.age_segment = user.age_segment;
+      item.session_id = requests[s].session_id;
+      storage.push_back(std::move(item));
+      requests[s].items.push_back(&storage.back());
+    }
+  }
+
+  std::vector<std::vector<std::future<RankResponse>>> futures(4);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < 4; ++c) {
+    threads.emplace_back([c, &fleet, &requests, &futures] {
+      for (size_t r = c; r < requests.size(); r += 4) {
+        futures[c].push_back(fleet.Submit(requests[r]));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t c = 0; c < 4; ++c) {
+    size_t r = c;
+    for (std::future<RankResponse>& future : futures[c]) {
+      const RankResponse response = future.get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      const RankResponse expected = reference.Rank(requests[r]);
+      ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
+      ASSERT_EQ(response.scores.size(), expected.scores.size());
+      EXPECT_EQ(std::memcmp(response.scores.data(), expected.scores.data(),
+                            expected.scores.size() * sizeof(double)),
+                0)
+          << "request " << r << " (history "
+          << requests[r].items[0]->history_len << ")";
+      r += 4;
+    }
+  }
+  fleet.Stop();
+  reference.Stop();
 }
 
 TEST_F(ShardedFleetTest, RankRoutesToTheRingShard) {
