@@ -87,8 +87,8 @@ int Run(int argc, char** argv) {
       engine.GateSharingActive("aw-moe-cl") ? "ON" : "OFF");
 
   // Open-loop async replay of the same traffic: every session of both
-  // arms is Submit()ted up front and the engine's time-bounded queue
-  // coalesces them into shared forward passes per arm. The occupancy
+  // arms is Submit()ted up front, and what queues behind the busy flush
+  // lane coalesces into shared forward passes per arm. The occupancy
   // counter shows how many requests each forward amortised over.
   engine.ResetStats();
   std::printf("[abtest] async replay (Submit -> future, both arms)...\n");

@@ -131,9 +131,8 @@ FleetOptions MakeFleetOptions(const FleetLoadFlags& flags, bool admission,
   FleetOptions options;
   options.num_shards = static_cast<int>(flags.shards);
   // The admission estimator sees the QUEUE, not the batch already in
-  // flight — a short flush window and a modest batch ceiling bound
-  // that unobservable work to a fraction of the deadline.
-  options.engine.max_queue_delay_ms = 0.2;
+  // flight — a modest batch ceiling bounds that unobservable work to a
+  // fraction of the deadline.
   options.engine.max_batch_items = 16;
   options.admission.enabled = admission;
   options.admission.default_deadline_ms = default_deadline_ms;
@@ -166,9 +165,7 @@ double SingleEngineClosedLoopQps(const Workload& workload,
                                  int64_t requests_per_client) {
   ModelPool pool(workload.meta, &workload.standardizer, ModelPoolOptions{});
   pool.RegisterOwned(kModelName, workload.NewModel());
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.5;
-  ServingEngine engine(&pool, options);
+  ServingEngine engine(&pool);
   std::vector<std::thread> threads;
   for (int64_t c = 0; c < flags.clients; ++c) {
     threads.emplace_back([&, c] {
@@ -294,7 +291,6 @@ CacheSweepRow RunCacheLoad(const Workload& workload,
                            bool cache_on, int64_t requests) {
   FleetOptions options =
       MakeFleetOptions(flags, /*admission=*/false, /*deadline=*/20.0);
-  options.engine.max_queue_delay_ms = 0.02;
   if (cache_on) {
     options.engine.score_cache_capacity = 1 << 15;
     options.engine.encoding_cache_capacity = 1 << 15;

@@ -163,9 +163,7 @@ int Run(int argc, char** argv) {
   ModelPool pool(data.meta, &standardizer);
   std::unique_ptr<Ranker> replica = baseline->Clone();
   pool.RegisterOwned(kModelName, std::move(baseline));
-  ServingEngineOptions engine_options;
-  engine_options.max_queue_delay_ms = 0.2;
-  ServingEngine engine(&pool, engine_options);
+  ServingEngine engine(&pool);
 
   RetrainOptions options;
   options.data = world;

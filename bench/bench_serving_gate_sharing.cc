@@ -12,10 +12,11 @@
 //       factor equal to the session length (the >10x claim for their
 //       10+-item sessions);
 //   (d) the async Submit() front in closed-loop mode (one request in
-//       flight: per-request latency including the queue-delay bound a
-//       lone request pays) and open-loop burst mode (many requests in
-//       flight: the time-bounded queue coalesces them into shared
-//       forward passes; batch occupancy is reported as a counter);
+//       flight: a free flush lane scores it at once, so this is the
+//       Submit -> future floor) and open-loop burst mode (many requests
+//       in flight: requests queued behind a busy lane coalesce into
+//       shared forward passes; batch occupancy is reported as a
+//       counter);
 //   (e) the replica scaling sweep: a multi-client closed-loop storm on
 //       ONE hot model with replicas = {1, 2, 4} pool lanes (and as many
 //       async flush lanes), reporting throughput, p99, and the
@@ -156,13 +157,12 @@ BENCHMARK(BM_RankBatch_MicroBatched)
     ->Unit(benchmark::kMillisecond);
 
 /// Closed-loop async serving: one request in flight at a time through
-/// Submit. A lone request can only flush on the time bound, so this
-/// measures the full Submit -> future latency floor: queue delay (the
-/// Arg, in microseconds) + one batch-of-one forward.
+/// Submit. The flush lane is free, so a lone request flushes at once:
+/// this measures the Submit -> future latency floor, one hand-off to
+/// the lane plus one batch-of-one forward.
 void BM_AsyncSubmit_ClosedLoop(benchmark::State& state) {
   ServingFixture& fixture = ServingFixture::Get();
   ServingEngineOptions options = fixture.Options(/*share_gate=*/true, 0);
-  options.max_queue_delay_ms = static_cast<double>(state.range(0)) / 1e3;
   ServingEngine engine(fixture.registry.get(), options);
   std::vector<RankRequest> requests = MakeSessionRequests(fixture.sessions);
   size_t i = 0;
@@ -178,20 +178,17 @@ void BM_AsyncSubmit_ClosedLoop(benchmark::State& state) {
 // UseRealTime: the work happens on the flusher thread, so CPU time of
 // the submitting thread would wildly overstate throughput.
 BENCHMARK(BM_AsyncSubmit_ClosedLoop)
-    ->Arg(100)
-    ->Arg(2000)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Open-loop async serving: a burst of single-session submits lands in
-/// the queue before the first flush completes, so the engine coalesces
-/// them into cap-bounded shared forward passes — the cross-session
+/// the queue while the lane scores the first, so the engine coalesces
+/// the rest into cap-bounded shared forward passes — the cross-session
 /// amortisation RankBatch only gets when one caller already holds all
 /// the requests. The "occupancy" counter is mean requests per forward.
 void BM_AsyncSubmit_OpenLoopBurst(benchmark::State& state) {
   ServingFixture& fixture = ServingFixture::Get();
   ServingEngineOptions options = fixture.Options(/*share_gate=*/true, 0);
-  options.max_queue_delay_ms = 2.0;
   ServingEngine engine(fixture.registry.get(), options);
   std::vector<RankRequest> requests = MakeSessionRequests(fixture.sessions);
   const size_t burst = static_cast<size_t>(state.range(0));
@@ -244,7 +241,6 @@ void BM_AsyncSubmit_ClosedLoopReplicas(benchmark::State& state) {
   // replica lanes pay — with a big cap the whole storm coalesces into
   // one batch per cycle and a single lane serves it regardless of N.
   options.max_batch_candidates = 16;
-  options.max_queue_delay_ms = 0.5;
   ServingEngine engine(&pool, options);
   std::vector<RankRequest> requests = MakeSessionRequests(fixture.sessions);
 

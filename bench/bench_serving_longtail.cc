@@ -131,9 +131,7 @@ int Run(int argc, char** argv) {
   pool_options.replicas = 2;
   ModelPool pool(data.meta, &standardizer, pool_options);
   pool.RegisterOwned("aw-moe-cl", std::move(trained.model));
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.5;
-  ServingEngine engine(&pool, options);
+  ServingEngine engine(&pool);
 
   struct Segment {
     const char* name;

@@ -151,9 +151,7 @@ BENCHMARK(BM_RolloutRank_Split500)->Unit(benchmark::kMillisecond);
 void BM_RolloutSubmit_Split500(benchmark::State& state) {
   RolloutFixture& fixture = RolloutFixture::Get();
   auto pool = fixture.MakePool(/*stage_candidate=*/true);
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.2;
-  ServingEngine engine(pool.get(), options);
+  ServingEngine engine(pool.get());
   engine.router()->SetSplit("aw-moe", 500);
   std::vector<RankRequest> requests = MakeSessionRequests(fixture.sessions);
   constexpr size_t kClients = 4;

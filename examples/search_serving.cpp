@@ -289,10 +289,10 @@ int Run(int argc, char** argv) {
   }
 
   // The async front: several client threads Submit() their sessions
-  // concurrently and block only on their own future. The engine's
-  // time-bounded queue coalesces requests that arrive together into
-  // shared forward passes — occupancy > 1 below is traffic from
-  // different clients amortising one forward.
+  // concurrently and block only on their own future. Requests that
+  // arrive while the flush lane is busy coalesce into shared forward
+  // passes — occupancy > 1 below is traffic from different clients
+  // amortising one forward.
   engine.ResetStats();
   constexpr size_t kClients = 3;
   std::vector<std::thread> clients;

@@ -1,7 +1,7 @@
 #include "autograd/variable.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <atomic>
 #include <utility>
 
 #include "mat/kernels.h"
@@ -113,21 +113,24 @@ void Var::Backward() {
 
   // Iterative post-order DFS to get a reverse topological order.
   using internal_ag::VarImpl;
+  // A walk number no earlier or concurrent walk has: parallel trainer
+  // workers run Backward at once, each over its own graph.
+  static std::atomic<uint64_t> last_epoch{0};
+  const uint64_t epoch = ++last_epoch;
   std::vector<VarImpl*> order;
-  std::unordered_set<VarImpl*> visited;
   struct Frame {
     VarImpl* node;
     size_t next_parent;
   };
   std::vector<Frame> stack;
   stack.push_back({impl_.get(), 0});
-  visited.insert(impl_.get());
+  impl_->visit_epoch = epoch;
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       VarImpl* parent = frame.node->parents[frame.next_parent++].get();
-      if (parent->requires_grad && !visited.count(parent)) {
-        visited.insert(parent);
+      if (parent->requires_grad && parent->visit_epoch != epoch) {
+        parent->visit_epoch = epoch;
         stack.push_back({parent, 0});
       }
     } else {

@@ -1,6 +1,7 @@
 #ifndef AWMOE_AUTOGRAD_VARIABLE_H_
 #define AWMOE_AUTOGRAD_VARIABLE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -28,6 +29,9 @@ struct VarImpl {
   /// last consumer, since Backward() drops it right after. Null for
   /// leaves.
   std::function<void(VarImpl& self)> backward_fn;
+  /// The last Backward() walk that reached this node: its visited mark,
+  /// so a walk needs no visited set. Every walk takes a fresh number.
+  uint64_t visit_epoch = 0;
 };
 
 /// Accumulates `g` into `node`'s gradient (no-op if the node does not

@@ -1,5 +1,7 @@
 #include "models/input_network.h"
 
+#include <algorithm>
+
 namespace awmoe {
 
 InputNetwork::InputNetwork(const DatasetMeta& meta, const ModelDims& dims,
@@ -134,21 +136,25 @@ void InputNetwork::EncodeSessionInto(const Batch& batch,
   // forward, which is what makes the replay bitwise-exact.
   {
     const ArenaExec::Scope scope(x);
-    const int64_t l = batch.seq_len;
-    // The attention blob keeps every position, padded ones included, so
-    // its layout does not depend on the mask; sum pooling weighs the
-    // real positions equally, so the pooled v_user itself is
+    // The attention blob keeps one column block per position, so its
+    // layout does not depend on the mask; sum pooling weighs the real
+    // positions equally, so the pooled v_user itself is
     // candidate-independent: cache it pooled.
     const bool attention = pooling_ == UserPooling::kAttention;
-    const StackRows rows =
-        attention ? x.AllRows(b, l)
-                  : x.BehaviorRows(MatrixView(batch.behavior_mask));
+    const StackRows rows = x.BehaviorRows(MatrixView(batch.behavior_mask));
     const MatView h_b = BehaviorHidden(x, *embeddings_, item_tower_, batch,
                                        rows, x.Alloc(rows.size(), h));
     if (attention) {
-      // Row block j of the all-positions stack is column block j.
-      for (int64_t j = 0; j < l; ++j) {
-        CopyInto(h_b.RowBlock(j * b, b), out.ColBlock(j * h, h));
+      // Real position j of example r is column block j of row r. Padded
+      // blocks stay zero: Score replays only the listed rows.
+      const MatView blob = out.ColBlock(0, batch.seq_len * h);
+      for (int64_t r = 0; r < b; ++r) {
+        std::fill_n(blob.row(r), blob.cols, 0.0f);
+      }
+      for (int64_t i = 0; i < rows.size(); ++i) {
+        const StackRow& s = rows.rows[i];
+        CopyInto(h_b.RowBlock(i, 1),
+                 blob.RowBlock(s.example, 1).ColBlock(s.position * h, h));
       }
     } else {
       CopyInto(x.Pool(h_b, nullptr, rows, x.Alloc(b, h)), out.ColBlock(0, h));

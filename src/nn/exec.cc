@@ -151,17 +151,6 @@ ArenaExec::RowList ArenaExec::BehaviorRows(const ConstMatView& mask) const {
           mask.rows, mask.cols};
 }
 
-ArenaExec::RowList ArenaExec::AllRows(int64_t batch, int64_t seq_len) const {
-  const std::span<StackRow> rows = arena_->AllocStackRows(batch * seq_len);
-  for (int64_t j = 0; j < seq_len; ++j) {
-    for (int64_t r = 0; r < batch; ++r) {
-      rows[static_cast<size_t>(j * batch + r)] = {
-          static_cast<int32_t>(j), static_cast<int32_t>(r), j == 0};
-    }
-  }
-  return {rows, batch, seq_len};
-}
-
 MatView ArenaExec::ProductPath(const MatView& a, const MatView& b,
                                const StackRows& rows, MatView out) const {
   AWMOE_CHECK(a.rows == rows.size() && b.rows == rows.batch)

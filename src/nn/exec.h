@@ -182,10 +182,6 @@ class ArenaExec {
   /// Row lists live in the arena, scoped like its views.
   using RowList = StackRows;
   RowList BehaviorRows(const ConstMatView& mask) const;
-  /// Every position of a [batch, seq_len] layout: the stack
-  /// EncodeSessionInto caches, padded positions included.
-  RowList AllRows(int64_t batch, int64_t seq_len) const;
-
   // Results land in `out`, or in place where the graph op is
   // elementwise on its first operand.
   MatView MatMul(const MatView& in, const Var& w, MatView out) const {

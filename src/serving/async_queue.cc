@@ -1,6 +1,5 @@
 #include "serving/async_queue.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
@@ -26,8 +25,6 @@ AsyncBatchQueue::AsyncBatchQueue(AsyncQueueOptions options, FlushFn flush)
     : options_(options), flush_(std::move(flush)) {
   AWMOE_CHECK(options_.max_batch_candidates > 0)
       << "max_batch_candidates " << options_.max_batch_candidates;
-  AWMOE_CHECK(options_.max_queue_delay.count() >= 0)
-      << "negative max_queue_delay";
   AWMOE_CHECK(options_.num_flush_lanes >= 1)
       << "num_flush_lanes " << options_.num_flush_lanes;
   AWMOE_CHECK(flush_ != nullptr) << "AsyncBatchQueue: null flush callback";
@@ -70,7 +67,6 @@ std::future<RankResponse> AsyncBatchQueue::Submit(
     }
     ModelQueue& queue = queues_[route_key];
     if (queue.model.empty()) queue.model = resolved_model;
-    queue.pending_items += static_cast<int64_t>(request.items.size());
     ++pending_total_;
     Pending pending;
     pending.request = std::move(request);
@@ -78,8 +74,7 @@ std::future<RankResponse> AsyncBatchQueue::Submit(
     pending.enqueued_at = std::chrono::steady_clock::now();
     queue.pending.push_back(std::move(pending));
   }
-  // Wake the flusher whether or not the cap was reached: a first
-  // request establishes a new flush deadline the flusher must adopt.
+  // A free lane, if any, flushes it at once.
   cv_.notify_one();
   return future;
 }
@@ -94,7 +89,6 @@ std::vector<AsyncBatchQueue::Pending> AsyncBatchQueue::PopBatchLocked(
     // Whole requests only; an oversized lone request still flushes.
     if (!batch.empty() && items + next > options_.max_batch_candidates) break;
     items += next;
-    queue->pending_items -= next;
     --pending_total_;
     batch.push_back(std::move(queue->pending.front()));
     queue->pending.pop_front();
@@ -105,32 +99,20 @@ std::vector<AsyncBatchQueue::Pending> AsyncBatchQueue::PopBatchLocked(
 void AsyncBatchQueue::FlusherLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    // Work-conserving: every non-empty queue is ready, and the one with
+    // the OLDEST front request wins, so a busy route key cannot starve
+    // another key's requests.
     ModelQueue* ready = nullptr;
     const std::string* ready_name = nullptr;
     auto ready_oldest = std::chrono::steady_clock::time_point::max();
-    bool have_pending = false;
-    auto earliest_deadline = std::chrono::steady_clock::time_point::max();
-    const auto now = std::chrono::steady_clock::now();
     for (auto& [name, queue] : queues_) {
       if (queue.pending.empty()) continue;
-      have_pending = true;
       const auto oldest = queue.pending.front().enqueued_at;
-      const auto deadline = oldest + options_.max_queue_delay;
-      // A queue is flush-ready when its candidate cap is reached, its
-      // oldest request aged out, or the queue is draining for shutdown.
-      // Among ready queues the one with the OLDEST front request wins,
-      // so a cap-triggering stream on one model cannot starve another
-      // model's aged-out requests past their time bound.
-      if (stopping_ || queue.pending_items >= options_.max_batch_candidates ||
-          deadline <= now) {
-        if (oldest < ready_oldest) {
-          ready = &queue;
-          ready_name = &name;
-          ready_oldest = oldest;
-        }
-        continue;
+      if (oldest < ready_oldest) {
+        ready = &queue;
+        ready_name = &name;
+        ready_oldest = oldest;
       }
-      earliest_deadline = std::min(earliest_deadline, deadline);
     }
     if (ready != nullptr) {
       const std::string route_key = *ready_name;
@@ -141,11 +123,7 @@ void AsyncBatchQueue::FlusherLoop() {
       continue;
     }
     if (stopping_) return;  // Nothing pending left to drain.
-    if (!have_pending) {
-      cv_.wait(lock);
-    } else {
-      cv_.wait_until(lock, earliest_deadline);
-    }
+    cv_.wait(lock);
   }
 }
 
@@ -168,7 +146,6 @@ void AsyncBatchQueue::Stop(bool drain) {
             abandoned.emplace_back(queue.model, std::move(pending));
           }
           queue.pending.clear();
-          queue.pending_items = 0;
         }
         pending_total_ = 0;
       }

@@ -21,15 +21,10 @@ namespace awmoe {
 /// Flush policy of the async serving front (see ServingEngineOptions for
 /// the user-facing knobs these are derived from).
 struct AsyncQueueOptions {
-  /// Flush a model's queue once its pending candidate count reaches
-  /// this. A single oversized request still flushes alone (requests are
-  /// never split).
+  /// Candidate cap of one flush: a lane pops whole requests up to this
+  /// many candidates. A single oversized request still flushes alone
+  /// (requests are never split).
   int64_t max_batch_candidates = 256;
-
-  /// Flush a model's queue once its oldest pending request has waited
-  /// this long, even if the candidate cap was not reached. This is the
-  /// latency bound a lone request pays for the chance to be coalesced.
-  std::chrono::microseconds max_queue_delay{2000};
 
   /// Backpressure: when this many requests are already queued (across
   /// all models, not yet handed to a flush), Submit fails the returned
@@ -44,13 +39,16 @@ struct AsyncQueueOptions {
   int num_flush_lanes = 1;
 };
 
-/// Time-bounded micro-batch queue behind `ServingEngine::Submit`: a
-/// producer/consumer stage that coalesces concurrently submitted
-/// requests (per model) into batches and hands each batch to a flush
-/// callback on a small pool of flusher threads (lanes). The queue owns
-/// the promise side of every accepted request; the flush callback must
-/// resolve every `Pending` it is given (the engine scores the batch in
-/// one forward pass and fills each caller's slice). Rejected and
+/// Work-conserving micro-batch queue behind `ServingEngine::Submit`: a
+/// producer/consumer stage that hands queued requests (per route key)
+/// to a flush callback on a small pool of flusher threads (lanes). A
+/// free lane takes what is queued at once, so a lone request never
+/// waits for company; requests that arrive while every lane is busy
+/// coalesce into the next pop (adaptive batching, as in Clipper,
+/// Crankshaw et al., NSDI 2017). The queue owns the promise side of
+/// every accepted request; the flush callback must resolve every
+/// `Pending` it is given (the engine scores the batch in one forward
+/// pass and fills each caller's slice). Rejected and
 /// abandoned requests are resolved by the queue itself with a non-OK
 /// `RankResponse::status`, so a returned future ALWAYS becomes ready —
 /// no code path leaks a promise.
@@ -66,7 +64,7 @@ class AsyncBatchQueue {
  public:
   /// One accepted request in flight: the caller's request, the promise
   /// its future came from, and when it entered the queue (for the
-  /// queue-delay metric and the time-bound flush).
+  /// queue-delay metric and the oldest-front-first pick).
   struct Pending {
     RankRequest request;
     std::promise<RankResponse> promise;
@@ -127,7 +125,6 @@ class AsyncBatchQueue {
     /// first request submitted under this key; keys map 1:1 to models).
     std::string model;
     std::deque<Pending> pending;
-    int64_t pending_items = 0;
   };
 
   /// Pops up to max_batch_candidates items of whole requests (at least

@@ -53,8 +53,9 @@ struct RankResponse {
   ///    model's max slate length, or a malformed candidate (see
   ///    ValidateRequest) -> kInvalidArgument.
   /// The async `Submit` front also fails a request when its queue is
-  /// full (kResourceExhausted) or when it is abandoned by an engine
-  /// stopped without drain (kUnavailable).
+  /// full (kResourceExhausted), when it is abandoned by an engine
+  /// stopped without drain (kUnavailable), or when its batch's forward
+  /// throws (kInternal).
   Status status;
   int64_t session_id = 0;
   /// Resolved model name (never empty).

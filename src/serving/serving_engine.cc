@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <map>
 #include <numeric>
 #include <span>
@@ -149,8 +150,6 @@ ServingEngine::ServingEngine(ModelPool* pool, ServingEngineOptions options)
       << "max_batch_items " << options_.max_batch_items;
   AWMOE_CHECK(options_.max_batch_candidates >= 0)
       << "max_batch_candidates " << options_.max_batch_candidates;
-  AWMOE_CHECK(options_.max_queue_delay_ms >= 0.0)
-      << "max_queue_delay_ms " << options_.max_queue_delay_ms;
   AWMOE_CHECK(options_.max_pending_requests >= 0)
       << "max_pending_requests " << options_.max_pending_requests;
   AWMOE_CHECK(options_.async_flush_lanes >= 0)
@@ -746,8 +745,6 @@ std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
       queue_options.max_batch_candidates = options_.max_batch_candidates > 0
                                                ? options_.max_batch_candidates
                                                : options_.max_batch_items;
-      queue_options.max_queue_delay = std::chrono::microseconds(
-          std::llround(options_.max_queue_delay_ms * 1e3));
       queue_options.max_pending_requests = options_.max_pending_requests;
       // One flush lane per pool replica by default: a hot model can
       // keep every one of its replicas busy with its own in-flight
@@ -781,13 +778,17 @@ std::future<RankResponse> ServingEngine::Submit(RankRequest request) {
   // hand-recorded test samples.
   if (sync_reject.code() == StatusCode::kResourceExhausted ||
       sync_reject.code() == StatusCode::kUnavailable) {
-    int64_t version = arm == RolloutArm::kCandidate
-                          ? pool_->CandidateVersion(resolved)
-                          : 0;
-    if (version == 0) version = pool_->CurrentSnapshot(resolved)->version();
-    stats_.RecordVersionSample(resolved, version, 0.0, /*ok=*/false);
+    RecordArmFailure(resolved, arm);
   }
   return future;
+}
+
+void ServingEngine::RecordArmFailure(const std::string& resolved,
+                                     RolloutArm arm) {
+  int64_t version =
+      arm == RolloutArm::kCandidate ? pool_->CandidateVersion(resolved) : 0;
+  if (version == 0) version = pool_->CurrentSnapshot(resolved)->version();
+  stats_.RecordVersionSample(resolved, version, 0.0, /*ok=*/false);
 }
 
 void ServingEngine::Stop(bool drain) {
@@ -835,8 +836,23 @@ void ServingEngine::FlushAsync(const std::string& route_key,
   micro.model = std::move(model);
   micro.arm = arm;
   std::vector<RankResponse> responses(n);
-  ExecuteMicroBatch(micro, requests, &queue_delays_ms, service_watch,
-                    &responses);
+  try {
+    ExecuteMicroBatch(micro, requests, &queue_delays_ms, service_watch,
+                      &responses);
+  } catch (const std::exception& e) {
+    // The whole batch fails as a model fault, and this flusher lane
+    // lives on: unwinding released the lease and the lane lock.
+    RecordArmFailure(micro.model, micro.arm);
+    for (size_t i = 0; i < n; ++i) {
+      RankResponse& response = responses[i] = RankResponse();
+      response.status = Status::Internal("Submit: forward of model '" +
+                                         micro.model + "' threw: " + e.what());
+      response.session_id = requests[i].session_id;
+      response.model = micro.model;
+      response.arm = micro.arm;
+      response.replica = -1;
+    }
+  }
   for (size_t i = 0; i < n; ++i) {
     batch[i].promise.set_value(std::move(responses[i]));
   }

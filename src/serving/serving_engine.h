@@ -77,16 +77,15 @@ struct ServingEngineOptions {
 
   // --- Async front (Submit) knobs. ---
 
-  /// Candidate cap that flushes the async micro-batch queue: once a
-  /// model's queued requests total this many candidates, they are
-  /// coalesced into one forward pass. 0 inherits `max_batch_items`, so
-  /// the async and synchronous paths batch to the same size by default.
+  /// Candidate cap of one async flush: a free flush lane coalesces the
+  /// queued requests of one route, up to this many candidates, into one
+  /// forward pass. 0 inherits `max_batch_items`, so the async and
+  /// synchronous paths batch to the same size by default.
   int64_t max_batch_candidates = 0;
 
-  /// Time bound of the async queue: a queued request is flushed at most
-  /// this long after it was submitted even if the candidate cap was not
-  /// reached. This is the latency a lone request trades for the chance
-  /// to be coalesced with concurrent traffic.
+  /// Ignored: the async queue is work-conserving and has no timer. Kept
+  /// only for source compatibility of existing callers; deleted with
+  /// the next benchmark change (ROADMAP item 10).
   double max_queue_delay_ms = 2.0;
 
   /// Backpressure: when this many requests are already queued (not yet
@@ -136,14 +135,13 @@ class ServingEngine {
   std::vector<RankResponse> RankBatch(
       const std::vector<RankRequest>& requests);
 
-  /// Non-blocking front: enqueues the request into a per-model,
-  /// time-bounded micro-batch queue and returns immediately. Background
-  /// flusher lanes coalesce queued requests — including requests from
-  /// different sessions submitted by different threads — into one
-  /// forward pass once `max_batch_candidates` accumulate or the oldest
-  /// request has waited `max_queue_delay_ms`, then resolve each
-  /// caller's future with its own slice of the scores. Scores are
-  /// bitwise-identical to the synchronous path. The future ALWAYS
+  /// Non-blocking front: enqueues the request into a per-route queue and
+  /// returns immediately. A free flusher lane takes what is queued at
+  /// once; requests that arrive while every lane is busy (from any
+  /// session or thread) coalesce, up to `max_batch_candidates`, into
+  /// one forward pass. Each future resolves with its own slice of the
+  /// scores, bitwise-identical to the synchronous path, or with
+  /// kInternal when the forward throws. The future ALWAYS
   /// becomes ready: rejected requests (queue full, empty candidate
   /// list, slate longer than a slate-scoring model's max slate length,
   /// stopped engine) resolve immediately with a non-OK
@@ -212,6 +210,10 @@ class ServingEngine {
   RolloutArm RouteArm(const std::string& resolved,
                       const RankRequest& request) const;
 
+  /// Counts one failure against the version `arm` serves `resolved`
+  /// from, so the rollout error-rate gate sees serving-side failures.
+  void RecordArmFailure(const std::string& resolved, RolloutArm arm);
+
   /// The single admission check, shared by RankBatch and Submit:
   /// AdmitToSnapshot, then ValidateRequest against the pool's meta (a
   /// malformed candidate). Client errors, returned as kInvalidArgument,
@@ -239,9 +241,9 @@ class ServingEngine {
 
   /// Flush callback of the async queue: scores one coalesced batch
   /// (all grouped under `route_key` = one resolved model + one rollout
-  /// arm) in one forward pass and resolves every promise. Runs
-  /// concurrently on several flusher lanes, each landing on its own
-  /// replica.
+  /// arm) in one forward pass and resolves every promise (kInternal if
+  /// the forward throws). Runs concurrently on several flusher lanes,
+  /// each landing on its own replica.
   void FlushAsync(const std::string& route_key,
                   std::vector<AsyncBatchQueue::Pending> batch);
 

@@ -162,7 +162,7 @@ AdmissionDecision AdmissionController::Decide(const ShardLoad& load,
       deadline_ms > 0.0 ? deadline_ms : options_.default_deadline_ms;
   // The request's expected sojourn: drain the queue ahead of it, then
   // its own service time, widened by the safety multiplier (the raw
-  // estimate cannot see the in-flight batch or the flush-timer wait).
+  // estimate cannot see the in-flight batch).
   // Estimated BEFORE enqueueing, so a shed costs the caller
   // microseconds, not a blown deadline.
   const bool over =

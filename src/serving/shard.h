@@ -104,11 +104,10 @@ struct AdmissionOptions {
   /// Multiplier on the estimated sojourn (queue delay + own service)
   /// before it is compared against the deadline. The queue-length x
   /// mean-service estimate is systematically OPTIMISTIC under batched
-  /// serving — the batch already in flight, the flush-timer wait, and
-  /// service-time variance are all invisible to it — and overshooting
-  /// a deadline the caller has stopped waiting for is worse than
-  /// shedding a request that would have just made it, so the
-  /// controller biases conservative. 1.0 trusts the estimate exactly
+  /// serving — the batch already in flight and service-time variance
+  /// are invisible to it — and overshooting a deadline the caller has
+  /// stopped waiting for is worse than shedding a request that would
+  /// have just made it, so the controller biases conservative. 1.0 trusts the estimate exactly
   /// (the value unit tests use to pin the admission math).
   double estimate_safety = 1.5;
 

@@ -99,14 +99,6 @@ TEST_P(ExecTest, BehaviorRowsListRealPositionsPositionMajor) {
       EXPECT_EQ(rows.rows[i].first, want[i].first) << i;
     }
   }
-  // The all-positions list EncodeSessionInto caches.
-  const StackRows all = ArenaExec(&arena_).AllRows(kBatch, kPositions);
-  ASSERT_EQ(all.size(), kBatch * kPositions);
-  for (int64_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all.rows[i].position, i / kBatch);
-    EXPECT_EQ(all.rows[i].example, i % kBatch);
-    EXPECT_EQ(all.rows[i].first, i < kBatch);
-  }
 }
 
 TEST_P(ExecTest, ListedGatherReadsTheBatchIdLayout) {
@@ -252,7 +244,8 @@ TEST_P(ExecTest, ListedUnitEqualsOnePassPerRowAndTheFullStack) {
   const Matrix mask = Mask();
   const ArenaExec x(&arena_);
   const StackRows rows = x.BehaviorRows(MatrixView(mask));
-  const StackRows all = x.AllRows(kBatch, kPositions);
+  const Matrix every = Matrix::Full(kBatch, kPositions, 1.0f);
+  const StackRows all = x.BehaviorRows(MatrixView(every));
   // Per-position hiddens as a [B, L*5] blob, so both stacks read the
   // same values.
   const Matrix blob = RandomMatrix(kBatch, kPositions * 5, &rng);

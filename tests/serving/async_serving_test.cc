@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "serving/request.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
+#include "lane_hold.h"
 #include "malformed_items.h"
 
 namespace awmoe {
@@ -139,9 +143,7 @@ TEST_F(AsyncServingTest, ConcurrentSubmitsMatchLegacyServiceBitwise) {
 
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 1.0;
-  ServingEngine engine(&registry, options);
+  ServingEngine engine(&registry);
 
   // N threads x M submits each; every thread walks the whole session
   // pool at a different stride, so the queue coalesces requests from
@@ -186,20 +188,20 @@ TEST_F(AsyncServingTest, ConcurrentSubmitsMatchLegacyServiceBitwise) {
 
 // ---------------------------------------------------------------------
 // Coalescing: the acceptance criterion. Two single-session requests
-// submitted by two threads must be scored by ONE forward pass.
+// submitted by two threads while the flush lane is busy must be scored
+// by ONE forward pass.
 // ---------------------------------------------------------------------
 
 TEST_F(AsyncServingTest, SubmitCoalescesConcurrentRequestsIntoOneBatch) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
-  ServingEngineOptions options;
-  // The delay bound is far away, so the only flush trigger is the
-  // candidate cap — sized to exactly both sessions, making the
-  // coalescing deterministic: the first submit waits, the second
-  // completes the batch.
-  options.max_queue_delay_ms = 2000.0;
-  options.max_batch_candidates = ItemsOf(0) + ItemsOf(1);
-  ServingEngine engine(&registry, options);
+  ServingEngine engine(&registry);
+  // The blocker parks the one flush lane on a held lane lock, so both
+  // requests below stay queued and the lane's next pop takes them
+  // together.
+  LaneHold hold(registry, "aw-moe");
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(2));
 
   std::promise<std::future<RankResponse>> slot_a, slot_b;
   std::thread thread_a(
@@ -210,17 +212,22 @@ TEST_F(AsyncServingTest, SubmitCoalescesConcurrentRequestsIntoOneBatch) {
   std::future<RankResponse> future_b = slot_b.get_future().get();
   thread_a.join();
   thread_b.join();
+  EXPECT_EQ(engine.pending_async_requests(), 2);
+  hold.Release();
   RankResponse response_a = future_a.get();
   RankResponse response_b = future_b.get();
+  ASSERT_TRUE(blocker.get().status.ok());
 
-  // One forward pass carried both requests: the batch-occupancy
-  // counters prove the cross-session amortisation actually happened.
-  EXPECT_EQ(engine.stats().batches(), 1);
+  // Two forward passes: the blocker's, then one that carried both
+  // requests. The batch-occupancy counters prove the cross-session
+  // amortisation actually happened.
+  EXPECT_EQ(engine.stats().batches(), 2);
   EXPECT_EQ(engine.stats().max_batch_requests(), 2);
   ServingStatsSnapshot snap = engine.Stats();
-  EXPECT_DOUBLE_EQ(snap.mean_batch_requests, 2.0);
-  EXPECT_EQ(snap.mean_batch_items,
-            static_cast<double>(ItemsOf(0) + ItemsOf(1)));
+  EXPECT_DOUBLE_EQ(snap.mean_batch_requests, 1.5);
+  EXPECT_DOUBLE_EQ(snap.mean_batch_items,
+                   static_cast<double>(ItemsOf(0) + ItemsOf(1) + ItemsOf(2)) /
+                       2.0);
 
   // And the coalesced scores are bitwise what a synchronous engine
   // computes for each session alone.
@@ -239,26 +246,31 @@ TEST_F(AsyncServingTest, SubmitCoalescesConcurrentRequestsIntoOneBatch) {
 }
 
 // ---------------------------------------------------------------------
-// Time-bounded flush: a lone request must not wait for company forever.
+// Flush policy: work-conserving. A free lane takes what is queued at
+// once; only requests that arrive while the lane is busy coalesce.
 // ---------------------------------------------------------------------
 
-TEST_F(AsyncServingTest, LoneSubmitFlushesOnTimeout) {
+// A lone request to an idle engine is scored at once, however far the
+// candidate cap: max_queue_delay_ms is ignored, and there is no timer
+// to wait for.
+TEST_F(AsyncServingTest, LoneSubmitToIdleEngineFlushesAtOnce) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
   ServingEngineOptions options;
-  options.max_queue_delay_ms = 5.0;
+  options.max_queue_delay_ms = 10000.0;
   options.max_batch_candidates = 1 << 30;  // Cap can never trigger.
   ServingEngine engine(&registry, options);
 
-  RankResponse response = engine.Submit(RequestFor(0)).get();
+  std::future<RankResponse> future = engine.Submit(RequestFor(0));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  RankResponse response = future.get();
   ASSERT_TRUE(response.status.ok()) << response.status;
-  EXPECT_GT(response.queue_ms, 0.0);
   EXPECT_GE(response.latency_ms, response.queue_ms);
 
   EXPECT_EQ(engine.stats().batches(), 1);
   EXPECT_EQ(engine.stats().max_batch_requests(), 1);
   EXPECT_EQ(engine.stats().queued_requests(), 1);
-  EXPECT_GT(engine.Stats().queue_mean_ms, 0.0);
 
   auto reference_registry_owner = MakeRegistry();
   ModelPool& reference_registry = *reference_registry_owner;
@@ -270,6 +282,75 @@ TEST_F(AsyncServingTest, LoneSubmitFlushesOnTimeout) {
   }
 }
 
+// Requests queued behind a busy lane coalesce into the lane's next pop,
+// whole requests up to the candidate cap; the rest wait for the pop
+// after it.
+TEST_F(AsyncServingTest, RequestsQueuedBehindBusyLaneCoalesceUpToTheCap) {
+  auto registry_owner = MakeRegistry();
+  ModelPool& registry = *registry_owner;
+  ServingEngineOptions options;
+  options.max_batch_candidates = ItemsOf(1) + ItemsOf(2);
+  ServingEngine engine(&registry, options);
+  LaneHold hold(registry, "aw-moe");
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(0));
+  std::future<RankResponse> first = engine.Submit(RequestFor(1));
+  std::future<RankResponse> second = engine.Submit(RequestFor(2));
+  std::future<RankResponse> third = engine.Submit(RequestFor(3));
+  EXPECT_EQ(engine.pending_async_requests(), 3);
+  hold.Release();
+  for (std::future<RankResponse>* future :
+       {&blocker, &first, &second, &third}) {
+    const RankResponse response = future->get();
+    EXPECT_TRUE(response.status.ok()) << response.status;
+  }
+  // The blocker alone, then the first two together, then the third.
+  EXPECT_EQ(engine.stats().batches(), 3);
+  EXPECT_EQ(engine.stats().max_batch_requests(), 2);
+}
+
+// Among route keys with queued requests, the one whose front request is
+// oldest flushes first, so one busy route cannot starve another.
+TEST_F(AsyncServingTest, OlderFrontFlushesFirstAcrossRouteKeys) {
+  std::unique_ptr<Ranker> twin = model_->Clone();
+  ModelPool pool(data_->meta, standardizer_);
+  pool.Register("first", model_);
+  pool.Register("second", twin.get());
+  ServingEngine engine(&pool);  // One pool replica: one flush lane.
+  LaneHold hold_first(pool, "first");
+  LaneHold hold_second(pool, "second");
+  auto routed = [](size_t s, const char* model) {
+    RankRequest request = RequestFor(s);
+    request.model = model;
+    return request;
+  };
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold_first, routed(0, "first"));
+  // Queued behind the busy lane: "second" first, so its front is older.
+  std::future<RankResponse> older = engine.Submit(routed(1, "second"));
+  std::future<RankResponse> newer = engine.Submit(routed(2, "first"));
+  ASSERT_EQ(engine.pending_async_requests(), 2);
+
+  // Free "first" only. The lane finishes the blocker, then pops the
+  // older front, "second", and parks on its held lane while "first"'s
+  // request stays queued. Had it popped "first", that request would
+  // have been served before "second" could lease a lane.
+  hold_first.Release();
+  ASSERT_TRUE(hold_second.AwaitLeases(1));
+  EXPECT_EQ(engine.pending_async_requests(), 1);
+  EXPECT_EQ(newer.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_TRUE(blocker.get().status.ok());
+
+  hold_second.Release();
+  const RankResponse older_response = older.get();
+  const RankResponse newer_response = newer.get();
+  ASSERT_TRUE(older_response.status.ok()) << older_response.status;
+  ASSERT_TRUE(newer_response.status.ok()) << newer_response.status;
+  EXPECT_EQ(older_response.model, "second");
+  EXPECT_EQ(newer_response.model, "first");
+}
+
 // ---------------------------------------------------------------------
 // Backpressure: a full queue fails fast instead of queueing unbounded.
 // ---------------------------------------------------------------------
@@ -278,10 +359,13 @@ TEST_F(AsyncServingTest, QueueFullBackpressureFailsFast) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
   ServingEngineOptions options;
-  options.max_queue_delay_ms = 10000.0;     // Neither bound can trigger,
-  options.max_batch_candidates = 1 << 30;   // so the first request stays
-  options.max_pending_requests = 1;         // queued during the test.
+  options.max_pending_requests = 1;
   ServingEngine engine(&registry, options);
+  // The blocker keeps the flush lane busy, so the next request stays
+  // queued and fills the queue.
+  LaneHold hold(registry, "aw-moe");
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(2));
 
   std::future<RankResponse> queued = engine.Submit(RequestFor(0));
   std::future<RankResponse> rejected = engine.Submit(RequestFor(1));
@@ -295,7 +379,9 @@ TEST_F(AsyncServingTest, QueueFullBackpressureFailsFast) {
   EXPECT_EQ(rejected_response.session_id, RequestFor(1).session_id);
 
   // Draining still scores the accepted request.
+  hold.Release();
   engine.Stop(/*drain=*/true);
+  EXPECT_TRUE(blocker.get().status.ok());
   RankResponse queued_response = queued.get();
   ASSERT_TRUE(queued_response.status.ok()) << queued_response.status;
   auto reference_registry_owner = MakeRegistry();
@@ -413,6 +499,59 @@ TEST_F(AsyncServingTest, NonFiniteScoresFailInternal) {
   EXPECT_EQ(engine.pending_async_requests(), 0);
 }
 
+/// An AW-MoE whose Score throws when its batch holds the marked
+/// session: a stand-in for any fault a forward may raise.
+class ThrowingRanker : public AwMoeRanker {
+ public:
+  ThrowingRanker(const DatasetMeta& meta, int64_t marked_session, Rng* rng)
+      : AwMoeRanker(meta, SmallAwMoeConfig(), rng), marked_(marked_session) {}
+
+  void Score(const ScoreCall& call) override {
+    const std::vector<int64_t>& ids = call.batch.session_ids;
+    if (std::find(ids.begin(), ids.end(), marked_) != ids.end()) {
+      throw std::runtime_error("marked session");
+    }
+    AwMoeRanker::Score(call);
+  }
+
+ private:
+  int64_t marked_;
+};
+
+// A forward that throws fails every request of its batch with kInternal
+// and one version-health error, and the flush lane keeps serving: the
+// next Submit on the same engine is scored, and no snapshot leaks.
+TEST_F(AsyncServingTest, ThrowingForwardFailsItsBatchAndKeepsTheLane) {
+  Rng rng(17);
+  ThrowingRanker model(data_->meta, RequestFor(0).session_id, &rng);
+  ModelPool pool(data_->meta, standardizer_);
+  pool.Register("throwing", &model);
+  ServingEngine engine(&pool);
+  // Queue the marked request and a healthy one behind a busy lane, so
+  // the lane's next pop puts both into the throwing batch.
+  LaneHold hold(pool, "throwing");
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(2));
+  std::future<RankResponse> marked = engine.Submit(RequestFor(0));
+  std::future<RankResponse> batched = engine.Submit(RequestFor(1));
+  ASSERT_EQ(engine.pending_async_requests(), 2);
+  hold.Release();
+  EXPECT_TRUE(blocker.get().status.ok());
+  for (std::future<RankResponse>* future : {&marked, &batched}) {
+    const RankResponse failure = future->get();
+    EXPECT_EQ(failure.status.code(), StatusCode::kInternal)
+        << failure.status;
+    EXPECT_TRUE(failure.scores.empty());
+    EXPECT_EQ(failure.model, "throwing");
+  }
+  EXPECT_EQ(engine.stats().VersionHealth("throwing", 1).errors, 1);
+
+  const RankResponse served = engine.Submit(RequestFor(3)).get();
+  ASSERT_TRUE(served.status.ok()) << served.status;
+  EXPECT_EQ(static_cast<int64_t>(served.scores.size()), ItemsOf(3));
+  EXPECT_EQ(pool.live_snapshots(), 1);
+}
+
 // ---------------------------------------------------------------------
 // Shutdown and drain semantics: futures always resolve, never leak.
 // ---------------------------------------------------------------------
@@ -420,25 +559,47 @@ TEST_F(AsyncServingTest, NonFiniteScoresFailInternal) {
 TEST_F(AsyncServingTest, StopWithDrainScoresPendingFutures) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 10000.0;
-  options.max_batch_candidates = 1 << 30;
-  ServingEngine engine(&registry, options);
+  ServingEngine engine(&registry);
+  LaneHold hold(registry, "aw-moe");
 
   constexpr size_t kPending = 6;
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(kPending));
   std::vector<std::future<RankResponse>> futures;
   for (size_t s = 0; s < kPending; ++s) {
     futures.push_back(engine.Submit(RequestFor(s)));
   }
-  engine.Stop(/*drain=*/true);
+  ASSERT_EQ(engine.pending_async_requests(), static_cast<int64_t>(kPending));
+
+  // Stop on a second thread: it stops the queue, then waits for the
+  // busy lane. A probe Submit that reads kUnavailable shows the queue
+  // has stopped with the held requests still queued; only then is the
+  // lane released, so it is Stop's drain that scores them. Probes
+  // accepted before that are queued too and must be drained alike.
+  std::thread stopper([&engine] { engine.Stop(/*drain=*/true); });
+  std::vector<size_t> sessions(kPending);
+  std::iota(sessions.begin(), sessions.end(), size_t{0});
+  for (;;) {
+    std::future<RankResponse> probe = engine.Submit(RequestFor(0));
+    if (probe.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      EXPECT_EQ(probe.get().status.code(), StatusCode::kUnavailable);
+      break;
+    }
+    futures.push_back(std::move(probe));
+    sessions.push_back(0);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  hold.Release();
+  stopper.join();
+  EXPECT_TRUE(blocker.get().status.ok());
 
   auto reference_registry_owner = MakeRegistry();
   ModelPool& reference_registry = *reference_registry_owner;
   ServingEngine reference(&reference_registry);
-  for (size_t s = 0; s < kPending; ++s) {
-    RankResponse response = futures[s].get();
+  for (size_t f = 0; f < futures.size(); ++f) {
+    RankResponse response = futures[f].get();
     ASSERT_TRUE(response.status.ok()) << response.status;
-    RankResponse want = reference.Rank(RequestFor(s));
+    RankResponse want = reference.Rank(RequestFor(sessions[f]));
     ASSERT_EQ(response.scores.size(), want.scores.size());
     for (size_t i = 0; i < want.scores.size(); ++i) {
       EXPECT_EQ(response.scores[i], want.scores[i]);
@@ -458,16 +619,19 @@ TEST_F(AsyncServingTest, StopWithDrainScoresPendingFutures) {
 TEST_F(AsyncServingTest, StopWithoutDrainFailsPendingWithDistinctStatus) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 10000.0;
-  options.max_batch_candidates = 1 << 30;
-  ServingEngine engine(&registry, options);
+  ServingEngine engine(&registry);
+  LaneHold hold(registry, "aw-moe");
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(4));
 
   std::vector<std::future<RankResponse>> futures;
   for (size_t s = 0; s < 4; ++s) {
     futures.push_back(engine.Submit(RequestFor(s)));
   }
-  engine.Stop(/*drain=*/false);
+  // Stop on a second thread: it fails the queued requests at once, then
+  // waits for the busy lane, which is released only after they read
+  // kUnavailable.
+  std::thread stopper([&engine] { engine.Stop(/*drain=*/false); });
   for (auto& future : futures) {
     RankResponse response = future.get();
     EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
@@ -476,21 +640,29 @@ TEST_F(AsyncServingTest, StopWithoutDrainFailsPendingWithDistinctStatus) {
     // caller's (empty, default-routed) request.model.
     EXPECT_EQ(response.model, "aw-moe");
   }
+  hold.Release();
+  stopper.join();
+  // The blocker's batch was in flight before Stop: it is still scored.
+  EXPECT_TRUE(blocker.get().status.ok());
 }
 
 TEST_F(AsyncServingTest, DestructorDrainsPendingFutures) {
-  std::vector<std::future<RankResponse>> futures;
-  {
-    auto registry_owner = MakeRegistry();
+  auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
-    ServingEngineOptions options;
-    options.max_queue_delay_ms = 10000.0;
-    options.max_batch_candidates = 1 << 30;
-    ServingEngine engine(&registry, options);
-    for (size_t s = 0; s < 3; ++s) {
-      futures.push_back(engine.Submit(RequestFor(s)));
-    }
-  }  // ~ServingEngine drains: every future is ready once it returns.
+  auto engine = std::make_unique<ServingEngine>(&registry);
+  LaneHold hold(registry, "aw-moe");
+  std::vector<std::future<RankResponse>> futures;
+  futures.push_back(SubmitBlocker(*engine, hold, RequestFor(3)));
+  for (size_t s = 0; s < 3; ++s) {
+    futures.push_back(engine->Submit(RequestFor(s)));
+  }
+  // ~ServingEngine waits for the busy lane, so it runs on a second
+  // thread while this one releases the lane. Whether the destructor's
+  // drain or the freed lane pops the held requests, every future must
+  // be ready once the destructor returns.
+  std::thread destroyer([&engine] { engine.reset(); });
+  hold.Release();
+  destroyer.join();
   for (auto& future : futures) {
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
@@ -559,7 +731,6 @@ TEST_F(AsyncServingTest, EngineStatsExactAcrossSubmittingThreads) {
   auto registry_owner = MakeRegistry();
   ModelPool& registry = *registry_owner;
   ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.5;
   // Indices wrap around the session list, so repeats exist; with the
   // score cache on they would (correctly) skip the forward pass and the
   // exact batch-occupancy identity below would not hold.

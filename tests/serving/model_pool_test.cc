@@ -420,9 +420,7 @@ TEST_F(ModelPoolTest, HotSwapStormVersionConsistentAndLeakFree) {
   pool_options.replicas = 2;
   ModelPool pool(data_->meta, standardizer_, pool_options);
   pool.Register("aw-moe", model_a_);
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.2;
-  ServingEngine engine(&pool, options);
+  ServingEngine engine(&pool);
 
   constexpr int kSwaps = 100;
   constexpr size_t kThreads = 4;

@@ -133,9 +133,7 @@ std::vector<std::vector<const Example*>>* RetrainDriverTest::sessions_ =
 TEST_F(RetrainDriverTest, HealthyRoundPromotesUnderLiveSubmitTraffic) {
   ModelPool pool(data_->meta, standardizer_);
   pool.Register("aw-moe", stable_model_);
-  ServingEngineOptions engine_options;
-  engine_options.max_queue_delay_ms = 0.2;
-  ServingEngine engine(&pool, engine_options);
+  ServingEngine engine(&pool);
 
   RetrainDriver driver(&engine, &pool, "aw-moe", stable_model_->Clone(),
                        Options());

@@ -28,6 +28,7 @@
 #include "serving/rollout.h"
 #include "serving/serving_engine.h"
 #include "serving/serving_stats.h"
+#include "lane_hold.h"
 
 namespace awmoe {
 namespace {
@@ -356,9 +357,7 @@ TEST_F(RolloutTest, SubmitRoutesArmsThroughEncodedQueueKeys) {
   ModelPool pool(data_->meta, standardizer_);
   pool.Register("aw-moe", model_a_);
   pool.StageCandidate("aw-moe", model_b_->Clone());
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.2;
-  ServingEngine engine(&pool, options);
+  ServingEngine engine(&pool);
   engine.router()->SetSplit("aw-moe", 500);
 
   std::vector<std::future<RankResponse>> futures;
@@ -443,13 +442,14 @@ TEST_F(RolloutTest, BackpressureRejectCountsAgainstRoutedArmHealth) {
   pool.Register("aw-moe", model_a_);
   pool.StageCandidate("aw-moe", model_b_->Clone());
   ServingEngineOptions options;
-  // One queued request fills the queue, and nothing flushes on its own
-  // (huge cap, one-second delay), so the second Submit deterministically
-  // trips backpressure.
   options.max_pending_requests = 1;
-  options.max_batch_candidates = 1 << 20;
-  options.max_queue_delay_ms = 1000.0;
   ServingEngine engine(&pool, options);
+  // A blocker parked on the held stable lane keeps the flush lane busy:
+  // one queued request then fills the queue, so the next Submit
+  // deterministically trips backpressure.
+  LaneHold hold(pool, "aw-moe");
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(2));
 
   std::future<RankResponse> queued = engine.Submit(RequestFor(0));
   RankRequest rejected = RequestFor(1);
@@ -462,7 +462,9 @@ TEST_F(RolloutTest, BackpressureRejectCountsAgainstRoutedArmHealth) {
   EXPECT_EQ(engine.stats().VersionHealth("aw-moe", 2).requests, 1);
   EXPECT_EQ(engine.stats().VersionHealth("aw-moe", 1).errors, 0);
 
+  hold.Release();
   engine.Stop(/*drain=*/true);  // Scores the queued request.
+  EXPECT_TRUE(blocker.get().status.ok());
   EXPECT_TRUE(queued.get().status.ok());
 }
 
@@ -762,9 +764,7 @@ TEST_F(RolloutTest, FullRampAutoPromotesUnderSubmitStorm) {
   pool_options.replicas = 2;
   ModelPool pool(data_->meta, standardizer_, pool_options);
   pool.Register("aw-moe", model_a_);
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.2;
-  ServingEngine engine(&pool, options);
+  ServingEngine engine(&pool);
 
   RolloutOptions rollout_options;
   rollout_options.ramp_permille = {250, 500, 1000};
@@ -862,9 +862,7 @@ TEST_F(RolloutTest, ForcedRollbackDrainsCandidateUnderSubmitStorm) {
   pool_options.replicas = 2;
   ModelPool pool(data_->meta, standardizer_, pool_options);
   pool.Register("aw-moe", model_a_);
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 0.2;
-  ServingEngine engine(&pool, options);
+  ServingEngine engine(&pool);
 
   RolloutOptions rollout_options;
   rollout_options.ramp_permille = {500, 1000};

@@ -410,7 +410,6 @@ TEST_F(ShardedFleetTest, FreshPageStormMatchesCachesOffEngineBitwise) {
   FleetOptions options;
   options.num_shards = 2;
   options.engine.max_batch_items = 64;
-  options.engine.max_queue_delay_ms = 0.5;
   options.engine.async_flush_lanes = 1;
   // Every request must be scored, however slow the tier: no shedding.
   options.admission.enabled = false;

@@ -26,6 +26,7 @@
 #include "serving/serving_stats.h"
 #include "serving/two_stage.h"
 #include "util/rng.h"
+#include "lane_hold.h"
 
 namespace awmoe {
 namespace {
@@ -268,10 +269,12 @@ TEST_F(SlateServingTest, OversizedSlateRejectedNotAborted) {
 // with the same response fields as the two front doors.
 TEST_F(SlateServingTest, OversizedSlateRejectedAtPinnedSnapshotBackstop) {
   auto registry = MakeRegistry();
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 10000.0;  // Held until Stop drains it.
-  options.max_batch_candidates = 1 << 30;
-  ServingEngine engine(registry.get(), options);
+  ServingEngine engine(registry.get());
+  // A pointwise blocker parked on the held "aw-moe" lane keeps the one
+  // flush lane busy, so the slate below stays queued across the swap.
+  LaneHold hold(*registry, "aw-moe");
+  std::future<RankResponse> blocker =
+      SubmitBlocker(engine, hold, RequestFor(1, "aw-moe"));
 
   RankRequest request = RequestFor(0, "listwise");
   const Example* filler = request.items[0];
@@ -287,11 +290,13 @@ TEST_F(SlateServingTest, OversizedSlateRejectedAtPinnedSnapshotBackstop) {
                       data_->meta, SmallAwMoeConfig().dims, capped, &rng));
   ASSERT_EQ(version, 2);
 
+  hold.Release();
   engine.Stop(/*drain=*/true);
+  EXPECT_TRUE(blocker.get().status.ok());
   ExpectRejected(queued.get(), request, version);
-  // Nothing was served: no slate reached the forward.
+  // Only the pointwise blocker was served: no slate reached the forward.
   EXPECT_EQ(engine.stats().slates(), 0);
-  EXPECT_EQ(engine.stats().requests(), 0);
+  EXPECT_EQ(engine.stats().requests(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -313,9 +318,7 @@ TEST_F(SlateServingTest, ConcurrentSlateSubmitsMatchSoloRankBitwise) {
   }
 
   auto registry = MakeRegistry(/*replicas=*/2);
-  ServingEngineOptions options;
-  options.max_queue_delay_ms = 1.0;  // Coalesce aggressively.
-  ServingEngine engine(registry.get(), options);
+  ServingEngine engine(registry.get());
 
   constexpr size_t kThreads = 4;
   const size_t kSubmits = 2 * sessions_->size();
