@@ -313,7 +313,7 @@ AWMOE_TIER_BENCH(BM_ScoreInto_AWMoE_Fast, aw_moe, KernelTier::kFast);
 // ---------------------------------------------------------------------
 // Raw MatMulInto per tier: the MatMulInto-dominated cases whose
 // `gflops` counter the smoke JSON keeps as the tier-speedup record
-// (single thread; row parallelism stays at its default of 0 here).
+// (single thread).
 // ---------------------------------------------------------------------
 
 void RunMatMul(benchmark::State& state, KernelTier tier) {

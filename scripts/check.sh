@@ -7,6 +7,7 @@
 #                                          # (bench JSON into build_dir/bench_smoke/)
 #                                          # + perfbench self-test
 #                                          # + a one-pair bench_ab.sh smoke
+#                                          # + the dead-code report
 #   scripts/check.sh --tsan [build_dir]    # ThreadSanitizer build of the
 #                                          # serving concurrency suites
 #   scripts/check.sh --asan [build_dir]    # AddressSanitizer + UBSan build
@@ -72,8 +73,9 @@ if [ "$TSAN" = 1 ]; then
   # The threaded subsystem lives in src/serving/; its suites (async
   # queue, worker pool, model pool hot swaps, rollout ramps/storms,
   # stats contention) are where TSan has signal.
-  # models_kernel_tier rides along: its row-parallel matmul tests are
-  # the only place the kernel worker pool runs under TSan.
+  # models_kernel_tier rides along: it switches the process-wide
+  # kernel tier (ScopedKernelTier) that every forward and training GEMM
+  # reads, so the tier state and the GEMM rows run instrumented too.
   # models_listwise rides along too: ParallelTrainer workers share the
   # listwise graph ops, and serving_slate_serving (matched by the
   # serving_ prefix) storms the slate path from four threads.
@@ -281,5 +283,16 @@ CARGO_TARGET_DIR="$BUILD_DIR/perfbench_build" \
 
 echo "== docs link check =="
 "$REPO_ROOT/scripts/check_docs.sh"
+
+# Dead-code report: library functions no shipped binary links
+# (ROADMAP item 15). A report, not a gate: the list goes to the smoke
+# artifacts and only the count is printed here.
+echo "== dead-code report (report only) =="
+if "$REPO_ROOT/scripts/dead_code.sh" "$BUILD_DIR/dead_code" \
+    > "$SMOKE_DIR/dead_code.txt"; then
+  tail -n 1 "$SMOKE_DIR/dead_code.txt"
+else
+  echo "dead_code.sh failed; report skipped"
+fi
 
 echo "== check.sh OK (bench smoke artifacts in $SMOKE_DIR) =="

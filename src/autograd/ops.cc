@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "mat/kernels.h"
@@ -157,8 +156,6 @@ Var AddScalar(const Var& a, float s) {
                       });
 }
 
-Var Neg(const Var& a) { return Scale(a, -1.0f); }
-
 Var Relu(const Var& a) {
   Matrix value = ::awmoe::Relu(a.value());
   Impl ai = a.impl();
@@ -197,31 +194,6 @@ Var Tanh(const Var& a) {
           const float square = y[i] * y[i];
           const float dydx = -square + 1.0f;
           return g * dydx;
-        });
-      });
-}
-
-Var Exp(const Var& a) {
-  Matrix value = ::awmoe::Exp(a.value());
-  Impl ai = a.impl();
-  return MakeOpResult(std::move(value), "exp", {a}, [ai](VarImpl& self) {
-    const float* y = self.value.data();
-    TransformGradInto(self, ai.get(),
-                      [y](float g, int64_t i) { return g * y[i]; });
-  });
-}
-
-Var Log(const Var& a, float floor) {
-  Matrix value = ::awmoe::Log(a.value(), floor);
-  Impl ai = a.impl();
-  return MakeOpResult(
-      std::move(value), "log", {a}, [ai, floor](VarImpl& self) {
-        // g / Clip(x, floor, max).
-        const float* x = ai->value.data();
-        TransformGradInto(self, ai.get(), [x, floor](float g, int64_t i) {
-          const float clipped = std::min(
-              std::max(x[i], floor), std::numeric_limits<float>::max());
-          return g / clipped;
         });
       });
 }
@@ -412,10 +384,6 @@ Var MulMask(const Var& a, const Matrix& mask) {
                                             return g * m[i];
                                           });
                       });
-}
-
-Var StopGradient(const Var& a) {
-  return Var(a.value(), /*requires_grad=*/false);
 }
 
 Var BceWithLogitsLoss(const Var& logits, const Matrix& targets) {

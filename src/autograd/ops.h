@@ -39,15 +39,9 @@ Var Scale(const Var& a, float s);
 /// a + s.
 Var AddScalar(const Var& a, float s);
 
-/// -a.
-Var Neg(const Var& a);
-
 Var Relu(const Var& a);
 Var Sigmoid(const Var& a);
 Var Tanh(const Var& a);
-Var Exp(const Var& a);
-/// log(max(a, floor)).
-Var Log(const Var& a, float floor = 1e-12f);
 
 /// Horizontal concatenation of parts (equal row counts).
 Var ConcatCols(const std::vector<Var>& parts);
@@ -96,9 +90,6 @@ Var LogSumExpRows(const Var& a);
 
 /// Elementwise multiply by a constant (non-differentiated) mask.
 Var MulMask(const Var& a, const Matrix& mask);
-
-/// Detaches `a` from the graph (identity value, no gradient flow).
-Var StopGradient(const Var& a);
 
 /// Mean binary cross-entropy over logits[m,1] against targets[m,1] in
 /// {0,1}; numerically stable fused form. Returns a scalar.

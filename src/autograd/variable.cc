@@ -95,14 +95,6 @@ void Var::ZeroGrad() {
   impl_->grad = Matrix();
 }
 
-size_t Var::NumParents() const {
-  return defined() ? impl_->parents.size() : 0;
-}
-
-const char* Var::OpName() const {
-  return defined() ? impl_->op : "undefined";
-}
-
 void Var::Backward() {
   AWMOE_CHECK(defined()) << "Backward() on undefined Var";
   AWMOE_CHECK(impl_->value.rows() == 1 && impl_->value.cols() == 1)

@@ -100,12 +100,6 @@ class Var {
   /// result's gradient is released once its backward closure has run.
   void Backward();
 
-  /// Number of graph parents (0 for leaves). Exposed for tests.
-  size_t NumParents() const;
-
-  /// Name of the op that produced this node ("leaf" for leaves).
-  const char* OpName() const;
-
   /// Internal node access for op implementations.
   const std::shared_ptr<internal_ag::VarImpl>& impl() const { return impl_; }
 

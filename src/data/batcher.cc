@@ -173,27 +173,6 @@ void BatchIterator::Reset() {
   if (rng_ != nullptr) rng_->Shuffle(&order_);
 }
 
-int64_t BatchIterator::num_batches() const {
-  if (!group_by_session_) {
-    return (static_cast<int64_t>(data_->size()) + batch_size_ - 1) /
-           batch_size_;
-  }
-  // Replay the packing over the current epoch order.
-  int64_t batches = 0;
-  int64_t rows = 0;
-  for (int64_t group : order_) {
-    const int64_t len = groups_[static_cast<size_t>(group)].second -
-                        groups_[static_cast<size_t>(group)].first;
-    if (rows > 0 && rows + len > batch_size_) {
-      ++batches;
-      rows = 0;
-    }
-    rows += len;
-  }
-  if (rows > 0) ++batches;
-  return batches;
-}
-
 bool BatchIterator::Next(Batch* out) {
   const int64_t total =
       group_by_session_ ? static_cast<int64_t>(order_.size())

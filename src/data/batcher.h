@@ -73,10 +73,6 @@ class BatchIterator {
   /// Restarts the epoch (reshuffles when an Rng was supplied).
   void Reset();
 
-  /// Batches the current epoch order yields (session packing depends on
-  /// the shuffle, so with grouping this is per-epoch, not a constant).
-  int64_t num_batches() const;
-
  private:
   const std::vector<Example>* data_;
   DatasetMeta meta_;

@@ -112,8 +112,8 @@ struct DatasetMeta {
 };
 
 /// A padded, column-layout minibatch ready for model consumption.
-/// Behaviour ids are stored row-major [size x seq_len]; position j of every
-/// row is extracted with BehaviorColumn.
+/// Behaviour ids are stored row-major [size x seq_len]: position j of row i
+/// is at index i * seq_len + j.
 struct Batch {
   int64_t size = 0;
   int64_t seq_len = 0;
@@ -152,13 +152,6 @@ struct Batch {
   /// Empty when the producer tracked no slates; consumers then fall
   /// back to deriving runs via SlateStartsFromBatch.
   std::vector<int64_t> slate_starts;
-
-  /// Ids at sequence position `j` across the batch: [size] values.
-  std::vector<int64_t> BehaviorColumn(const std::vector<int64_t>& field,
-                                      int64_t j) const;
-
-  /// Mask column j as a [size,1] matrix.
-  Matrix MaskColumn(int64_t j) const;
 };
 
 }  // namespace awmoe

@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "util/string_util.h"
-
 namespace awmoe {
 
 SplitStats ComputeSplitStats(const std::vector<Example>& split) {
@@ -38,10 +36,6 @@ SplitStats ComputeSplitStats(const std::vector<Example>& split) {
     stats.mean_history_len = hist_total / stats.num_examples;
   }
   return stats;
-}
-
-std::string FormatPosNegRatio(const SplitStats& stats) {
-  return StrFormat("1 : %.1f", stats.neg_per_pos);
 }
 
 }  // namespace awmoe

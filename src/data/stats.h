@@ -2,7 +2,6 @@
 #define AWMOE_DATA_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "data/example.h"
@@ -25,9 +24,6 @@ struct SplitStats {
 
 /// Computes Table I statistics for a split.
 SplitStats ComputeSplitStats(const std::vector<Example>& split);
-
-/// Formats "1 : N" with one decimal as in Table I.
-std::string FormatPosNegRatio(const SplitStats& stats);
 
 }  // namespace awmoe
 

@@ -101,26 +101,9 @@ Matrix Mul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix Div(const Matrix& a, const Matrix& b) {
-  CheckSameShape(a, b, "Div");
-  Matrix out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < a.size(); ++i) po[i] = pa[i] / pb[i];
-  return out;
-}
-
 void AddInPlace(Matrix* a, const Matrix& b) {
   CheckSameShape(*a, b, "AddInPlace");
   AddInPlace(MutableFlatView(*a), FlatView(b));
-}
-
-void AxpyInPlace(Matrix* a, float alpha, const Matrix& b) {
-  CheckSameShape(*a, b, "AxpyInPlace");
-  float* pa = a->data();
-  const float* pb = b.data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] += alpha * pb[i];
 }
 
 void ScaleInPlace(Matrix* a, float s) { ScaleInPlace(MutableFlatView(*a), s); }
@@ -159,31 +142,8 @@ Matrix Tanh(const Matrix& a) {
   return ElementwiseUnary(a, [](float x) { return std::tanh(x); });
 }
 
-Matrix Exp(const Matrix& a) {
-  return ElementwiseUnary(a, [](float x) { return std::exp(x); });
-}
-
-Matrix Log(const Matrix& a, float floor) {
-  return ElementwiseUnary(
-      a, [floor](float x) { return std::log(std::max(x, floor)); });
-}
-
-Matrix Square(const Matrix& a) {
-  return ElementwiseUnary(a, [](float x) { return x * x; });
-}
-
-Matrix Sqrt(const Matrix& a) {
-  return ElementwiseUnary(a, [](float x) { return std::sqrt(x); });
-}
-
 Matrix Neg(const Matrix& a) {
   return ElementwiseUnary(a, [](float x) { return -x; });
-}
-
-Matrix Clip(const Matrix& a, float lo, float hi) {
-  AWMOE_CHECK(lo <= hi) << "Clip: lo=" << lo << " hi=" << hi;
-  return ElementwiseUnary(
-      a, [lo, hi](float x) { return std::min(std::max(x, lo), hi); });
 }
 
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& b) {
@@ -195,19 +155,6 @@ Matrix AddRowBroadcast(const Matrix& a, const Matrix& b) {
 Matrix MulColBroadcast(const Matrix& a, const Matrix& w) {
   Matrix out(a.rows(), a.cols());
   MulColBroadcastInto(MatrixView(a), MatrixView(w), MutableMatrixView(out));
-  return out;
-}
-
-Matrix MulRowBroadcast(const Matrix& a, const Matrix& r) {
-  AWMOE_CHECK(r.rows() == 1 && r.cols() == a.cols())
-      << "MulRowBroadcast: " << a.ShapeString() << " * " << r.ShapeString();
-  Matrix out(a.rows(), a.cols());
-  const float* pr = r.data();
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (int64_t c = 0; c < a.cols(); ++c) orow[c] = arow[c] * pr[c];
-  }
   return out;
 }
 
@@ -244,13 +191,6 @@ Matrix RowSum(const Matrix& a) {
   return out;
 }
 
-Matrix RowMean(const Matrix& a) {
-  AWMOE_CHECK(a.cols() > 0);
-  Matrix out = RowSum(a);
-  ScaleInPlace(&out, 1.0f / static_cast<float>(a.cols()));
-  return out;
-}
-
 double SumAll(const Matrix& a) {
   double acc = 0.0;
   const float* p = a.data();
@@ -261,22 +201,6 @@ double SumAll(const Matrix& a) {
 double MeanAll(const Matrix& a) {
   AWMOE_CHECK(a.size() > 0);
   return SumAll(a) / static_cast<double>(a.size());
-}
-
-float MaxAll(const Matrix& a) {
-  AWMOE_CHECK(a.size() > 0);
-  const float* p = a.data();
-  float best = p[0];
-  for (int64_t i = 1; i < a.size(); ++i) best = std::max(best, p[i]);
-  return best;
-}
-
-float MinAll(const Matrix& a) {
-  AWMOE_CHECK(a.size() > 0);
-  const float* p = a.data();
-  float best = p[0];
-  for (int64_t i = 1; i < a.size(); ++i) best = std::min(best, p[i]);
-  return best;
 }
 
 double Norm(const Matrix& a) {
@@ -397,15 +321,6 @@ Matrix SliceCols(const Matrix& a, int64_t begin, int64_t end) {
       << "SliceCols: [" << begin << "," << end << ") of " << a.cols();
   Matrix out(a.rows(), end - begin);
   CopyInto(MatrixColsView(a, begin, end - begin), MutableMatrixView(out));
-  return out;
-}
-
-Matrix SliceRows(const Matrix& a, int64_t begin, int64_t end) {
-  AWMOE_CHECK(0 <= begin && begin <= end && end <= a.rows())
-      << "SliceRows: [" << begin << "," << end << ") of " << a.rows();
-  Matrix out(end - begin, a.cols());
-  CopyInto(MatrixView(a).RowBlock(begin, end - begin),
-           MutableMatrixView(out));
   return out;
 }
 

@@ -19,7 +19,7 @@ namespace awmoe {
 // file, which Score runs over arena views (nn/inference.h, nn/exec.h).
 // The Matrix forms of those ops (Add, Mul, AddInPlace, ScaleInPlace,
 // AddRowBroadcast, Relu, MulColBroadcast, DotRows, SoftmaxRows,
-// GatherRows, ConcatCols, SliceCols, SliceRows, TopKMaskRows) shape-check,
+// GatherRows, ConcatCols, SliceCols, TopKMaskRows) shape-check,
 // allocate and call them, so training and serving run the same
 // per-element arithmetic by construction.
 
@@ -52,12 +52,9 @@ Matrix Transpose(const Matrix& a);
 Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);
 Matrix Mul(const Matrix& a, const Matrix& b);
-Matrix Div(const Matrix& a, const Matrix& b);
 
 /// a += b.
 void AddInPlace(Matrix* a, const Matrix& b);
-/// a += alpha * b.
-void AxpyInPlace(Matrix* a, float alpha, const Matrix& b);
 /// a *= s.
 void ScaleInPlace(Matrix* a, float s);
 
@@ -71,14 +68,7 @@ void ReluBackwardInPlace(Matrix* grad, const Matrix& input);
 /// Numerically stable logistic sigmoid.
 Matrix Sigmoid(const Matrix& a);
 Matrix Tanh(const Matrix& a);
-Matrix Exp(const Matrix& a);
-/// Natural log with inputs clamped to >= `floor` for stability.
-Matrix Log(const Matrix& a, float floor = 1e-12f);
-Matrix Square(const Matrix& a);
-Matrix Sqrt(const Matrix& a);
 Matrix Neg(const Matrix& a);
-/// Elementwise clamp to [lo, hi].
-Matrix Clip(const Matrix& a, float lo, float hi);
 
 // ---------------------------------------------------------------------------
 // Broadcasting.
@@ -89,9 +79,6 @@ Matrix AddRowBroadcast(const Matrix& a, const Matrix& b);
 
 /// A[m,n] * w[m,1]: scales row i of A by w(i,0).
 Matrix MulColBroadcast(const Matrix& a, const Matrix& w);
-
-/// A[m,n] * r[1,n]: scales column j of A by r(0,j).
-Matrix MulRowBroadcast(const Matrix& a, const Matrix& r);
 
 /// Tiles column vector col[m,1] across `cols` columns: result [m, cols].
 Matrix BroadcastCol(const Matrix& col, int64_t cols);
@@ -104,12 +91,8 @@ Matrix BroadcastCol(const Matrix& col, int64_t cols);
 Matrix ColSum(const Matrix& a);
 /// Row sums: [m,1].
 Matrix RowSum(const Matrix& a);
-/// Row means: [m,1].
-Matrix RowMean(const Matrix& a);
 double SumAll(const Matrix& a);
 double MeanAll(const Matrix& a);
-float MaxAll(const Matrix& a);
-float MinAll(const Matrix& a);
 /// Frobenius norm.
 double Norm(const Matrix& a);
 
@@ -147,9 +130,6 @@ Matrix ConcatCols(const std::vector<const Matrix*>& parts);
 
 /// Columns [begin, end) of A.
 Matrix SliceCols(const Matrix& a, int64_t begin, int64_t end);
-
-/// Rows [begin, end) of A.
-Matrix SliceRows(const Matrix& a, int64_t begin, int64_t end);
 
 /// Per row, 1.0 at the k largest entries and 0.0 elsewhere (ties broken by
 /// lower column index). k must be in [1, cols].

@@ -34,20 +34,4 @@ std::string Matrix::ShapeString() const {
   return os.str();
 }
 
-std::string Matrix::ToString() const {
-  std::ostringstream os;
-  os << "Matrix " << ShapeString() << " [";
-  for (int64_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[" : "             [");
-    for (int64_t c = 0; c < cols_; ++c) {
-      os << (*this)(r, c);
-      if (c + 1 < cols_) os << ", ";
-    }
-    os << "]";
-    if (r + 1 < rows_) os << ",\n";
-  }
-  os << "]";
-  return os.str();
-}
-
 }  // namespace awmoe

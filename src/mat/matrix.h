@@ -89,9 +89,6 @@ class Matrix {
   /// "rows x cols" debug string.
   std::string ShapeString() const;
 
-  /// Full contents as a debug string (small matrices only).
-  std::string ToString() const;
-
  private:
   int64_t rows_;
   int64_t cols_;

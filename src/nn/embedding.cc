@@ -20,9 +20,4 @@ void EmbeddingTable::CollectParameters(std::vector<Var>* params) const {
   params->push_back(table_);
 }
 
-void EmbeddingTable::InitPaddingToZero() {
-  Matrix& m = table_.mutable_value();
-  for (int64_t c = 0; c < m.cols(); ++c) m(0, c) = 0.0f;
-}
-
 }  // namespace awmoe

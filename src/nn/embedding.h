@@ -11,9 +11,8 @@
 namespace awmoe {
 
 /// Learned embedding table [vocab_size, dim]. Index 0 is conventionally the
-/// padding id; InitPaddingToZero() zeroes that row (its gradient updates
-/// will still move it — models mask padded positions instead of relying on
-/// the row staying zero).
+/// padding id; its row is trained like any other — models mask padded
+/// positions instead of relying on the row staying zero.
 class EmbeddingTable : public Module {
  public:
   EmbeddingTable(int64_t vocab_size, int64_t dim, Rng* rng,
@@ -23,9 +22,6 @@ class EmbeddingTable : public Module {
   Var Forward(const std::vector<int64_t>& ids) const;
 
   void CollectParameters(std::vector<Var>* params) const override;
-
-  /// Zeroes row 0 (the padding id).
-  void InitPaddingToZero();
 
   int64_t vocab_size() const { return table_.rows(); }
   int64_t dim() const { return table_.cols(); }

@@ -1,14 +1,8 @@
 #include "nn/inference.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <condition_variable>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <new>
-#include <thread>
 #include <vector>
 
 namespace awmoe {
@@ -92,169 +86,6 @@ std::span<float> InferenceWorkspace::Staging(StagingSlot slot, int64_t n) {
   return std::span<float>(buffer.data(), static_cast<size_t>(n));
 }
 
-namespace {
-
-/// Row-parallelism thread budget; -1 = not resolved from the
-/// environment yet, 0/1 = off.
-std::atomic<int> g_row_threads{-1};
-
-constexpr int kMaxRowThreads = 64;
-/// Minimum rows a parallel chunk must carry for the split to pay.
-constexpr int64_t kMinRowsPerChunk = 16;
-
-}  // namespace
-
-// ---------------------------------------------------------------------
-// Optional intra-batch row parallelism.
-//
-// A persistent worker pool (created on first enable, deliberately
-// leaked so shutdown never races static destruction) splits a matmul's
-// row range into contiguous chunks claimed off one atomic counter.
-// Rows are arithmetic-independent and position-invariant in both
-// tiers, so the parallel product is bitwise identical to the serial
-// one at the same tier. One matmul runs at a time (run_mu_): this is
-// an opt-in throughput lever for large batches, not a fleet-wide
-// scheduler — serving lanes already parallelise across requests.
-// ---------------------------------------------------------------------
-
-namespace {
-
-class RowParallelPool {
- public:
-  static RowParallelPool& Instance() {
-    static RowParallelPool* pool = new RowParallelPool();
-    return *pool;
-  }
-
-  /// Grows the pool to `workers` threads (never shrinks; the caller
-  /// thread works too, so `threads` parallelism needs threads-1
-  /// workers).
-  void EnsureWorkers(int workers) {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    std::unique_lock<std::mutex> lock(mu_);
-    while (static_cast<int>(threads_.size()) < workers) {
-      threads_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  /// Runs fn(ctx, chunk) for chunk in [0, chunks); blocks until all
-  /// chunks finish. The calling thread participates.
-  void Run(int chunks, void (*fn)(void*, int), void* ctx) {
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fn_ = fn;
-      ctx_ = ctx;
-      chunks_ = chunks;
-      done_ = 0;
-      next_chunk_.store(0, std::memory_order_relaxed);
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    for (;;) {
-      const int chunk = next_chunk_.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= chunks) break;
-      fn(ctx, chunk);
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] {
-      return done_ == static_cast<int>(threads_.size());
-    });
-  }
-
-  int workers() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int>(threads_.size());
-  }
-
- private:
-  RowParallelPool() = default;
-
-  void WorkerLoop() {
-    uint64_t seen = 0;
-    for (;;) {
-      void (*fn)(void*, int) = nullptr;
-      void* ctx = nullptr;
-      int chunks = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        fn = fn_;
-        ctx = ctx_;
-        chunks = chunks_;
-      }
-      for (;;) {
-        const int chunk =
-            next_chunk_.fetch_add(1, std::memory_order_relaxed);
-        if (chunk >= chunks) break;
-        fn(ctx, chunk);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++done_;
-      }
-      done_cv_.notify_all();
-    }
-  }
-
-  /// Serialises Run() calls (and pool growth) against each other.
-  std::mutex run_mu_;
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> threads_;
-  uint64_t generation_ = 0;
-  int chunks_ = 0;
-  int done_ = 0;
-  void (*fn_)(void*, int) = nullptr;
-  void* ctx_ = nullptr;
-  std::atomic<int> next_chunk_{0};
-};
-
-struct ParallelMatMulTask {
-  const KernelDispatchTable* table;
-  const ConstMatView* a;
-  const Matrix* w;
-  const MatView* out;
-  int64_t chunk_rows;
-};
-
-void RunMatMulChunk(void* raw, int chunk) {
-  const ParallelMatMulTask& task = *static_cast<ParallelMatMulTask*>(raw);
-  const int64_t begin = static_cast<int64_t>(chunk) * task.chunk_rows;
-  const int64_t end = std::min(task.out->rows, begin + task.chunk_rows);
-  if (begin >= end) return;
-  const ConstMatView a_slice(task.a->data + begin * task.a->stride,
-                             end - begin, task.a->cols, task.a->stride);
-  const MatView out_slice{task.out->data + begin * task.out->stride,
-                          end - begin, task.out->cols, task.out->stride};
-  task.table->matmul_nn(a_slice, MatrixView(*task.w), out_slice);
-}
-
-}  // namespace
-
-void SetKernelRowParallelism(int threads) {
-  AWMOE_CHECK(threads >= 0 && threads <= kMaxRowThreads)
-      << "kernel row parallelism " << threads;
-  if (threads > 1) RowParallelPool::Instance().EnsureWorkers(threads - 1);
-  g_row_threads.store(threads, std::memory_order_release);
-}
-
-int KernelRowParallelism() {
-  int threads = g_row_threads.load(std::memory_order_acquire);
-  if (threads < 0) {
-    threads = 0;
-    if (const char* env = std::getenv("AWMOE_KERNEL_THREADS")) {
-      threads = std::atoi(env);
-      threads = std::clamp(threads, 0, kMaxRowThreads);
-    }
-    if (threads > 1) RowParallelPool::Instance().EnsureWorkers(threads - 1);
-    g_row_threads.store(threads, std::memory_order_release);
-  }
-  return threads;
-}
-
 // ---------------------------------------------------------------------
 // Public kernels. Shapes are validated here, then the GEMMs and the
 // sigmoid jump through a tier table; the elementwise kernels they
@@ -267,20 +98,7 @@ void MatMulInto(const ConstMatView& a, const Matrix& w, MatView out) {
       << w.ShapeString();
   AWMOE_CHECK(out.rows == a.rows && out.cols == w.cols())
       << "MatMulInto: out " << out.rows << "x" << out.cols;
-  const KernelDispatchTable& table = ActiveKernels();
-  const int threads = KernelRowParallelism();
-  if (threads > 1 && out.rows >= 2 * kMinRowsPerChunk &&
-      a.stride != 0) {
-    const int chunks = static_cast<int>(std::min<int64_t>(
-        threads, out.rows / kMinRowsPerChunk));
-    if (chunks > 1) {
-      const int64_t chunk_rows = (out.rows + chunks - 1) / chunks;
-      ParallelMatMulTask task{&table, &a, &w, &out, chunk_rows};
-      RowParallelPool::Instance().Run(chunks, RunMatMulChunk, &task);
-      return;
-    }
-  }
-  table.matmul_nn(a, MatrixView(w), out);
+  ActiveKernels().matmul_nn(a, MatrixView(w), out);
 }
 
 void SigmoidSpanInto(std::span<const float> x, std::span<float> out) {

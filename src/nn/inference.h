@@ -203,25 +203,11 @@ class InferenceWorkspace {
 };
 
 // ---------------------------------------------------------------------
-// Row parallelism.
-// ---------------------------------------------------------------------
-
-/// Optional intra-batch row parallelism for MatMulInto: when `threads`
-/// > 1, matmuls with enough rows split their row range over a
-/// persistent worker pool. Because every row's arithmetic is
-/// independent and position-invariant in BOTH tiers, the parallel
-/// result is bitwise identical to the serial one at the same tier.
-/// Default 0 (off); AWMOE_KERNEL_THREADS seeds it at tier resolution.
-/// Like SetKernelTier, not synchronised against in-flight forwards.
-void SetKernelRowParallelism(int threads);
-int KernelRowParallelism();
-
-// ---------------------------------------------------------------------
 // Kernels. The elementwise, broadcast and layout view kernels the
 // forwards run (CopyInto, MulInto, AddBiasInPlace, SoftmaxRowsInPlace,
 // ...) live in mat/kernels.h, included above: one implementation that
 // the mat Matrix forms, and so training, wrap. What stays here needs
-// the arena or the row-parallel pool, or is pinned to one tier.
+// the arena, or is pinned to one tier.
 // MatMulInto / SigmoidSpanInto dispatch through the active tier table.
 // ---------------------------------------------------------------------
 

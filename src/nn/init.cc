@@ -4,11 +4,6 @@
 
 namespace awmoe {
 
-Matrix XavierUniform(int64_t rows, int64_t cols, Rng* rng) {
-  float limit = std::sqrt(6.0f / static_cast<float>(rows + cols));
-  return UniformInit(rows, cols, -limit, limit, rng);
-}
-
 Matrix HeNormal(int64_t rows, int64_t cols, Rng* rng) {
   float stddev = std::sqrt(2.0f / static_cast<float>(rows));
   return NormalInit(rows, cols, stddev, rng);
@@ -19,15 +14,6 @@ Matrix NormalInit(int64_t rows, int64_t cols, float stddev, Rng* rng) {
   float* p = m.data();
   for (int64_t i = 0; i < m.size(); ++i) {
     p[i] = static_cast<float>(rng->Normal(0.0, stddev));
-  }
-  return m;
-}
-
-Matrix UniformInit(int64_t rows, int64_t cols, float lo, float hi, Rng* rng) {
-  Matrix m(rows, cols);
-  float* p = m.data();
-  for (int64_t i = 0; i < m.size(); ++i) {
-    p[i] = static_cast<float>(rng->Uniform(lo, hi));
   }
   return m;
 }

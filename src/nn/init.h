@@ -8,18 +8,11 @@
 
 namespace awmoe {
 
-/// Xavier/Glorot uniform init: U(-limit, limit), limit = sqrt(6/(fan_in +
-/// fan_out)). Default for linear layers feeding saturating/linear heads.
-Matrix XavierUniform(int64_t rows, int64_t cols, Rng* rng);
-
 /// He/Kaiming normal init: N(0, sqrt(2/fan_in)). Suited to ReLU stacks.
 Matrix HeNormal(int64_t rows, int64_t cols, Rng* rng);
 
 /// N(0, stddev) init (embedding tables).
 Matrix NormalInit(int64_t rows, int64_t cols, float stddev, Rng* rng);
-
-/// U(lo, hi) init.
-Matrix UniformInit(int64_t rows, int64_t cols, float lo, float hi, Rng* rng);
 
 }  // namespace awmoe
 

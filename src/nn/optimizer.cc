@@ -11,34 +11,6 @@
 
 namespace awmoe {
 
-Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  AWMOE_CHECK(lr > 0.0f) << "Sgd lr=" << lr;
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Var& p : params_) {
-      velocity_.emplace_back(p.value().rows(), p.value().cols());
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Var& p = params_[i];
-    if (!p.has_grad()) continue;
-    Matrix& value = p.mutable_value();
-    const Matrix& g = p.grad();
-    if (momentum_ == 0.0f) {
-      AxpyInPlace(&value, -lr_, g);
-    } else {
-      Matrix& vel = velocity_[i];
-      ScaleInPlace(&vel, momentum_);
-      AxpyInPlace(&vel, 1.0f, g);
-      AxpyInPlace(&value, -lr_, vel);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float epsilon)
     : Optimizer(std::move(params)),

@@ -32,21 +32,6 @@ class Optimizer {
   std::vector<Var> params_;
 };
 
-/// Stochastic gradient descent with optional classical momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, float lr, float momentum = 0.0f);
-  void Step() override;
-
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Matrix> velocity_;
-};
-
 /// Adam (Kingma & Ba) with bias correction. weight_decay here is the L2
 /// (coupled) form; for the decoupled form used by the paper see AdamW.
 class Adam : public Optimizer {

@@ -37,11 +37,6 @@ AsyncBatchQueue::AsyncBatchQueue(AsyncQueueOptions options, FlushFn flush)
 AsyncBatchQueue::~AsyncBatchQueue() { Stop(/*drain=*/true); }
 
 std::future<RankResponse> AsyncBatchQueue::Submit(
-    RankRequest request, const std::string& resolved_model) {
-  return Submit(std::move(request), resolved_model, resolved_model);
-}
-
-std::future<RankResponse> AsyncBatchQueue::Submit(
     RankRequest request, const std::string& resolved_model,
     const std::string& route_key, Status* sync_reject) {
   std::promise<RankResponse> promise;

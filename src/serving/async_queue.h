@@ -105,8 +105,6 @@ class AsyncBatchQueue {
                                    const std::string& resolved_model,
                                    const std::string& route_key,
                                    Status* sync_reject = nullptr);
-  std::future<RankResponse> Submit(RankRequest request,
-                                   const std::string& resolved_model);
 
   /// Stops accepting new requests and joins every flusher lane.
   /// drain=true flushes (scores) everything still queued; drain=false

@@ -666,11 +666,6 @@ std::string ModelPool::default_model() const {
   return default_name_;
 }
 
-std::vector<std::string> ModelPool::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_;
-}
-
 size_t ModelPool::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return names_.size();

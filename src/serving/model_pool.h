@@ -490,9 +490,6 @@ class ModelPool {
 
   std::string default_model() const;
 
-  /// Registered names in registration order (copied under the lock:
-  /// registration may race a reader on the vector's storage).
-  std::vector<std::string> Names() const;
 
   size_t size() const;
 

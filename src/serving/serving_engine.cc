@@ -579,6 +579,29 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
   stats_.RecordMicroBatch(miss_items, samples, &lease_sample);
 }
 
+void ServingEngine::ExecuteMicroBatchOrFail(
+    const MicroBatch& micro, const std::vector<RankRequest>& requests,
+    const std::vector<double>* queue_delays_ms,
+    const Stopwatch& service_watch, std::vector<RankResponse>* responses) {
+  try {
+    ExecuteMicroBatch(micro, requests, queue_delays_ms, service_watch,
+                      responses);
+  } catch (const std::exception& e) {
+    // The whole micro-batch fails as a model fault, and the thread
+    // lives on: unwinding released the lease and the lane lock.
+    RecordArmFailure(micro.model, micro.arm);
+    for (const size_t idx : micro.request_indices) {
+      RankResponse& response = (*responses)[idx] = RankResponse();
+      response.status = Status::Internal("forward of model '" + micro.model +
+                                         "' threw: " + e.what());
+      response.session_id = requests[idx].session_id;
+      response.model = micro.model;
+      response.arm = micro.arm;
+      response.replica = -1;
+    }
+  }
+}
+
 void ServingEngine::RunJobs(std::vector<std::function<void()>> jobs) {
   if (workers_.empty() || jobs.size() <= 1) {
     for (auto& job : jobs) job();
@@ -698,8 +721,8 @@ std::vector<RankResponse> ServingEngine::RankBatch(
   jobs.reserve(micros.size());
   for (const MicroBatch& micro : micros) {
     jobs.push_back([this, &micro, &requests, &submit_watch, &responses] {
-      ExecuteMicroBatch(micro, requests, /*queue_delays_ms=*/nullptr,
-                        submit_watch, &responses);
+      ExecuteMicroBatchOrFail(micro, requests, /*queue_delays_ms=*/nullptr,
+                              submit_watch, &responses);
     });
   }
   RunJobs(std::move(jobs));
@@ -836,23 +859,8 @@ void ServingEngine::FlushAsync(const std::string& route_key,
   micro.model = std::move(model);
   micro.arm = arm;
   std::vector<RankResponse> responses(n);
-  try {
-    ExecuteMicroBatch(micro, requests, &queue_delays_ms, service_watch,
-                      &responses);
-  } catch (const std::exception& e) {
-    // The whole batch fails as a model fault, and this flusher lane
-    // lives on: unwinding released the lease and the lane lock.
-    RecordArmFailure(micro.model, micro.arm);
-    for (size_t i = 0; i < n; ++i) {
-      RankResponse& response = responses[i] = RankResponse();
-      response.status = Status::Internal("Submit: forward of model '" +
-                                         micro.model + "' threw: " + e.what());
-      response.session_id = requests[i].session_id;
-      response.model = micro.model;
-      response.arm = micro.arm;
-      response.replica = -1;
-    }
-  }
+  ExecuteMicroBatchOrFail(micro, requests, &queue_delays_ms, service_watch,
+                          &responses);
   for (size_t i = 0; i < n; ++i) {
     batch[i].promise.set_value(std::move(responses[i]));
   }

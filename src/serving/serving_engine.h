@@ -131,7 +131,8 @@ class ServingEngine {
   /// other micro-batches shows up in the percentiles. A request that
   /// fails admission (empty candidate list, or more candidates than its
   /// route model's max slate length) gets kInvalidArgument and no
-  /// scores; the rest of the batch is served normally.
+  /// scores; the rest of the batch is served normally. A micro-batch
+  /// whose forward throws reads kInternal, as on Submit.
   std::vector<RankResponse> RankBatch(
       const std::vector<RankRequest>& requests);
 
@@ -238,6 +239,16 @@ class ServingEngine {
                          const std::vector<double>* queue_delays_ms,
                          const Stopwatch& service_watch,
                          std::vector<RankResponse>* responses);
+
+  /// ExecuteMicroBatch with a throwing forward contained: every
+  /// response of `micro` then reads kInternal and its arm counts one
+  /// failure (RecordArmFailure), so neither a RankBatch job nor a flush
+  /// lane ends the process.
+  void ExecuteMicroBatchOrFail(const MicroBatch& micro,
+                               const std::vector<RankRequest>& requests,
+                               const std::vector<double>* queue_delays_ms,
+                               const Stopwatch& service_watch,
+                               std::vector<RankResponse>* responses);
 
   /// Flush callback of the async queue: scores one coalesced batch
   /// (all grouped under `route_key` = one resolved model + one rollout

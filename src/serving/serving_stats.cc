@@ -47,11 +47,6 @@ bool TrimModelVersions(Map* map, const std::string& model,
 
 }  // namespace
 
-void ServingStats::RecordRequest(int64_t items, double latency_ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordRequestLocked(items, latency_ms);
-}
-
 void ServingStats::RecordRequestLocked(int64_t items, double latency_ms) {
   if (!wall_started_) {
     // The clock starts when serving starts, not at construction; this
@@ -80,11 +75,6 @@ void ServingStats::RecordRequestLocked(int64_t items, double latency_ms) {
   }
 }
 
-void ServingStats::RecordBatch(int64_t batch_requests, int64_t batch_items) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordBatchLocked(batch_requests, batch_items);
-}
-
 void ServingStats::RecordBatchLocked(int64_t batch_requests,
                                      int64_t batch_items) {
   ++batches_;
@@ -93,20 +83,10 @@ void ServingStats::RecordBatchLocked(int64_t batch_requests,
   max_batch_requests_ = std::max(max_batch_requests_, batch_requests);
 }
 
-void ServingStats::RecordQueueDelay(double delay_ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordQueueDelayLocked(delay_ms);
-}
-
 void ServingStats::RecordQueueDelayLocked(double delay_ms) {
   ++queued_requests_;
   queue_total_ms_ += delay_ms;
   queue_max_ms_ = std::max(queue_max_ms_, delay_ms);
-}
-
-void ServingStats::RecordGateLookup(bool hit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordGateLookupLocked(hit);
 }
 
 void ServingStats::RecordGateLookupLocked(bool hit) {
@@ -117,11 +97,6 @@ void ServingStats::RecordGateLookupLocked(bool hit) {
   }
 }
 
-void ServingStats::RecordScoreLookup(int outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordScoreLookupLocked(outcome);
-}
-
 void ServingStats::RecordScoreLookupLocked(int outcome) {
   if (outcome == 1) {
     ++score_cache_hits_;
@@ -129,11 +104,6 @@ void ServingStats::RecordScoreLookupLocked(int outcome) {
     ++score_cache_misses_;
     if (outcome == 2) ++score_cache_invalidations_;
   }
-}
-
-void ServingStats::RecordEncodingLookup(int outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordEncodingLookupLocked(outcome);
 }
 
 void ServingStats::RecordEncodingLookupLocked(int outcome) {
@@ -160,11 +130,6 @@ void ServingStats::AppendSplitSampleLocked(std::vector<double>* reservoir,
   if (slot < static_cast<uint64_t>(kMaxSamples)) {
     (*reservoir)[static_cast<size_t>(slot)] = latency_ms;
   }
-}
-
-void ServingStats::RecordLease(const LeaseSample& lease) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RecordLeaseLocked(lease);
 }
 
 void ServingStats::RecordLeaseLocked(const LeaseSample& lease) {
@@ -233,16 +198,6 @@ void ServingStats::ResetDriftCounters(const std::string& model,
   if (it == version_health_.end()) return;
   it->second.drift_sessions = 0;
   it->second.drift_engaged = 0;
-}
-
-int64_t ServingStats::drift_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return drift_sessions_;
-}
-
-int64_t ServingStats::drift_engaged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return drift_engaged_;
 }
 
 ServingStats::HealthWindow* ServingStats::HealthWindowLocked(
@@ -358,74 +313,14 @@ int64_t ServingStats::requests() const {
   return requests_;
 }
 
-int64_t ServingStats::items() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return items_;
-}
-
 double ServingStats::total_ms() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_ms_;
 }
 
-int64_t ServingStats::batches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return batches_;
-}
-
-int64_t ServingStats::max_batch_requests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_batch_requests_;
-}
-
-int64_t ServingStats::queued_requests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_requests_;
-}
-
 double ServingStats::queue_total_ms() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_total_ms_;
-}
-
-int64_t ServingStats::gate_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gate_cache_hits_;
-}
-
-int64_t ServingStats::gate_cache_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gate_cache_misses_;
-}
-
-int64_t ServingStats::score_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return score_cache_hits_;
-}
-
-int64_t ServingStats::score_cache_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return score_cache_misses_;
-}
-
-int64_t ServingStats::score_cache_invalidations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return score_cache_invalidations_;
-}
-
-int64_t ServingStats::encoding_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return encoding_cache_hits_;
-}
-
-int64_t ServingStats::encoding_cache_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return encoding_cache_misses_;
-}
-
-int64_t ServingStats::encoding_cache_invalidations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return encoding_cache_invalidations_;
 }
 
 int64_t ServingStats::snapshot_leases() const {
@@ -436,16 +331,6 @@ int64_t ServingStats::snapshot_leases() const {
 int64_t ServingStats::max_active_lanes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return max_active_lanes_;
-}
-
-int64_t ServingStats::slates() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slates_;
-}
-
-int64_t ServingStats::slate_items() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slate_items_;
 }
 
 double ServingStats::LatencyPercentileMs(double pct) const {
@@ -540,7 +425,7 @@ ServingStatsSnapshot ServingStats::Snapshot() const {
     elapsed = wall_started_ ? wall_.ElapsedSeconds() + wall_offset_s_ : 0.0;
     elapsed = std::max(elapsed, merged_wall_s_);
   }
-  // Sort once outside the lock so concurrent RecordRequest callers are
+  // Sort once outside the lock so concurrent RecordMicroBatch callers are
   // not blocked behind an O(n log n) pass; same for the per-version
   // health windows, whose percentile sorts run on the copies.
   for (auto& [key, window] : health) {
@@ -639,7 +524,7 @@ void ServingStats::MergeFrom(const ServingStatsSnapshot& other) {
   drift_engaged_ += other.drift_engaged;
   // Pool the reservoirs. The concatenation may exceed kMaxSamples in an
   // aggregation sink — that is intentional (it IS the exact union);
-  // RecordRequest's reservoir math only ever overwrites slots below
+  // RecordRequestLocked's reservoir math only ever overwrites slots below
   // kMaxSamples, so an oversized vector stays safe if the sink later
   // records directly.
   samples_ms_.insert(samples_ms_.end(), other.samples_ms.begin(),

@@ -246,30 +246,6 @@ class ServingStats {
 
   ServingStats() = default;
 
-  /// Records one completed request of `items` candidates.
-  void RecordRequest(int64_t items, double latency_ms);
-
-  /// Records one executed micro-batch (one forward pass) that carried
-  /// `batch_requests` requests totalling `batch_items` candidates.
-  void RecordBatch(int64_t batch_requests, int64_t batch_items);
-
-  /// Records the time one async-submitted request spent queued before
-  /// its flush started.
-  void RecordQueueDelay(double delay_ms);
-
-  /// Records one gate-LRU lookup outcome on the shared-gate path.
-  void RecordGateLookup(bool hit);
-
-  /// Records one level-1 score-cache lookup outcome (RequestSample
-  /// encoding: 0 miss, 1 hit, 2 stale).
-  void RecordScoreLookup(int outcome);
-
-  /// Records one level-2 encoding-cache lookup outcome (same encoding).
-  void RecordEncodingLookup(int outcome);
-
-  /// Records one snapshot+replica lease (one per executed micro-batch).
-  void RecordLease(const LeaseSample& lease);
-
   /// Records the rerank stage of one slate-scoring micro-batch: one
   /// size-histogram entry per slate in `slate_sizes` (the per-request
   /// candidate counts the forward scored atomically) plus the stage's
@@ -308,33 +284,29 @@ class ServingStats {
   /// floor the fresh candidate must clear.
   void ResetDriftCounters(const std::string& model, int64_t version);
 
-  int64_t drift_sessions() const;
-  int64_t drift_engaged() const;
-
   /// The health window of `(model, version)`; zeros when that version
   /// has recorded nothing (or was trimmed as one of the oldest).
   VersionHealthSnapshot VersionHealth(const std::string& model,
                                       int64_t version) const;
 
   /// Records one executed micro-batch and all its requests under a
-  /// SINGLE lock acquisition — what the scoring hot path uses instead
-  /// of one Record* call per request (workers and the async flusher
-  /// all contend on this mutex). Equivalent to RecordBatch +, per
-  /// sample, RecordRequest / RecordQueueDelay (queue_ms >= 0) /
-  /// RecordGateLookup (gate_lookup >= 0) / RecordScoreLookup /
-  /// RecordEncodingLookup (each *_lookup >= 0), plus RecordLease when
-  /// `lease` is non-null — in which case each sample's latency also
-  /// lands in the lease's (model, version) health window (ok=true; the
-  /// engine's scored path cannot fail). A lease with lane_leased ==
-  /// false (micro-batch fully served from the score cache) skips the
-  /// batch and lease counters: no forward pass ran. Samples with a
+  /// SINGLE lock acquisition (workers and the async flusher all contend
+  /// on this mutex): one batch of `samples.size()` requests totalling
+  /// `batch_items` candidates, then per sample its request latency, its
+  /// queue delay (queue_ms >= 0) and its gate / score / encoding lookup
+  /// outcomes (each *_lookup >= 0), plus one lease when `lease` is
+  /// non-null — in which case each sample's latency also lands in the
+  /// lease's (model, version) health window (ok=true: a micro-batch
+  /// whose forward threw is not recorded here; the engine counts it
+  /// as one failure instead). A lease with lane_leased == false
+  /// (micro-batch fully served from the score cache) skips the batch
+  /// and lease counters: no forward pass ran. Samples with a
   /// score_lookup also land in the hit/miss split latency reservoirs.
   void RecordMicroBatch(int64_t batch_items,
                         const std::vector<RequestSample>& samples,
                         const LeaseSample* lease = nullptr);
 
   int64_t requests() const;
-  int64_t items() const;
   double total_ms() const;
 
   /// Nearest-rank percentile over the retained samples (exact until
@@ -342,9 +314,6 @@ class ServingStats {
   /// (0, 100]. Returns 0 when nothing has been recorded.
   double LatencyPercentileMs(double pct) const;
 
-  int64_t batches() const;
-  int64_t max_batch_requests() const;
-  int64_t queued_requests() const;
   /// Total async queue delay (ms) across queued requests. Together with
   /// requests()/total_ms() this gives a cheap sliding SERVICE-time
   /// estimate — (total - queue) / requests over a counter delta —
@@ -352,18 +321,8 @@ class ServingStats {
   /// the fleet admission controller refreshes its per-shard estimate
   /// from exactly these three counters.
   double queue_total_ms() const;
-  int64_t gate_cache_hits() const;
-  int64_t gate_cache_misses() const;
-  int64_t score_cache_hits() const;
-  int64_t score_cache_misses() const;
-  int64_t score_cache_invalidations() const;
-  int64_t encoding_cache_hits() const;
-  int64_t encoding_cache_misses() const;
-  int64_t encoding_cache_invalidations() const;
   int64_t snapshot_leases() const;
   int64_t max_active_lanes() const;
-  int64_t slates() const;
-  int64_t slate_items() const;
 
   ServingStatsSnapshot Snapshot() const;
 
@@ -396,7 +355,7 @@ class ServingStats {
     int64_t drift_engaged = 0;
   };
 
-  // Unlocked cores of the Record* methods; caller holds mu_.
+  // Unlocked parts of RecordMicroBatch; caller holds mu_.
   void RecordRequestLocked(int64_t items, double latency_ms);
   void RecordBatchLocked(int64_t batch_requests, int64_t batch_items);
   void RecordQueueDelayLocked(double delay_ms);

@@ -1,11 +1,10 @@
 #include "util/logging.h"
 
-#include <atomic>
-
 namespace awmoe {
 
 namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
+/// Minimum severity that is emitted.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -22,16 +21,10 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_log_level.load()); }
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level));
-}
-
 namespace internal_log {
 
 LogMessage::LogMessage(LogLevel level, const char* /*file*/, int /*line*/)
-    : enabled_(static_cast<int>(level) >= g_log_level.load()) {
+    : enabled_(level >= kMinLevel) {
   if (enabled_) stream_ << "[" << LevelName(level) << "] ";
 }
 

@@ -9,14 +9,10 @@ namespace awmoe {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Returns/sets the global minimum severity that is actually emitted.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
 namespace internal_log {
 
 /// One log statement; flushes "<LEVEL> <message>\n" to stderr on destruction
-/// if the statement's level passes the global threshold.
+/// if the statement's level is kInfo or above.
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line);

@@ -103,13 +103,6 @@ int64_t Rng::Categorical(const std::vector<double>& weights) {
   return static_cast<int64_t>(weights.size()) - 1;
 }
 
-int64_t Rng::Geometric(double p, int64_t cap) {
-  AWMOE_CHECK(p > 0.0 && p <= 1.0) << "p=" << p;
-  int64_t failures = 0;
-  while (failures < cap && !Bernoulli(p)) ++failures;
-  return failures;
-}
-
 double Rng::Exponential(double rate) {
   AWMOE_CHECK(rate > 0.0) << "rate=" << rate;
   double u = Uniform();

@@ -46,9 +46,6 @@ class Rng {
   /// Requires at least one positive weight.
   int64_t Categorical(const std::vector<double>& weights);
 
-  /// Geometric-ish draw: number of failures before first success, capped.
-  int64_t Geometric(double p, int64_t cap);
-
   /// Exponential with the given rate (lambda > 0).
   double Exponential(double rate);
 

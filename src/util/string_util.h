@@ -3,20 +3,12 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace awmoe {
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
-
-/// Joins `parts` with `sep` between elements.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep);
-
-/// Splits `text` on the single character `sep`; keeps empty fields.
-std::vector<std::string> StrSplit(std::string_view text, char sep);
 
 /// True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);

@@ -16,8 +16,6 @@ void TablePrinter::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TablePrinter::AddSeparator() { rows_.emplace_back(); }
-
 std::string TablePrinter::ToString() const {
   size_t num_cols = header_.size();
   for (const auto& row : rows_) num_cols = std::max(num_cols, row.size());
@@ -55,13 +53,7 @@ std::string TablePrinter::ToString() const {
     render_row(os, header_);
     render_rule(os);
   }
-  for (const auto& row : rows_) {
-    if (row.empty()) {
-      render_rule(os);
-    } else {
-      render_row(os, row);
-    }
-  }
+  for (const auto& row : rows_) render_row(os, row);
   render_rule(os);
   return os.str();
 }

@@ -15,8 +15,6 @@ class TablePrinter {
 
   void SetHeader(std::vector<std::string> header);
   void AddRow(std::vector<std::string> row);
-  /// Inserts a horizontal separator line after the current last row.
-  void AddSeparator();
 
   /// Renders the full table to a string.
   std::string ToString() const;
@@ -27,7 +25,7 @@ class TablePrinter {
  private:
   std::string title_;
   std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;  // Empty vector = separator.
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace awmoe

@@ -22,8 +22,8 @@ TEST(VariableTest, LeafHoldsValue) {
   EXPECT_EQ(v.cols(), 2);
   EXPECT_EQ(v.value()(0, 0), 1.5f);
   EXPECT_FALSE(v.requires_grad());
-  EXPECT_EQ(v.NumParents(), 0u);
-  EXPECT_STREQ(v.OpName(), "leaf");
+  EXPECT_TRUE(v.impl()->parents.empty());
+  EXPECT_STREQ(v.impl()->op, "leaf");
 }
 
 TEST(VariableTest, CopyAliasesSameNode) {
@@ -94,7 +94,7 @@ TEST(VariableTest, NoGradGuardDetachesResults) {
     EXPECT_TRUE(NoGradGuard::Active());
     Var out = ag::Scale(a, 2.0f);
     EXPECT_FALSE(out.requires_grad());
-    EXPECT_EQ(out.NumParents(), 0u);
+    EXPECT_TRUE(out.impl()->parents.empty());
   }
   EXPECT_FALSE(NoGradGuard::Active());
   Var out = ag::Scale(a, 2.0f);
@@ -140,7 +140,7 @@ TEST(VariableTest, BackwardReleasesOpResultGradients) {
   loss.Backward();
 
   for (const Var& op_result : {s, t, u, v, w, z, c}) {
-    EXPECT_FALSE(op_result.has_grad()) << op_result.OpName();
+    EXPECT_FALSE(op_result.has_grad()) << op_result.impl()->op;
   }
   EXPECT_FALSE(constant.has_grad());
   ASSERT_TRUE(loss.has_grad());

@@ -41,12 +41,12 @@ TEST(StatsTest, EmptySplit) {
   EXPECT_EQ(stats.neg_per_pos, 0.0);
 }
 
-TEST(StatsTest, RatioFormatting) {
+TEST(StatsTest, NegativesPerPositive) {
   std::vector<Example> split;
   split.push_back(Ex(1, 1, 1, 1.0f, 0));
   for (int i = 0; i < 10; ++i) split.push_back(Ex(1, 1, 1, 0.0f, 0));
   SplitStats stats = ComputeSplitStats(split);
-  EXPECT_EQ(FormatPosNegRatio(stats), "1 : 10.0");
+  EXPECT_DOUBLE_EQ(stats.neg_per_pos, 10.0);
 }
 
 }  // namespace

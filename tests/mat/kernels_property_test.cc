@@ -123,8 +123,6 @@ TEST_P(RowColPropertyTest, BroadcastIdentities) {
   // Multiplying rows by ones changes nothing.
   Matrix ones_col = Matrix::Full(rows, 1, 1.0f);
   EXPECT_TRUE(AllClose(MulColBroadcast(a, ones_col), a, 0.0f));
-  Matrix ones_row = Matrix::Full(1, cols, 1.0f);
-  EXPECT_TRUE(AllClose(MulRowBroadcast(a, ones_row), a, 0.0f));
   // Adding a zero row changes nothing.
   Matrix zeros_row(1, cols);
   EXPECT_TRUE(AllClose(AddRowBroadcast(a, zeros_row), a, 0.0f));

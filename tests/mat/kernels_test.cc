@@ -64,19 +64,14 @@ TEST(KernelsTest, ElementwiseOps) {
                        Matrix::FromVector(1, 4, {-3, -1, 1, 3}), 0.0f));
   EXPECT_TRUE(AllClose(Mul(a, b),
                        Matrix::FromVector(1, 4, {4, 6, 6, 4}), 0.0f));
-  EXPECT_TRUE(AllClose(Div(a, b),
-                       Matrix::FromVector(1, 4, {0.25f, 2.0f / 3, 1.5f, 4}),
-                       1e-6f));
 }
 
 TEST(KernelsTest, InPlaceOps) {
   Matrix a = Matrix::Full(2, 2, 1.0f);
   AddInPlace(&a, Matrix::Full(2, 2, 2.0f));
   EXPECT_EQ(a(0, 0), 3.0f);
-  AxpyInPlace(&a, 0.5f, Matrix::Full(2, 2, 4.0f));
-  EXPECT_EQ(a(1, 1), 5.0f);
   ScaleInPlace(&a, 2.0f);
-  EXPECT_EQ(a(0, 1), 10.0f);
+  EXPECT_EQ(a(0, 1), 6.0f);
 }
 
 TEST(KernelsTest, ScalarOps) {
@@ -105,24 +100,6 @@ TEST(KernelsTest, SigmoidValuesAndStability) {
   EXPECT_TRUE(std::isfinite(s(0, 2)));
 }
 
-TEST(KernelsTest, ExpLogRoundTrip) {
-  Matrix a = Matrix::FromVector(1, 3, {0.5f, 1.0f, 2.0f});
-  EXPECT_TRUE(AllClose(Log(Exp(a)), a, 1e-5f));
-}
-
-TEST(KernelsTest, LogClampsAtFloor) {
-  Matrix a = Matrix::FromVector(1, 2, {0.0f, -5.0f});
-  Matrix l = Log(a, 1e-12f);
-  EXPECT_TRUE(std::isfinite(l(0, 0)));
-  EXPECT_TRUE(std::isfinite(l(0, 1)));
-}
-
-TEST(KernelsTest, ClipBounds) {
-  Matrix a = Matrix::FromVector(1, 3, {-2, 0.5f, 7});
-  EXPECT_TRUE(AllClose(Clip(a, 0.0f, 1.0f),
-                       Matrix::FromVector(1, 3, {0, 0.5f, 1}), 0.0f));
-}
-
 TEST(KernelsTest, AddRowBroadcast) {
   Matrix a = Matrix::FromVector(2, 2, {1, 2, 3, 4});
   Matrix b = Matrix::RowVector({10, 20});
@@ -137,13 +114,6 @@ TEST(KernelsTest, MulColBroadcast) {
   EXPECT_TRUE(AllClose(c, Matrix::FromVector(2, 3, {3, 3, 3, 1, 1, 1}), 0.0f));
 }
 
-TEST(KernelsTest, MulRowBroadcast) {
-  Matrix a = Matrix::FromVector(2, 2, {1, 2, 3, 4});
-  Matrix r = Matrix::RowVector({2, 10});
-  EXPECT_TRUE(AllClose(MulRowBroadcast(a, r),
-                       Matrix::FromVector(2, 2, {2, 20, 6, 40}), 0.0f));
-}
-
 TEST(KernelsTest, BroadcastCol) {
   Matrix col = Matrix::ColVector({1, 2});
   Matrix out = BroadcastCol(col, 3);
@@ -155,11 +125,8 @@ TEST(KernelsTest, Reductions) {
   Matrix a = Matrix::FromVector(2, 3, {1, 2, 3, 4, 5, 6});
   EXPECT_TRUE(AllClose(ColSum(a), Matrix::RowVector({5, 7, 9}), 0.0f));
   EXPECT_TRUE(AllClose(RowSum(a), Matrix::ColVector({6, 15}), 0.0f));
-  EXPECT_TRUE(AllClose(RowMean(a), Matrix::ColVector({2, 5}), 1e-6f));
   EXPECT_DOUBLE_EQ(SumAll(a), 21.0);
   EXPECT_DOUBLE_EQ(MeanAll(a), 3.5);
-  EXPECT_EQ(MaxAll(a), 6.0f);
-  EXPECT_EQ(MinAll(a), 1.0f);
 }
 
 TEST(KernelsTest, NormMatchesHandComputation) {
@@ -230,12 +197,6 @@ TEST(KernelsTest, ConcatAndSliceCols) {
   EXPECT_TRUE(AllClose(c, Matrix::FromVector(2, 3, {1, 3, 4, 2, 5, 6}), 0.0f));
   EXPECT_TRUE(AllClose(SliceCols(c, 0, 1), a, 0.0f));
   EXPECT_TRUE(AllClose(SliceCols(c, 1, 3), b, 0.0f));
-}
-
-TEST(KernelsTest, SliceRows) {
-  Matrix a = Matrix::FromVector(3, 2, {1, 2, 3, 4, 5, 6});
-  EXPECT_TRUE(AllClose(SliceRows(a, 1, 3),
-                       Matrix::FromVector(2, 2, {3, 4, 5, 6}), 0.0f));
 }
 
 TEST(KernelsTest, TopKMaskSelectsLargest) {

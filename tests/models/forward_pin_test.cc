@@ -13,6 +13,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,19 +127,20 @@ std::string Hash(const Matrix& m) {
   return Hash(std::span<const float>(m.data(), static_cast<size_t>(m.size())));
 }
 
-/// Every forward entry point the model has, on one batch, in a fixed
-/// order: fused Score, GateInto, EncodeSessionInto, Score replaying a
-/// per-row gate and encoding, Score replaying a broadcast one-row gate
-/// and encoding, InferenceLogits and InferenceGate. An attention blob
-/// holds zeros at its padded positions. The broadcast replay serves
-/// every row from row 0, a user with no behaviour, so the other users'
-/// rows read those zeros: that hash pins the replay arithmetic, not
-/// scores any engine serves (the engine replays each session's own
-/// row).
-std::vector<std::string> ForwardHashes(Ranker* model, const Batch& batch,
-                                       const std::vector<int64_t>& starts) {
+/// Every forward entry point the model has, on the batch of `sessions`,
+/// in a fixed order: fused Score, GateInto, EncodeSessionInto, Score
+/// replaying a per-row gate and encoding, Score replaying the first
+/// session's one-row gate and encoding over that session's own
+/// candidates (the broadcast the engine serves), InferenceLogits and
+/// InferenceGate. A slate-scoring model gets the sessions as slates.
+std::vector<std::string> ForwardHashes(
+    Ranker* model, const std::vector<std::vector<Example>>& sessions,
+    const DatasetMeta& meta) {
   ScopedKernelTier tier(KernelTier::kReference);
   const ServingTraits traits = model->Traits(DatasetMeta{});
+  const Batch batch = Collate(sessions, meta);
+  std::vector<int64_t> starts;
+  if (traits.slate_scoring()) SlateStartsFromBatch(batch, &starts);
   auto workspace = model->CreateInferenceWorkspace(batch.size);
   std::vector<std::string> hashes;
   std::vector<float> scores(static_cast<size_t>(batch.size));
@@ -162,15 +164,21 @@ std::vector<std::string> ForwardHashes(Ranker* model, const Batch& batch,
     hashes.push_back(Hash(encoding));
   }
   if (k > 0 || w > 0) {
-    for (const int64_t rows : {batch.size, int64_t{1}}) {
+    // Row 0 of the batch is the first session's, so its gate and
+    // encoding rows are that session's.
+    const Batch first = Collate({sessions[0]}, meta);
+    std::vector<float> first_scores(static_cast<size_t>(first.size));
+    for (const auto& [replay, rows, out] :
+         {std::tuple(&batch, batch.size, std::span<float>(scores)),
+          std::tuple(&first, int64_t{1}, std::span<float>(first_scores))}) {
       const SessionGate session_gate{gate.data(), rows, k};
       const SessionEncoding session_encoding{encoding.data(), rows, w};
-      model->Score({.batch = batch,
+      model->Score({.batch = *replay,
                     .workspace = workspace.get(),
-                    .out = scores,
+                    .out = out,
                     .gate = k > 0 ? &session_gate : nullptr,
                     .encoding = w > 0 ? &session_encoding : nullptr});
-      hashes.push_back(Hash(scores));
+      hashes.push_back(Hash(out));
     }
   }
   hashes.push_back(Hash(model->InferenceLogits(batch)));
@@ -207,31 +215,31 @@ TEST(ForwardPinTest, AwMoeSearchMode) {
   } modes[] = {
       {GateMode::kFull,
        {"0x8eb7ecc2006f3ea9", "0xdbcfd6d2295c7b7f", "0x997925f7e50ca414",
-        "0x8eb7ecc2006f3ea9", "0x7c96179f62dae92f", "0x8eb7ecc2006f3ea9",
+        "0x8eb7ecc2006f3ea9", "0xd94d12186c0f2fb7", "0x8eb7ecc2006f3ea9",
         "0xdbcfd6d2295c7b7f"},
        {"0xfa8a14d31b6c9745", "0x83b04d2bb4f0430a", "0x97b860952ce98eae",
-        "0xfa8a14d31b6c9745", "0x86cb21b4931179ad", "0xfa8a14d31b6c9745",
+        "0xfa8a14d31b6c9745", "0xd94d12186c0f2fb7", "0xfa8a14d31b6c9745",
         "0x83b04d2bb4f0430a"}},
       {GateMode::kBaseSumPool,
        {"0xfdf747a95eecd778", "0xb760e569ffcc4e29", "0x997925f7e50ca414",
-        "0xfdf747a95eecd778", "0x761a9b3a8144cefc", "0xfdf747a95eecd778",
+        "0xfdf747a95eecd778", "0x50c105d31cb8ea88", "0xfdf747a95eecd778",
         "0xb760e569ffcc4e29"},
        {"0xb7a2aac2f19e8418", "0x2d78efd655868b7b", "0x97b860952ce98eae",
-        "0xb7a2aac2f19e8418", "0x3655d342ac8997f2", "0xb7a2aac2f19e8418",
+        "0xb7a2aac2f19e8418", "0xc3dcfc9fa32c14af", "0xb7a2aac2f19e8418",
         "0x2d78efd655868b7b"}},
       {GateMode::kBaseGateUnit,
        {"0xa59cf29f9d95bb3a", "0x8c2ddb711b5ef8a4", "0x997925f7e50ca414",
-        "0xa59cf29f9d95bb3a", "0x7c96179f62dae92f", "0xa59cf29f9d95bb3a",
+        "0xa59cf29f9d95bb3a", "0xd94d12186c0f2fb7", "0xa59cf29f9d95bb3a",
         "0x8c2ddb711b5ef8a4"},
        {"0x8114cd7e1e9cf917", "0x099b81cec9122ed6", "0x97b860952ce98eae",
-        "0x8114cd7e1e9cf917", "0x86cb21b4931179ad", "0x8114cd7e1e9cf917",
+        "0x8114cd7e1e9cf917", "0xd94d12186c0f2fb7", "0x8114cd7e1e9cf917",
         "0x099b81cec9122ed6"}},
       {GateMode::kBaseActivationUnit,
        {"0xe642c45ed4cd1d8a", "0xb5717e29ae11b2d4", "0x997925f7e50ca414",
-        "0xe642c45ed4cd1d8a", "0x761a9b3a8144cefc", "0xe642c45ed4cd1d8a",
+        "0xe642c45ed4cd1d8a", "0x50c105d31cb8ea88", "0xe642c45ed4cd1d8a",
         "0xb5717e29ae11b2d4"},
        {"0x7ac07cca8d22a152", "0xc36a5fdf2e240d85", "0x97b860952ce98eae",
-        "0x7ac07cca8d22a152", "0x3655d342ac8997f2", "0x7ac07cca8d22a152",
+        "0x7ac07cca8d22a152", "0xc3dcfc9fa32c14af", "0x7ac07cca8d22a152",
         "0xc36a5fdf2e240d85"}},
   };
   for (const auto& m : modes) {
@@ -242,9 +250,9 @@ TEST(ForwardPinTest, AwMoeSearchMode) {
     AwMoeRanker model(meta, config, &rng);
     const std::string label =
         "AW-MoE search, gate mode " + std::to_string(static_cast<int>(m.mode));
-    ExpectHashes(ForwardHashes(&model, Collate(c.small, meta), {}), m.small,
+    ExpectHashes(ForwardHashes(&model, c.small, meta), m.small,
                  label + ", 13 rows");
-    ExpectHashes(ForwardHashes(&model, Collate(c.large, meta), {}), m.large,
+    ExpectHashes(ForwardHashes(&model, c.large, meta), m.large,
                  label + ", 50 rows");
   }
 }
@@ -258,16 +266,16 @@ TEST(ForwardPinTest, AwMoeRecommendationModeSparseSoftmaxGate) {
   config.gate.top_k = 2;
   Rng rng(62);
   AwMoeRanker model(meta, config, &rng);
-  ExpectHashes(ForwardHashes(&model, Collate(c.small, meta), {}),
+  ExpectHashes(ForwardHashes(&model, c.small, meta),
                {"0xb389b9cd5c0af117", "0xe147f9485a121cc4",
                 "0xef5692c419a4c3b9", "0xb389b9cd5c0af117",
-                "0x47ee8540fcd6419e", "0xb389b9cd5c0af117",
+                "0x22f05b90870a668d", "0xb389b9cd5c0af117",
                 "0xe147f9485a121cc4"},
                "AW-MoE recommendation, 13 rows");
-  ExpectHashes(ForwardHashes(&model, Collate(c.large, meta), {}),
+  ExpectHashes(ForwardHashes(&model, c.large, meta),
                {"0xc897383fb1b40071", "0x5b3e9274d1b5d9f9",
                 "0xa6891b64919f3b04", "0xc897383fb1b40071",
-                "0xe8a741114cb039aa", "0xc897383fb1b40071",
+                "0xefc08668c041c228", "0xc897383fb1b40071",
                 "0x5b3e9274d1b5d9f9"},
                "AW-MoE recommendation, 50 rows");
 }
@@ -281,18 +289,18 @@ TEST(ForwardPinTest, DnnAndDin) {
     // The blob's pooled v_user of a user with no behaviour is +0: no
     // row is pooled into it. Summing its padded positions' +-0 terms
     // left -0 there; nothing else in the blob or any score moved.
-    ExpectHashes(ForwardHashes(&model, Collate(c.large, meta), {}),
+    ExpectHashes(ForwardHashes(&model, c.large, meta),
                  {"0xa3b44459eb92cf3c", "0xb99fa2b791e5a556",
-                  "0xa3b44459eb92cf3c", "0xe18156eaad892ff1",
+                  "0xa3b44459eb92cf3c", "0x3ddccd8096df9031",
                   "0xa3b44459eb92cf3c"},
                  "DNN, 50 rows");
   }
   {
     Rng rng(64);
     DinRanker model(meta, PinDims(), &rng);
-    ExpectHashes(ForwardHashes(&model, Collate(c.large, meta), {}),
+    ExpectHashes(ForwardHashes(&model, c.large, meta),
                  {"0x110ad4ddcd4d677d", "0xbdd943b133dd4884",
-                  "0x110ad4ddcd4d677d", "0x42f5ba4b67569a45",
+                  "0x110ad4ddcd4d677d", "0xe57f878394ba2a66",
                   "0x110ad4ddcd4d677d"},
                  "DIN, 50 rows");
   }
@@ -306,10 +314,7 @@ TEST(ForwardPinTest, ListwiseSlates) {
   ldims.num_heads = 2;
   Rng rng(65);
   ListwiseReranker model(meta, PinDims(), ldims, &rng);
-  const Batch batch = Collate(c.large, meta);
-  std::vector<int64_t> starts;
-  SlateStartsFromBatch(batch, &starts);
-  ExpectHashes(ForwardHashes(&model, batch, starts),
+  ExpectHashes(ForwardHashes(&model, c.large, meta),
                {"0xe13f949a0d3cec8d",
                 "0xe13f949a0d3cec8d"}, "Listwise, 10 slates");
 }

@@ -304,7 +304,8 @@ TEST(InferencePathGateTest, SessionGateMatchesLegacyWithGateBitwise) {
   }
 
   // Broadcast single row (session-constant gate: row 0 serves all).
-  Matrix row0 = SliceRows(gate, 0, 1);
+  Matrix row0(1, k);
+  std::copy_n(gate.row(0), k, row0.data());
   Matrix want_broadcast = model.InferenceLogitsWithGate(batch, row0);
   SessionGate broadcast{gate_rows.data(), 1, k};
   std::vector<float> got_broadcast =

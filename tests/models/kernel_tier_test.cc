@@ -6,8 +6,7 @@
 // micro-batch composition (the invariant the serving engine's session
 // fusion relies on). The NN/TN/NT GEMM rows behind the mat MatMul
 // family (and so behind training) get the same two checks per form.
-// Also holds the regression tests for the arena alignment/Rewind fixes
-// and the row-parallel matmul mode.
+// Also holds the regression tests for the arena alignment/Rewind fixes.
 
 #include <algorithm>
 #include <bit>
@@ -778,45 +777,6 @@ TEST(InferenceWorkspaceTest, StagingAlignedAndPreservedAcrossGrowth) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(grown[static_cast<size_t>(i)], float(i)) << i;
   }
-}
-
-// ---------------------------------------------------------------------
-// Row-parallel matmul: bitwise-identical to serial at BOTH tiers.
-// ---------------------------------------------------------------------
-
-TEST(RowParallelTest, MatMulBitwiseIdenticalToSerial) {
-  const int64_t m = 96, k = 37, n = 53;
-  Rng rng(91);
-  std::vector<float> a(static_cast<size_t>(m * k));
-  for (float& v : a) v = static_cast<float>(rng.Normal());
-  Matrix w(k, n);
-  for (int64_t i = 0; i < w.size(); ++i) {
-    w.data()[i] = static_cast<float>(rng.Normal());
-  }
-  const ConstMatView a_view(a.data(), m, k, k);
-
-  for (const KernelTier tier : AvailableTiers()) {
-    ScopedKernelTier pin(tier);
-    std::vector<float> serial(static_cast<size_t>(m * n));
-    std::vector<float> parallel(serial.size());
-    MatMulInto(a_view, w, MatView{serial.data(), m, n, n});
-    SetKernelRowParallelism(4);
-    MatMulInto(a_view, w, MatView{parallel.data(), m, n, n});
-    SetKernelRowParallelism(0);
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i], serial[i])
-          << KernelTierName(tier) << " element " << i;
-    }
-  }
-}
-
-TEST(RowParallelTest, SettingValidatesAndRoundTrips) {
-  const int before = KernelRowParallelism();
-  SetKernelRowParallelism(3);
-  EXPECT_EQ(KernelRowParallelism(), 3);
-  SetKernelRowParallelism(0);
-  EXPECT_EQ(KernelRowParallelism(), 0);
-  SetKernelRowParallelism(before);
 }
 
 }  // namespace

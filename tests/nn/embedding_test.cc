@@ -23,14 +23,6 @@ TEST(EmbeddingTest, SameIdSameVector) {
   for (int64_t c = 0; c < 4; ++c) EXPECT_EQ(out(0, c), out(1, c));
 }
 
-TEST(EmbeddingTest, PaddingRowZeroed) {
-  Rng rng(3);
-  EmbeddingTable table(10, 4, &rng);
-  table.InitPaddingToZero();
-  Matrix out = table.Forward({0}).value();
-  EXPECT_TRUE(AllClose(out, Matrix(1, 4), 0.0f));
-}
-
 TEST(EmbeddingTest, GradientAccumulatesOnRepeatedIds) {
   Rng rng(4);
   EmbeddingTable table(5, 2, &rng);

@@ -1,5 +1,7 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "mat/kernels.h"
@@ -37,7 +39,7 @@ TEST(MlpTest, HiddenReluActive) {
     x.data()[i] = static_cast<float>(data_rng.Normal());
   }
   Matrix y = mlp.Forward(Var(x)).value();
-  EXPECT_GE(MinAll(y), 0.0f);
+  EXPECT_GE(*std::min_element(y.data(), y.data() + y.size()), 0.0f);
 }
 
 TEST(MlpTest, LinearOutputCanBeNegative) {
@@ -49,7 +51,7 @@ TEST(MlpTest, LinearOutputCanBeNegative) {
     x.data()[i] = static_cast<float>(data_rng.Normal());
   }
   Matrix y = mlp.Forward(Var(x)).value();
-  EXPECT_LT(MinAll(y), 0.0f);
+  EXPECT_LT(*std::min_element(y.data(), y.data() + y.size()), 0.0f);
 }
 
 TEST(MlpTest, GradFlowsToAllLayers) {

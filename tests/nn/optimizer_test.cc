@@ -32,24 +32,6 @@ float MinimiseQuadratic(MakeOpt make_opt, int steps) {
   return w.value()(0, 0);
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  float w = MinimiseQuadratic(
-      [](std::vector<Var> p) {
-        return std::make_unique<Sgd>(std::move(p), 0.1f);
-      },
-      200);
-  EXPECT_NEAR(w, 2.0f, 1e-3f);
-}
-
-TEST(SgdTest, MomentumConverges) {
-  float w = MinimiseQuadratic(
-      [](std::vector<Var> p) {
-        return std::make_unique<Sgd>(std::move(p), 0.05f, 0.9f);
-      },
-      300);
-  EXPECT_NEAR(w, 2.0f, 1e-2f);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   float w = MinimiseQuadratic(
       [](std::vector<Var> p) {
@@ -82,7 +64,7 @@ TEST(AdamWTest, DecayShrinksUnusedDirection) {
 TEST(OptimizerTest, SkipsParamsWithoutGrad) {
   Var used(Matrix::Full(1, 1, 1.0f), true);
   Var unused(Matrix::Full(1, 1, 1.0f), true);
-  Sgd opt({used, unused}, 0.5f);
+  AdamW opt({used, unused}, 0.5f);
   ag::MeanAll(ag::Mul(used, used)).Backward();
   opt.Step();
   EXPECT_NE(used.value()(0, 0), 1.0f);
@@ -91,7 +73,7 @@ TEST(OptimizerTest, SkipsParamsWithoutGrad) {
 
 TEST(OptimizerTest, ZeroGradClearsAll) {
   Var a(Matrix::Full(1, 1, 1.0f), true);
-  Sgd opt({a}, 0.1f);
+  AdamW opt({a}, 0.1f);
   ag::MeanAll(ag::Mul(a, a)).Backward();
   EXPECT_TRUE(a.has_grad());
   opt.ZeroGrad();

@@ -182,7 +182,7 @@ TEST_F(AsyncServingTest, ConcurrentSubmitsMatchLegacyServiceBitwise) {
   }
   EXPECT_EQ(engine.stats().requests(),
             static_cast<int64_t>(kThreads * kSubmits));
-  EXPECT_EQ(engine.stats().queued_requests(),
+  EXPECT_EQ(engine.stats().Snapshot().queued_requests,
             static_cast<int64_t>(kThreads * kSubmits));
 }
 
@@ -221,8 +221,8 @@ TEST_F(AsyncServingTest, SubmitCoalescesConcurrentRequestsIntoOneBatch) {
   // Two forward passes: the blocker's, then one that carried both
   // requests. The batch-occupancy counters prove the cross-session
   // amortisation actually happened.
-  EXPECT_EQ(engine.stats().batches(), 2);
-  EXPECT_EQ(engine.stats().max_batch_requests(), 2);
+  EXPECT_EQ(engine.stats().Snapshot().batches, 2);
+  EXPECT_EQ(engine.stats().Snapshot().max_batch_requests, 2);
   ServingStatsSnapshot snap = engine.Stats();
   EXPECT_DOUBLE_EQ(snap.mean_batch_requests, 1.5);
   EXPECT_DOUBLE_EQ(snap.mean_batch_items,
@@ -268,9 +268,9 @@ TEST_F(AsyncServingTest, LoneSubmitToIdleEngineFlushesAtOnce) {
   ASSERT_TRUE(response.status.ok()) << response.status;
   EXPECT_GE(response.latency_ms, response.queue_ms);
 
-  EXPECT_EQ(engine.stats().batches(), 1);
-  EXPECT_EQ(engine.stats().max_batch_requests(), 1);
-  EXPECT_EQ(engine.stats().queued_requests(), 1);
+  EXPECT_EQ(engine.stats().Snapshot().batches, 1);
+  EXPECT_EQ(engine.stats().Snapshot().max_batch_requests, 1);
+  EXPECT_EQ(engine.stats().Snapshot().queued_requests, 1);
 
   auto reference_registry_owner = MakeRegistry();
   ModelPool& reference_registry = *reference_registry_owner;
@@ -305,8 +305,8 @@ TEST_F(AsyncServingTest, RequestsQueuedBehindBusyLaneCoalesceUpToTheCap) {
     EXPECT_TRUE(response.status.ok()) << response.status;
   }
   // The blocker alone, then the first two together, then the third.
-  EXPECT_EQ(engine.stats().batches(), 3);
-  EXPECT_EQ(engine.stats().max_batch_requests(), 2);
+  EXPECT_EQ(engine.stats().Snapshot().batches, 3);
+  EXPECT_EQ(engine.stats().Snapshot().max_batch_requests, 2);
 }
 
 // Among route keys with queued requests, the one whose front request is
@@ -552,6 +552,56 @@ TEST_F(AsyncServingTest, ThrowingForwardFailsItsBatchAndKeepsTheLane) {
   EXPECT_EQ(pool.live_snapshots(), 1);
 }
 
+// The same fault through RankBatch's worker pool: the throwing route's
+// micro-batch fails with kInternal on whichever thread ran it, the
+// healthy route next to it is served, and the engine keeps serving.
+TEST_F(AsyncServingTest, RankBatchThrowingForwardFailsItsRouteOnly) {
+  Rng rng(17);
+  ThrowingRanker throwing(data_->meta, RequestFor(0).session_id, &rng);
+  ModelPool pool(data_->meta, standardizer_);
+  pool.Register("throwing", &throwing);
+  pool.Register("aw-moe", model_);
+  ServingEngineOptions options;
+  options.num_threads = 4;
+  ServingEngine engine(&pool, options);
+
+  const auto request = [](size_t s, const char* model) {
+    RankRequest r = RequestFor(s);
+    r.model = model;
+    return r;
+  };
+  // One job per route: the caller or a worker may run the throwing
+  // one, so several rounds give both a chance.
+  for (int round = 0; round < 4; ++round) {
+    const std::vector<RankResponse> responses = engine.RankBatch(
+        {request(0, "throwing"), request(1, "throwing"),
+         request(2, "aw-moe"), request(3, "aw-moe")});
+    ASSERT_EQ(responses.size(), 4u);
+    for (size_t i : {0, 1}) {
+      EXPECT_EQ(responses[i].status.code(), StatusCode::kInternal)
+          << responses[i].status;
+      EXPECT_TRUE(responses[i].scores.empty());
+      EXPECT_EQ(responses[i].model, "throwing");
+      EXPECT_EQ(responses[i].session_id, RequestFor(i).session_id);
+    }
+    for (size_t i : {2, 3}) {
+      ASSERT_TRUE(responses[i].status.ok()) << responses[i].status;
+      EXPECT_EQ(static_cast<int64_t>(responses[i].scores.size()),
+                ItemsOf(i));
+    }
+  }
+  EXPECT_EQ(engine.stats().VersionHealth("throwing", 1).errors, 4);
+
+  // Without the marked session the throwing model serves as well.
+  const std::vector<RankResponse> served =
+      engine.RankBatch({request(1, "throwing"), request(4, "aw-moe")});
+  for (size_t i = 0; i < served.size(); ++i) {
+    ASSERT_TRUE(served[i].status.ok()) << i << ": " << served[i].status;
+  }
+  EXPECT_EQ(static_cast<int64_t>(served[0].scores.size()), ItemsOf(1));
+  EXPECT_EQ(pool.live_snapshots(), 2);
+}
+
 // ---------------------------------------------------------------------
 // Shutdown and drain semantics: futures always resolve, never leak.
 // ---------------------------------------------------------------------
@@ -697,12 +747,17 @@ TEST(ServingStatsConcurrencyTest, CountsAndReservoirExactUnderContention) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats] {
-      for (int i = 0; i < kPerThread; ++i) {
-        stats.RecordRequest(/*items=*/3, /*latency_ms=*/1.0 + (i % 7));
-        stats.RecordQueueDelay(0.25);
-        if (i % 2 == 0) stats.RecordBatch(/*batch_requests=*/2,
-                                          /*batch_items=*/6);
-        stats.RecordGateLookup(i % 4 == 0);
+      // Micro-batches of two queued 3-item requests; every fourth
+      // request hits the gate cache.
+      for (int i = 0; i < kPerThread; i += 2) {
+        std::vector<RequestSample> samples;
+        for (const int r : {i, i + 1}) {
+          samples.push_back({.items = 3,
+                             .latency_ms = 1.0 + (r % 7),
+                             .queue_ms = 0.25,
+                             .gate_lookup = r % 4 == 0 ? 1 : 0});
+        }
+        stats.RecordMicroBatch(/*batch_items=*/6, samples);
       }
     });
   }
@@ -710,13 +765,13 @@ TEST(ServingStatsConcurrencyTest, CountsAndReservoirExactUnderContention) {
 
   constexpr int64_t kTotal = int64_t{kThreads} * kPerThread;
   EXPECT_EQ(stats.requests(), kTotal);
-  EXPECT_EQ(stats.items(), 3 * kTotal);
-  EXPECT_EQ(stats.queued_requests(), kTotal);
-  EXPECT_EQ(stats.batches(), kTotal / 2);
-  EXPECT_EQ(stats.max_batch_requests(), 2);
-  EXPECT_EQ(stats.gate_cache_hits(), kTotal / 4);
-  EXPECT_EQ(stats.gate_cache_misses(), kTotal - kTotal / 4);
   ServingStatsSnapshot snap = stats.Snapshot();
+  EXPECT_EQ(snap.items, 3 * kTotal);
+  EXPECT_EQ(snap.queued_requests, kTotal);
+  EXPECT_EQ(snap.batches, kTotal / 2);
+  EXPECT_EQ(snap.max_batch_requests, 2);
+  EXPECT_EQ(snap.gate_cache_hits, kTotal / 4);
+  EXPECT_EQ(snap.gate_cache_misses, kTotal - kTotal / 4);
   EXPECT_DOUBLE_EQ(snap.mean_batch_requests, 2.0);
   EXPECT_DOUBLE_EQ(snap.mean_batch_items, 6.0);
   EXPECT_DOUBLE_EQ(snap.queue_mean_ms, 0.25);
@@ -759,8 +814,8 @@ TEST_F(AsyncServingTest, EngineStatsExactAcrossSubmittingThreads) {
   }
   constexpr int64_t kTotal = int64_t{kThreads} * kPerThread;
   EXPECT_EQ(engine.stats().requests(), kTotal);
-  EXPECT_EQ(engine.stats().items(), want_items);
-  EXPECT_EQ(engine.stats().queued_requests(), kTotal);
+  EXPECT_EQ(engine.stats().Snapshot().items, want_items);
+  EXPECT_EQ(engine.stats().Snapshot().queued_requests, kTotal);
   // Every request went through some batch; occupancy accounting must
   // add up exactly.
   ServingStatsSnapshot snap = engine.Stats();

@@ -677,11 +677,11 @@ TEST_F(ServingTest, GateCacheCountersTrackHitsAndMisses) {
   request.items = sessions[0];
 
   engine.Rank(request);  // Cold: one miss.
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 1);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_hits, 0);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_misses, 1);
   engine.Rank(request);  // Repeat: one hit.
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 1);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 1);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_hits, 1);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_misses, 1);
 
   // Same session id, changed gate context: the invalidation re-probe
   // counts as a miss, not a hit.
@@ -690,15 +690,15 @@ TEST_F(ServingTest, GateCacheCountersTrackHitsAndMisses) {
   grown_request.session_id = request.session_id;
   for (const Example& ex : grown) grown_request.items.push_back(&ex);
   engine.Rank(grown_request);
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 1);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 2);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_hits, 1);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_misses, 2);
 
   ServingStatsSnapshot snap = engine.Stats();
   EXPECT_EQ(snap.gate_cache_hits, 1);
   EXPECT_EQ(snap.gate_cache_misses, 2);
   engine.ResetStats();
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 0);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_hits, 0);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_misses, 0);
 }
 
 TEST_F(ServingTest, GateCacheEvictionShowsUpInMissCounters) {
@@ -721,8 +721,8 @@ TEST_F(ServingTest, GateCacheEvictionShowsUpInMissCounters) {
   rank(2);  // miss (cold), evicts 1
   rank(1);  // miss (evicted), evicts 0
   rank(2);  // hit
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 2);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 4);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_hits, 2);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_misses, 4);
 }
 
 TEST_F(ServingTest, GateCacheDisabledCountsEveryLookupAsMiss) {
@@ -738,8 +738,8 @@ TEST_F(ServingTest, GateCacheDisabledCountsEveryLookupAsMiss) {
   request.items = sessions[0];
   engine.Rank(request);
   engine.Rank(request);
-  EXPECT_EQ(engine.stats().gate_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().gate_cache_misses(), 2);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_hits, 0);
+  EXPECT_EQ(engine.stats().Snapshot().gate_cache_misses, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -977,7 +977,7 @@ TEST_F(ServingTest, ScoreCacheInvalidatesOnHistoryChange) {
   request.items = sessions[0];
   EXPECT_FALSE(engine.Rank(request).score_cache_hit);
   EXPECT_TRUE(engine.Rank(request).score_cache_hit);
-  EXPECT_EQ(engine.stats().score_cache_invalidations(), 0);
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_invalidations, 0);
 
   // The user clicked between requests: same items, grown history. The
   // cached scores are stale and a real forward must run.
@@ -988,7 +988,7 @@ TEST_F(ServingTest, ScoreCacheInvalidatesOnHistoryChange) {
   RankResponse fresh = engine.Rank(grown_request);
   EXPECT_FALSE(fresh.score_cache_hit);
   EXPECT_GE(fresh.replica, 0);
-  EXPECT_EQ(engine.stats().score_cache_invalidations(), 1);
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_invalidations, 1);
 
   // The recomputed scores match an engine that never saw the old state.
   auto clean_owner = MakeRegistry();
@@ -1035,11 +1035,11 @@ TEST_F(ServingTest, ScoreCacheCountersAndGaugesTrack) {
   request.items = sessions[0];
 
   engine.Rank(request);  // Cold: one miss.
-  EXPECT_EQ(engine.stats().score_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().score_cache_misses(), 1);
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_hits, 0);
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_misses, 1);
   engine.Rank(request);  // Repeat: one hit.
-  EXPECT_EQ(engine.stats().score_cache_hits(), 1);
-  EXPECT_EQ(engine.stats().score_cache_misses(), 1);
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_hits, 1);
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_misses, 1);
 
   ServingStatsSnapshot snap = engine.Stats();
   EXPECT_EQ(snap.score_cache_hits, 1);
@@ -1078,8 +1078,9 @@ TEST_F(ServingTest, ScoreCacheDisabledNeverHits) {
   RankResponse second = engine.Rank(request);
   EXPECT_FALSE(second.score_cache_hit);
   EXPECT_GE(second.replica, 0);
-  EXPECT_EQ(engine.stats().score_cache_hits(), 0);
-  EXPECT_EQ(engine.stats().score_cache_misses(), 0);  // No lookups at all.
+  // No lookups at all.
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_hits, 0);
+  EXPECT_EQ(engine.stats().Snapshot().score_cache_misses, 0);
 }
 
 TEST_F(ServingTest, EncodingCacheHitsOnNewCandidatesSameSession) {
@@ -1119,7 +1120,7 @@ TEST_F(ServingTest, EncodingCacheHitsOnNewCandidatesSameSession) {
   EXPECT_FALSE(second.score_cache_hit);  // New candidates.
   EXPECT_TRUE(second.encoding_cache_hit);
   EXPECT_TRUE(second.gate_cache_hit);
-  EXPECT_EQ(engine.stats().encoding_cache_hits(), 1);
+  EXPECT_EQ(engine.stats().Snapshot().encoding_cache_hits, 1);
 
   // The encoding-replay scores are bitwise-equal to a cold engine's.
   auto clean_owner = MakeRegistry();
@@ -1260,14 +1261,20 @@ TEST_F(ServingTest, TwoModelsInOneEngineScoreIndependently) {
 // ServingStats.
 // ---------------------------------------------------------------------
 
+/// Records one request of `items` candidates as its own micro-batch.
+void RecordOne(ServingStats* stats, int64_t items, double latency_ms) {
+  stats->RecordMicroBatch(
+      items, {RequestSample{.items = items, .latency_ms = latency_ms}});
+}
+
 TEST(ServingStatsTest, PercentilesAreExactOverSamples) {
   ServingStats stats;
   // 1..100 ms, shuffled order must not matter.
   for (int ms = 100; ms >= 1; --ms) {
-    stats.RecordRequest(/*items=*/2, static_cast<double>(ms));
+    RecordOne(&stats, /*items=*/2, static_cast<double>(ms));
   }
   EXPECT_EQ(stats.requests(), 100);
-  EXPECT_EQ(stats.items(), 200);
+  EXPECT_EQ(stats.Snapshot().items, 200);
   EXPECT_DOUBLE_EQ(stats.total_ms() / stats.requests(), 50.5);
   EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(50.0), 50.0);
   EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(95.0), 95.0);
@@ -1290,18 +1297,18 @@ TEST(ServingStatsTest, MergeFromEqualsRecordingTheUnion) {
   ServingStats a;
   ServingStats b;
   for (int ms = 1; ms <= 50; ++ms) {
-    a.RecordRequest(/*items=*/2, static_cast<double>(ms));
+    RecordOne(&a, /*items=*/2, static_cast<double>(ms));
   }
   for (int ms = 51; ms <= 100; ++ms) {
-    b.RecordRequest(/*items=*/3, static_cast<double>(ms));
+    RecordOne(&b, /*items=*/3, static_cast<double>(ms));
   }
   // ...and one stats object that saw every request directly.
   ServingStats direct;
   for (int ms = 1; ms <= 50; ++ms) {
-    direct.RecordRequest(2, static_cast<double>(ms));
+    RecordOne(&direct, 2, static_cast<double>(ms));
   }
   for (int ms = 51; ms <= 100; ++ms) {
-    direct.RecordRequest(3, static_cast<double>(ms));
+    RecordOne(&direct, 3, static_cast<double>(ms));
   }
 
   ServingStats merged;
@@ -1324,17 +1331,24 @@ TEST(ServingStatsTest, MergeFromEqualsRecordingTheUnion) {
 }
 
 TEST(ServingStatsTest, MergeFromPoolsCountersNotAverages) {
+  // a: one batch of 4 requests (40 items), one of them queued 2 ms
+  // with a gate hit. b: two 1-request batches of 5 items, one queued
+  // 6 ms with a gate miss.
+  const RequestSample plain{.items = 10, .latency_ms = 1.0};
   ServingStats a;
-  a.RecordRequest(1, 1.0);
-  a.RecordBatch(/*batch_requests=*/4, /*batch_items=*/40);
-  a.RecordQueueDelay(2.0);
-  a.RecordGateLookup(/*hit=*/true);
+  a.RecordMicroBatch(/*batch_items=*/40,
+                     {RequestSample{.items = 10,
+                                    .latency_ms = 1.0,
+                                    .queue_ms = 2.0,
+                                    .gate_lookup = 1},
+                      plain, plain, plain});
   ServingStats b;
-  b.RecordRequest(1, 3.0);
-  b.RecordBatch(/*batch_requests=*/1, /*batch_items=*/5);
-  b.RecordBatch(/*batch_requests=*/1, /*batch_items=*/5);
-  b.RecordQueueDelay(6.0);
-  b.RecordGateLookup(/*hit=*/false);
+  b.RecordMicroBatch(/*batch_items=*/5, {RequestSample{.items = 5,
+                                                       .latency_ms = 3.0,
+                                                       .queue_ms = 6.0,
+                                                       .gate_lookup = 0}});
+  b.RecordMicroBatch(/*batch_items=*/5,
+                     {RequestSample{.items = 5, .latency_ms = 3.0}});
 
   ServingStats merged;
   merged.MergeFrom(a.Snapshot());
@@ -1362,8 +1376,8 @@ TEST(ServingStatsTest, MergeFromTakesMaxWallClockForQps) {
   ServingStats a;
   ServingStats b;
   for (int i = 0; i < 10; ++i) {
-    a.RecordRequest(1, 1.0);
-    b.RecordRequest(1, 1.0);
+    RecordOne(&a, 1, 1.0);
+    RecordOne(&b, 1, 1.0);
   }
   const ServingStatsSnapshot sa = a.Snapshot();
   const ServingStatsSnapshot sb = b.Snapshot();
@@ -1391,7 +1405,7 @@ TEST_F(ServingTest, EngineStatsAccumulatePerRequest) {
       {sessions.begin(), sessions.begin() + 3});
   engine.RankBatch(requests);
   EXPECT_EQ(engine.stats().requests(), 3);
-  EXPECT_EQ(engine.stats().items(),
+  EXPECT_EQ(engine.stats().Snapshot().items,
             static_cast<int64_t>(sessions[0].size() + sessions[1].size() +
                                  sessions[2].size()));
   EXPECT_GT(engine.stats().total_ms(), 0.0);

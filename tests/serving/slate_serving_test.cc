@@ -189,8 +189,8 @@ TEST_F(SlateServingTest, ScoreCacheBypassedForSlateScoringModel) {
   EXPECT_EQ(hit.replica, -1);
 
   // Each listwise Rank was one single-slate micro-batch.
-  EXPECT_EQ(engine.stats().slates(), 2);
-  EXPECT_EQ(engine.stats().slate_items(), 2 * ItemsOf(0));
+  EXPECT_EQ(engine.stats().Snapshot().slates, 2);
+  EXPECT_EQ(engine.stats().Snapshot().slate_items, 2 * ItemsOf(0));
 }
 
 // ---------------------------------------------------------------------
@@ -228,7 +228,7 @@ TEST_F(SlateServingTest, OversizedSlateRejectedNotAborted) {
   EXPECT_TRUE(responses[2].status.ok()) << responses[2].status;
   EXPECT_EQ(responses[2].scores.size(), mixed[2].items.size());
   // Only the served slates hit the counters.
-  EXPECT_EQ(engine.stats().slates(), 2);
+  EXPECT_EQ(engine.stats().Snapshot().slates, 2);
 
   // Async front: rejected before occupying queue space, future resolves
   // with the same status.
@@ -295,7 +295,7 @@ TEST_F(SlateServingTest, OversizedSlateRejectedAtPinnedSnapshotBackstop) {
   EXPECT_TRUE(blocker.get().status.ok());
   ExpectRejected(queued.get(), request, version);
   // Only the pointwise blocker was served: no slate reached the forward.
-  EXPECT_EQ(engine.stats().slates(), 0);
+  EXPECT_EQ(engine.stats().Snapshot().slates, 0);
   EXPECT_EQ(engine.stats().requests(), 1);
 }
 
@@ -353,7 +353,7 @@ TEST_F(SlateServingTest, ConcurrentSlateSubmitsMatchSoloRankBitwise) {
     }
   }
   // Every submit was slate-scored exactly once (no cache shortcuts).
-  EXPECT_EQ(engine.stats().slates(),
+  EXPECT_EQ(engine.stats().Snapshot().slates,
             static_cast<int64_t>(kThreads * kSubmits));
 }
 

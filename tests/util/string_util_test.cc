@@ -16,19 +16,6 @@ TEST(StrFormatTest, LongOutput) {
   EXPECT_EQ(StrFormat("%s", long_str.c_str()).size(), 500u);
 }
 
-TEST(StrJoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({"only"}, ","), "only");
-  EXPECT_EQ(StrJoin({}, ","), "");
-}
-
-TEST(StrSplitTest, SplitsOnChar) {
-  EXPECT_EQ(StrSplit("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(StrSplit("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(StrSplit("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(StrSplit(",x", ','), (std::vector<std::string>{"", "x"}));
-}
-
 TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("--flag", "--"));
   EXPECT_FALSE(StartsWith("-flag", "--"));

@@ -45,25 +45,6 @@ TEST(TablePrinterTest, HandlesRaggedRows) {
   EXPECT_FALSE(out.empty());
 }
 
-TEST(TablePrinterTest, SeparatorRendersRule) {
-  TablePrinter table;
-  table.SetHeader({"A"});
-  table.AddRow({"1"});
-  table.AddSeparator();
-  table.AddRow({"2"});
-  std::string out = table.ToString();
-  // Rules: top, under header, separator, bottom = 4 lines starting with '+'.
-  int rules = 0;
-  size_t start = 0;
-  while (start < out.size()) {
-    if (out[start] == '+') ++rules;
-    size_t end = out.find('\n', start);
-    if (end == std::string::npos) break;
-    start = end + 1;
-  }
-  EXPECT_EQ(rules, 4);
-}
-
 TEST(TablePrinterTest, EmptyTable) {
   TablePrinter table;
   EXPECT_EQ(table.ToString(), "");
