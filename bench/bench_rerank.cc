@@ -3,7 +3,7 @@
 // on one synthetic world, then measures (a) ranking accuracy of
 // pointwise-only vs the two-stage pipeline over the holdout sessions,
 // and (b) serving latency of the slate-scoring path at slate sizes
-// 10 / 25 / 50 through a live ServingEngine (the rerank-stage reservoir
+// 10 / 25 / 50 through a live ServingEngine (the rerank-stage histogram
 // isolates the slate forward from collation and fan-out).
 //
 // `--json` writes the machine-readable artifact consumed by the CI

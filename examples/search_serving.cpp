@@ -569,7 +569,7 @@ int Run(int argc, char** argv) {
   }
   shard_table.Print();
   std::printf(
-      "Fleet merged: %lld requests, p99 %.2f ms (exact pooled "
+      "Fleet merged: %lld requests, p99 %.2f ms (pooled histogram "
       "percentile), %.0f req/s, shed rate %.3f, imbalance %.2f, %lld "
       "live snapshots.\n",
       static_cast<long long>(fleet_stats.merged.requests),

@@ -392,7 +392,7 @@ void ServingEngine::ExecuteMicroBatch(const MicroBatch& micro,
       // this replica's model state and workspace. Other replicas of the
       // same snapshot run their own micro-batches concurrently.
       std::lock_guard<std::mutex> lock(lane.mu);
-      // Started AFTER the lock is held: the rerank reservoir samples
+      // Started AFTER the lock is held: the rerank histogram samples
       // the lane critical section as documented, so lock-wait behind a
       // contended replica shows up in request latency, not in the
       // rerank-stage percentiles.

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/histogram.h"
 #include "util/stopwatch.h"
 
 namespace awmoe {
@@ -53,33 +54,28 @@ struct VersionHealthSnapshot {
   double drift_engaged_rate = 0.0;
 };
 
-/// Point-in-time view of the serving counters (safe to copy around and
-/// print without holding any lock).
-struct ServingStatsSnapshot {
+/// The raw state behind a ServingStatsSnapshot: counts, sums, maxima,
+/// cache-occupancy gauges and the four latency histograms — everything
+/// that pools across sources. `ServingStats` keeps one of these;
+/// `ServingStats::MergeFrom` is the one place that says how each field
+/// pools (sum or max), and `ServingStats::Snapshot` derives the means,
+/// the QPS and the percentiles of ServingStatsSnapshot from it.
+struct ServingCounters {
   int64_t requests = 0;
   int64_t items = 0;
   double total_ms = 0.0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  /// Completed requests per second of observed wall-clock, measured
-  /// from the first recorded request (not construction) to the
-  /// snapshot, so idle setup time does not dilute the number.
-  double qps = 0.0;
 
-  /// Forward passes executed (one per micro-batch). Occupancy —
-  /// `mean_batch_requests` — is the cross-session amortisation factor:
-  /// 1.0 means every request paid its own forward.
+  /// Forward passes executed (one per micro-batch), the requests and
+  /// candidates they carried, and the most requests one carried.
   int64_t batches = 0;
-  double mean_batch_requests = 0.0;
+  int64_t batch_requests_total = 0;
+  int64_t batch_items_total = 0;
   int64_t max_batch_requests = 0;
-  double mean_batch_items = 0.0;
 
   /// Async front only: requests that went through the `Submit` queue,
   /// and how long they waited there before their flush started.
   int64_t queued_requests = 0;
-  double queue_mean_ms = 0.0;
+  double queue_total_ms = 0.0;
   double queue_max_ms = 0.0;
 
   /// §III-F gate LRU outcome counts (one lookup per request on the
@@ -99,19 +95,11 @@ struct ServingStatsSnapshot {
   int64_t encoding_cache_misses = 0;
   int64_t encoding_cache_invalidations = 0;
 
-  /// End-to-end request latency split by level-1 outcome: the hit path
-  /// skips collation, lane leasing and the forward pass entirely, and
-  /// these two distributions quantify exactly what that buys (the
-  /// bench gate asserts hit p99 < miss p99).
-  double score_hit_p50_ms = 0.0;
-  double score_hit_p99_ms = 0.0;
-  double score_miss_p50_ms = 0.0;
-  double score_miss_p99_ms = 0.0;
-
   /// Snapshot-scoped cache occupancy gauges (live entries / estimated
-  /// resident bytes across the pool's published snapshots), filled by
-  /// `ServingEngine::Stats` from the pool at snapshot time; MergeFrom
-  /// sums them, so a fleet sink reports fleet-wide residency.
+  /// resident bytes across the pool's published snapshots). A bare
+  /// ServingStats holds only what MergeFrom summed in;
+  /// `ServingEngine::Stats` adds its pool's live gauges onto its
+  /// snapshot, so a fleet sink reports fleet-wide residency.
   int64_t score_cache_entries = 0;
   int64_t score_cache_bytes = 0;
   int64_t encoding_cache_entries = 0;
@@ -121,44 +109,85 @@ struct ServingStatsSnapshot {
 
   /// Slate-scoring (listwise) accounting: slates rerank-scored, their
   /// total candidate count, and a size-occupancy histogram (slate
-  /// length <= 10 / <= 25 / <= 50 / > 50 candidates). All counters sum
-  /// exactly through MergeFrom, so a fleet sink reports fleet-wide
-  /// slate load.
+  /// length <= 10 / <= 25 / <= 50 / > 50 candidates).
   int64_t slates = 0;
   int64_t slate_items = 0;
-  double mean_slate_items = 0.0;
   int64_t slates_le10 = 0;
   int64_t slates_le25 = 0;
   int64_t slates_le50 = 0;
   int64_t slates_gt50 = 0;
 
-  /// Rerank-stage latency: one sample per slate-scoring forward pass
-  /// (the lane critical section of a slate micro-batch — collation and
-  /// response fan-out excluded). Percentiles come from the carried
-  /// reservoir below, pooled exactly by MergeFrom like the others.
+  /// Replica-lane accounting: one lease is acquired per executed
+  /// micro-batch, and each samples how many of the snapshot's lanes
+  /// were busy at acquire time — >1 means forwards for one model
+  /// genuinely overlapped on distinct replicas.
+  int64_t snapshot_leases = 0;
+  int64_t active_lanes_total = 0;
+  int64_t max_active_lanes = 0;
+
+  /// Engine-wide accuracy-drift totals (sum over all versions' drift
+  /// counters, including trimmed ones). Unlike the per-version health
+  /// windows these merge, so a fleet sink reports how much
+  /// shadow-scoring evidence the fleet has seen.
+  int64_t drift_sessions = 0;
+  int64_t drift_engaged = 0;
+
+  /// Observed wall-clock window (seconds) behind `qps`; 0 before the
+  /// first request. Merging takes the max across sources (concurrent
+  /// shards share the wall), not the sum.
+  double wall_seconds = 0.0;
+
+  /// Latency histograms (ms). `latency`: every request, end to end.
+  /// `score_hit_latency` / `score_miss_latency`: the requests with a
+  /// level-1 lookup, split by its outcome — the hit path skips
+  /// collation, lane leasing and the forward pass, and these two
+  /// quantify what that buys (the bench gate asserts hit p99 < miss
+  /// p99). `rerank_latency`: one sample per slate-scoring forward (the
+  /// lane critical section of a slate micro-batch; collation and
+  /// response fan-out excluded). Merges add bucket counts, so pooled
+  /// percentiles equal those of one object that saw every request.
+  Histogram latency;
+  Histogram score_hit_latency;
+  Histogram score_miss_latency;
+  Histogram rerank_latency;
+};
+
+/// Point-in-time view of the serving counters (safe to copy around and
+/// print without holding any lock): the raw counters plus what
+/// `ServingStats::Snapshot` derives from them. Every percentile is the
+/// nearest-rank percentile of its histogram, at most 0.78% below the
+/// sample it stands for (see util/histogram.h).
+struct ServingStatsSnapshot : ServingCounters {
+  double mean_ms = 0.0;
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+  /// Completed requests per second of observed wall-clock, measured
+  /// from the first recorded request (not construction) to the
+  /// snapshot, so idle setup time does not dilute the number.
+  double qps = 0.0;
+
+  /// Occupancy — `mean_batch_requests` — is the cross-session
+  /// amortisation factor: 1.0 means every request paid its own forward.
+  double mean_batch_requests = 0.0;
+  double mean_batch_items = 0.0;
+  double queue_mean_ms = 0.0;
+
+  double score_hit_p50_ms = 0.0;
+  double score_hit_p99_ms = 0.0;
+  double score_miss_p50_ms = 0.0;
+  double score_miss_p99_ms = 0.0;
+
+  double mean_slate_items = 0.0;
   double rerank_p50_ms = 0.0;
   double rerank_p99_ms = 0.0;
-  std::vector<double> rerank_samples_ms;
 
-  /// Replica-lane accounting: one lease is acquired per executed
-  /// micro-batch. `mean/max_active_lanes` sample, at each acquire, how
-  /// many of the snapshot's lanes were busy — >1 means forwards for one
-  /// model genuinely overlapped on distinct replicas.
-  int64_t snapshot_leases = 0;
   double mean_active_lanes = 0.0;
-  int64_t max_active_lanes = 0;
 
   /// Versions published via `ModelPool::UpdateModel` over the pool's
   /// lifetime (filled by `ServingEngine::Stats` from the pool; 0 when
   /// snapshotting a bare ServingStats).
   int64_t model_swaps = 0;
-
-  /// Engine-wide accuracy-drift totals (sum over all versions'
-  /// drift counters, including trimmed ones). Unlike the per-version
-  /// health windows these DO merge — MergeFrom sums them — so a fleet
-  /// sink reports how much shadow-scoring evidence the fleet has seen.
-  int64_t drift_sessions = 0;
-  int64_t drift_engaged = 0;
 
   /// Per model-version lease counters, ordered by (model, version).
   std::vector<ModelVersionStatsSnapshot> versions;
@@ -166,32 +195,6 @@ struct ServingStatsSnapshot {
   /// Per model-version health windows (see VersionHealthSnapshot),
   /// ordered by (model, version).
   std::vector<VersionHealthSnapshot> version_health;
-
-  /// The retained latency reservoir, ascending-sorted — what the
-  /// percentiles above were computed from. Carried so snapshots can be
-  /// POOLED: `ServingStats::MergeFrom` concatenates the reservoirs of
-  /// per-shard snapshots, which is the exact sample union (and thus
-  /// yields exact merged percentiles) as long as every source stayed
-  /// under kMaxSamples requests.
-  std::vector<double> samples_ms;
-
-  /// The score-cache hit/miss latency reservoirs behind the split
-  /// percentiles above, ascending-sorted and carried for the same
-  /// pooled-merge reason.
-  std::vector<double> score_hit_samples_ms;
-  std::vector<double> score_miss_samples_ms;
-
-  /// Raw sums behind the means above, carried so a merge can re-derive
-  /// the pooled means instead of averaging averages.
-  int64_t batch_requests_total = 0;
-  int64_t batch_items_total = 0;
-  double queue_total_ms = 0.0;
-  int64_t active_lanes_total = 0;
-
-  /// Observed wall-clock window (seconds) behind `qps`; 0 before the
-  /// first request. Merging takes the max across sources (concurrent
-  /// shards share the wall), not the sum.
-  double wall_seconds = 0.0;
 };
 
 /// One executed micro-batch's lease, as recorded into the stats.
@@ -222,18 +225,13 @@ struct RequestSample {
   int encoding_lookup = -1;  // Level-2 encoding-cache outcome.
 };
 
-/// Latency accounting for the serving engine. Unlike the old aggregate
-/// counters (sessions/total_ms), per-request latency samples are kept,
-/// so percentiles are exact (nearest-rank) up to kMaxSamples requests;
-/// past that a uniform reservoir bounds memory and percentiles become
-/// statistically representative estimates. Counts, totals and the mean
-/// stay exact throughout. Thread-safe: engine workers record
-/// concurrently.
+/// Latency and load accounting for the serving engine: exact counts,
+/// totals and means, and latency percentiles read from fixed-size
+/// log-linear histograms (util/histogram.h), so memory stays bounded,
+/// recording is O(1) and merges are exact at any volume. Thread-safe:
+/// engine workers record concurrently.
 class ServingStats {
  public:
-  /// Samples retained for percentile computation.
-  static constexpr int64_t kMaxSamples = 1 << 16;
-
   /// Per-model cap on retained version entries in the lease breakdown:
   /// under continuous hot swaps only the newest versions stay, so the
   /// stats map (copied on every Snapshot) cannot grow without bound.
@@ -249,7 +247,7 @@ class ServingStats {
   /// Records the rerank stage of one slate-scoring micro-batch: one
   /// size-histogram entry per slate in `slate_sizes` (the per-request
   /// candidate counts the forward scored atomically) plus the stage's
-  /// forward latency into the rerank reservoir. One lock acquisition
+  /// forward latency into the rerank histogram. One lock acquisition
   /// for the whole micro-batch, like RecordMicroBatch.
   void RecordSlateBatch(std::span<const int64_t> slate_sizes,
                         double rerank_ms);
@@ -301,7 +299,7 @@ class ServingStats {
   /// as one failure instead). A lease with lane_leased == false
   /// (micro-batch fully served from the score cache) skips the batch
   /// and lease counters: no forward pass ran. Samples with a
-  /// score_lookup also land in the hit/miss split latency reservoirs.
+  /// score_lookup also land in the hit/miss split latency histograms.
   void RecordMicroBatch(int64_t batch_items,
                         const std::vector<RequestSample>& samples,
                         const LeaseSample* lease = nullptr);
@@ -309,15 +307,14 @@ class ServingStats {
   int64_t requests() const;
   double total_ms() const;
 
-  /// Nearest-rank percentile over the retained samples (exact until
-  /// kMaxSamples requests, reservoir-estimated beyond); `pct` in
+  /// Nearest-rank percentile of the request latency histogram; `pct` in
   /// (0, 100]. Returns 0 when nothing has been recorded.
   double LatencyPercentileMs(double pct) const;
 
   /// Total async queue delay (ms) across queued requests. Together with
   /// requests()/total_ms() this gives a cheap sliding SERVICE-time
   /// estimate — (total - queue) / requests over a counter delta —
-  /// without paying for a full Snapshot (which copies the reservoir);
+  /// without paying for a full Snapshot (which copies the histograms);
   /// the fleet admission controller refreshes its per-shard estimate
   /// from exactly these three counters.
   double queue_total_ms() const;
@@ -329,45 +326,40 @@ class ServingStats {
   /// Folds another engine's snapshot into this stats object — the
   /// fleet-aggregation path (serving/shard.h): a fresh ServingStats is
   /// used as a sink, each shard's Snapshot() is merged in, and the
-  /// sink's own Snapshot() then reports fleet-wide counters and EXACT
-  /// pooled percentiles (the snapshot carries its latency reservoir;
-  /// concatenation is the sample union while every source stayed under
-  /// kMaxSamples). Counters and per-version lease breakdowns sum;
-  /// max-fields take the max; the QPS wall-clock window takes the max
-  /// of the sources (concurrent shards share the wall). Per-version
-  /// HEALTH windows are not merged — a sliding window has no exact
-  /// merge, and rollout health is gated per shard anyway.
+  /// sink's own Snapshot() then reports fleet-wide counters and pooled
+  /// percentiles equal to those of one object that recorded every
+  /// shard's requests (the histograms add bucket by bucket). Counters
+  /// and per-version lease breakdowns sum; max-fields take the max; the
+  /// QPS wall-clock window takes the max of the sources (concurrent
+  /// shards share the wall). Per-version HEALTH windows are not merged
+  /// — a sliding window has no exact merge, and rollout health is
+  /// gated per shard anyway.
   void MergeFrom(const ServingStatsSnapshot& other);
 
   /// Drops all samples and restarts the QPS wall-clock.
   void Reset();
 
  private:
-  /// Per-version health accumulator: a circular buffer of the newest
-  /// kHealthWindow ok-latencies plus lifetime request/error counts.
+  /// Per-version health accumulator: a histogram of the newest
+  /// kHealthWindow ok-latencies, the ring of their buckets (so the
+  /// oldest can be evicted), and lifetime request/error counts.
   struct HealthWindow {
-    std::vector<double> ring;  // Capacity kHealthWindow, overwritten FIFO.
-    size_t next = 0;           // Ring write cursor.
+    Histogram latency;
+    std::vector<uint16_t> ring;  // Capacity kHealthWindow, overwritten FIFO.
+    size_t next = 0;             // Ring write cursor.
     int64_t requests = 0;
     int64_t errors = 0;
     /// Shadow-scored drift evidence (lifetime, like requests/errors).
     int64_t drift_sessions = 0;
     int64_t drift_engaged = 0;
+
+    void Add(double latency_ms, bool ok);
+    VersionHealthSnapshot View(const std::string& model,
+                               int64_t version) const;
   };
 
-  // Unlocked parts of RecordMicroBatch; caller holds mu_.
-  void RecordRequestLocked(int64_t items, double latency_ms);
-  void RecordBatchLocked(int64_t batch_requests, int64_t batch_items);
-  void RecordQueueDelayLocked(double delay_ms);
-  void RecordGateLookupLocked(bool hit);
-  void RecordScoreLookupLocked(int outcome);
-  void RecordEncodingLookupLocked(int outcome);
+  // Caller holds mu_.
   void RecordLeaseLocked(const LeaseSample& lease);
-  /// Reservoir append (Algorithm R, like the main reservoir) into one
-  /// of the score-cache hit/miss split reservoirs; `count` is that
-  /// reservoir's lifetime sample count, bumped here.
-  void AppendSplitSampleLocked(std::vector<double>* reservoir,
-                               int64_t* count, double latency_ms);
   /// Finds-or-creates (model, version)'s window, running the per-model
   /// trim on insert. Returns nullptr when the version is too old to
   /// track (a fresh insert below every retained version is itself what
@@ -375,74 +367,16 @@ class ServingStats {
   /// snapshot); the pointer stays valid for the rest of the locked
   /// section otherwise (map nodes are stable).
   HealthWindow* HealthWindowLocked(const std::string& model, int64_t version);
-  static void AppendHealthSampleLocked(HealthWindow* window,
-                                       double latency_ms, bool ok);
-  /// Builds the percentile view from a COPIED window — called outside
-  /// mu_ so the O(N log N) sort never blocks the recording hot path.
-  static VersionHealthSnapshot HealthSnapshotOf(const std::string& model,
-                                                int64_t version,
-                                                HealthWindow window);
 
-  // One mutex guards every counter AND the latency reservoir: samples
-  // are recorded concurrently by RankBatch worker threads and the async
-  // flusher thread, so the reservoir (vector growth, slot overwrites,
-  // the xorshift state) must never be touched outside mu_. The async
-  // stress test asserts exact counts under contention and the TSan CI
-  // job checks the locking.
+  // One mutex guards every field below: samples are recorded
+  // concurrently by RankBatch worker threads and the async flusher
+  // thread. The async stress test asserts exact counts under contention
+  // and the TSan CI job checks the locking.
   mutable std::mutex mu_;
-  std::vector<double> samples_ms_;  // Reservoir, capped at kMaxSamples.
-  int64_t requests_ = 0;
-  int64_t items_ = 0;
-  double total_ms_ = 0.0;
-  int64_t batches_ = 0;
-  int64_t batch_requests_ = 0;  // Sum over batches; occupancy numerator.
-  int64_t batch_items_ = 0;
-  int64_t max_batch_requests_ = 0;
-  int64_t queued_requests_ = 0;
-  double queue_total_ms_ = 0.0;
-  double queue_max_ms_ = 0.0;
-  int64_t gate_cache_hits_ = 0;
-  int64_t gate_cache_misses_ = 0;
-  int64_t score_cache_hits_ = 0;
-  int64_t score_cache_misses_ = 0;
-  int64_t score_cache_invalidations_ = 0;
-  int64_t encoding_cache_hits_ = 0;
-  int64_t encoding_cache_misses_ = 0;
-  int64_t encoding_cache_invalidations_ = 0;
-  /// Score-cache hit/miss split latency reservoirs, each capped at
-  /// kMaxSamples with its own lifetime count driving Algorithm R.
-  std::vector<double> score_hit_samples_ms_;
-  int64_t score_hit_count_ = 0;
-  std::vector<double> score_miss_samples_ms_;
-  int64_t score_miss_count_ = 0;
-  /// Cache occupancy gauges folded in via MergeFrom (a bare
-  /// ServingStats never sets its own: the engine stamps live pool
-  /// gauges onto its snapshot AFTER Snapshot(), so these only carry
-  /// the summed gauges of merged-in shard snapshots).
-  int64_t merged_score_cache_entries_ = 0;
-  int64_t merged_score_cache_bytes_ = 0;
-  int64_t merged_encoding_cache_entries_ = 0;
-  int64_t merged_encoding_cache_bytes_ = 0;
-  int64_t merged_gate_cache_entries_ = 0;
-  int64_t merged_gate_cache_bytes_ = 0;
-  /// Slate-scoring counters and the rerank-stage latency reservoir
-  /// (capped at kMaxSamples with its own lifetime count, like the
-  /// score-cache split reservoirs).
-  int64_t slates_ = 0;
-  int64_t slate_items_ = 0;
-  int64_t slates_le10_ = 0;
-  int64_t slates_le25_ = 0;
-  int64_t slates_le50_ = 0;
-  int64_t slates_gt50_ = 0;
-  std::vector<double> rerank_samples_ms_;
-  int64_t rerank_count_ = 0;
-  int64_t snapshot_leases_ = 0;
-  int64_t active_lanes_total_ = 0;  // Sum of per-lease samples; mean numerator.
-  int64_t max_active_lanes_ = 0;
-  /// Engine-wide drift totals (per-version counters live in the health
-  /// windows; these survive version trims and merge across shards).
-  int64_t drift_sessions_ = 0;
-  int64_t drift_engaged_ = 0;
+  /// Everything that merges. Its wall_seconds is the largest wall
+  /// window merged in; Snapshot reports max(own wall, that) so an idle
+  /// aggregation sink reports the sources' observed window, not 0.
+  ServingCounters counters_;
   /// Keyed by (model, version), so one model's versions are contiguous
   /// and ascending; lane_leases sized on first use per lane. Trimmed to
   /// the newest kMaxVersionsPerModel versions per model on insert.
@@ -451,14 +385,9 @@ class ServingStats {
   /// Health windows, keyed and trimmed exactly like version_lane_leases_
   /// (newest kMaxVersionsPerModel versions per model survive).
   std::map<std::pair<std::string, int64_t>, HealthWindow> version_health_;
-  uint64_t reservoir_rng_ = 0x9E3779B97F4A7C15ull;
   bool wall_started_ = false;  // Clock starts at the first request.
   double wall_offset_s_ = 0.0;  // First request's own service time.
   Stopwatch wall_;
-  /// Largest wall window merged in via MergeFrom; the snapshot's QPS
-  /// window is max(own wall, merged wall) so an idle aggregation sink
-  /// reports the sources' observed window instead of 0.
-  double merged_wall_s_ = 0.0;
 };
 
 }  // namespace awmoe

@@ -127,8 +127,8 @@ struct AdmissionOptions {
 ///    estimator): resyncs the baseline and keeps the last good
 ///    estimate, instead of freezing forever on a baseline the counters
 ///    can never catch up to;
-///  - negative service delta at positive request delta (reservoir
-///    resets, float noise): clamps the estimate at 0.
+///  - negative service delta at positive request delta (stats resets,
+///    float noise): clamps the estimate at 0.
 ///
 /// Not thread-safe; the caller serialises Update (the fleet holds the
 /// shard's load_mu).
@@ -228,9 +228,10 @@ struct ShardStatsSnapshot {
 /// Fleet-wide view: per-shard snapshots plus their exact pooled merge.
 struct FleetStats {
   std::vector<ShardStatsSnapshot> shards;
-  /// All shards merged via `ServingStats::MergeFrom` — counters summed,
-  /// percentiles EXACT over the pooled latency reservoirs (health
-  /// windows stay per-shard; see serving_stats.h).
+  /// All shards merged via `ServingStats::MergeFrom` — counters and
+  /// latency histograms summed, so the percentiles are those of one
+  /// histogram that saw every shard's requests (health windows stay
+  /// per-shard; see serving_stats.h).
   ServingStatsSnapshot merged;
   int64_t admitted = 0;
   int64_t shed = 0;

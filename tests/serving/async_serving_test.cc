@@ -740,10 +740,10 @@ TEST_F(AsyncServingTest, StopNeverCalledSubmitNeverCalledIsSafe) {
 // worker threads and the flusher concurrently; counts must be exact.
 // ---------------------------------------------------------------------
 
-TEST(ServingStatsConcurrencyTest, CountsAndReservoirExactUnderContention) {
+TEST(ServingStatsConcurrencyTest, CountsAndHistogramExactUnderContention) {
   ServingStats stats;
   constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;  // 8x10k > kMaxSamples: saturates the reservoir.
+  constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats] {
@@ -776,10 +776,16 @@ TEST(ServingStatsConcurrencyTest, CountsAndReservoirExactUnderContention) {
   EXPECT_DOUBLE_EQ(snap.mean_batch_items, 6.0);
   EXPECT_DOUBLE_EQ(snap.queue_mean_ms, 0.25);
   EXPECT_DOUBLE_EQ(snap.queue_max_ms, 0.25);
-  // The reservoir saturates at exactly kMaxSamples entries — no lost or
-  // duplicated slots under contention.
-  EXPECT_GT(kTotal, ServingStats::kMaxSamples);
-  EXPECT_GT(stats.LatencyPercentileMs(50.0), 0.0);
+  // Every latency sample lands in the histogram — none lost or
+  // duplicated under contention — spread over the seven latencies
+  // 1..7 ms exactly as recorded.
+  EXPECT_EQ(snap.latency.count(), kTotal);
+  for (int ms = 1; ms <= 7; ++ms) {
+    const int64_t want = kThreads * ((kPerThread - (ms - 1) + 6) / 7);
+    EXPECT_EQ(snap.latency.bucket_count(Histogram::BucketOf(ms)), want)
+        << ms << " ms";
+  }
+  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(50.0), 4.0);
 }
 
 TEST_F(AsyncServingTest, EngineStatsExactAcrossSubmittingThreads) {

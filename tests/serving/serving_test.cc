@@ -5,6 +5,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -1052,9 +1053,9 @@ TEST_F(ServingTest, ScoreCacheCountersAndGaugesTrack) {
   EXPECT_GT(snap.encoding_cache_bytes, 0);
   EXPECT_EQ(snap.gate_cache_entries, 1);
   EXPECT_GT(snap.gate_cache_bytes, 0);
-  // Split latency reservoirs: one sample each.
-  EXPECT_EQ(static_cast<int64_t>(snap.score_hit_samples_ms.size()), 1);
-  EXPECT_EQ(static_cast<int64_t>(snap.score_miss_samples_ms.size()), 1);
+  // Split latency histograms: one sample each.
+  EXPECT_EQ(snap.score_hit_latency.count(), 1);
+  EXPECT_EQ(snap.score_miss_latency.count(), 1);
   EXPECT_GT(snap.score_miss_p99_ms, 0.0);
 
   // A hot swap retires the old snapshot's caches: gauges drop to zero.
@@ -1292,42 +1293,88 @@ TEST(ServingStatsTest, PercentilesAreExactOverSamples) {
   EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(99.0), 0.0);
 }
 
+// Records `count` requests of `items` candidates and `latency_ms` each
+// into `stats` as one micro-batch, alternately score-cache hits and
+// misses (by request index and latency, so one-request loads alternate
+// too), plus one single-slate rerank stage of the same latency per
+// request: every latency histogram gets the load.
+void RecordLoad(ServingStats* stats, int count, int64_t items,
+                double latency_ms) {
+  std::vector<RequestSample> batch;
+  for (int i = 0; i < count; ++i) {
+    const int score_lookup = (i + static_cast<int>(latency_ms)) % 2;
+    batch.push_back({.items = items,
+                     .latency_ms = latency_ms,
+                     .score_lookup = score_lookup});
+    stats->RecordSlateBatch(std::span<const int64_t>(&items, 1),
+                            latency_ms);
+  }
+  stats->RecordMicroBatch(items * count, batch);
+}
+
 TEST(ServingStatsTest, MergeFromEqualsRecordingTheUnion) {
-  // Two disjoint shards...
-  ServingStats a;
-  ServingStats b;
-  for (int ms = 1; ms <= 50; ++ms) {
-    RecordOne(&a, /*items=*/2, static_cast<double>(ms));
-  }
-  for (int ms = 51; ms <= 100; ++ms) {
-    RecordOne(&b, /*items=*/3, static_cast<double>(ms));
-  }
-  // ...and one stats object that saw every request directly.
-  ServingStats direct;
-  for (int ms = 1; ms <= 50; ++ms) {
-    RecordOne(&direct, 2, static_cast<double>(ms));
-  }
-  for (int ms = 51; ms <= 100; ++ms) {
-    RecordOne(&direct, 3, static_cast<double>(ms));
-  }
+  struct Load {
+    int count;
+    int64_t items;
+    double latency_ms;
+  };
+  struct Input {
+    std::vector<Load> a;
+    std::vector<Load> b;
+  };
+  std::vector<Input> inputs(2);
+  // Two disjoint shards: 1..50 ms on a, 51..100 ms on b.
+  for (int ms = 1; ms <= 50; ++ms) inputs[0].a.push_back({1, 2, 1.0 * ms});
+  for (int ms = 51; ms <= 100; ++ms) inputs[0].b.push_back({1, 3, 1.0 * ms});
+  // Unequal traffic: a heavy fast shard and a light slow one. Pooling
+  // must weigh each shard by its traffic at any volume (a capped
+  // per-source sample would weigh them equally and read p99 = 100 ms).
+  inputs[1].a.push_back({200000, 2, 1.0});
+  inputs[1].b.push_back({1000, 3, 100.0});
 
-  ServingStats merged;
-  merged.MergeFrom(a.Snapshot());
-  merged.MergeFrom(b.Snapshot());
-  const ServingStatsSnapshot got = merged.Snapshot();
-  const ServingStatsSnapshot want = direct.Snapshot();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    ServingStats a;
+    ServingStats b;
+    // ...and one stats object that saw every request directly.
+    ServingStats direct;
+    for (const Load& load : inputs[i].a) {
+      RecordLoad(&a, load.count, load.items, load.latency_ms);
+      RecordLoad(&direct, load.count, load.items, load.latency_ms);
+    }
+    for (const Load& load : inputs[i].b) {
+      RecordLoad(&b, load.count, load.items, load.latency_ms);
+      RecordLoad(&direct, load.count, load.items, load.latency_ms);
+    }
 
-  // Pooled-reservoir merging is EXACT while every source stays under
-  // the reservoir cap: same counts, same mean, same percentiles as
-  // recording the union into one object.
-  EXPECT_EQ(got.requests, want.requests);
-  EXPECT_EQ(got.items, want.items);
-  EXPECT_DOUBLE_EQ(got.total_ms, want.total_ms);
-  EXPECT_DOUBLE_EQ(got.mean_ms, want.mean_ms);
-  EXPECT_DOUBLE_EQ(got.p50_ms, want.p50_ms);
-  EXPECT_DOUBLE_EQ(got.p95_ms, want.p95_ms);
-  EXPECT_DOUBLE_EQ(got.p99_ms, want.p99_ms);
-  EXPECT_EQ(got.samples_ms.size(), 100u);
+    ServingStats merged;
+    merged.MergeFrom(a.Snapshot());
+    merged.MergeFrom(b.Snapshot());
+    const ServingStatsSnapshot got = merged.Snapshot();
+    const ServingStatsSnapshot want = direct.Snapshot();
+
+    // Histogram merging is EXACT at any volume: same counts, same mean,
+    // same buckets and percentiles as recording the union into one
+    // object.
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.items, want.items);
+    EXPECT_DOUBLE_EQ(got.total_ms, want.total_ms);
+    EXPECT_DOUBLE_EQ(got.mean_ms, want.mean_ms);
+    EXPECT_DOUBLE_EQ(got.p50_ms, want.p50_ms);
+    EXPECT_DOUBLE_EQ(got.p95_ms, want.p95_ms);
+    EXPECT_DOUBLE_EQ(got.p99_ms, want.p99_ms);
+    EXPECT_EQ(got.latency.count(), want.requests);
+    EXPECT_TRUE(got.latency == want.latency);
+    EXPECT_TRUE(got.score_hit_latency == want.score_hit_latency);
+    EXPECT_TRUE(got.score_miss_latency == want.score_miss_latency);
+    EXPECT_TRUE(got.rerank_latency == want.rerank_latency);
+    EXPECT_DOUBLE_EQ(got.score_hit_p50_ms, want.score_hit_p50_ms);
+    EXPECT_DOUBLE_EQ(got.score_hit_p99_ms, want.score_hit_p99_ms);
+    EXPECT_DOUBLE_EQ(got.score_miss_p50_ms, want.score_miss_p50_ms);
+    EXPECT_DOUBLE_EQ(got.score_miss_p99_ms, want.score_miss_p99_ms);
+    EXPECT_DOUBLE_EQ(got.rerank_p50_ms, want.rerank_p50_ms);
+    EXPECT_DOUBLE_EQ(got.rerank_p99_ms, want.rerank_p99_ms);
+  }
 }
 
 TEST(ServingStatsTest, MergeFromPoolsCountersNotAverages) {

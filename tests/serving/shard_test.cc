@@ -726,7 +726,7 @@ TEST_F(ShardedFleetTest, MalformedItemsInvalidArgumentOnEveryFleetPath) {
   fleet->Stop();
 }
 
-TEST_F(ShardedFleetTest, FleetStatsMergeShardReservoirs) {
+TEST_F(ShardedFleetTest, FleetStatsMergeShardHistograms) {
   auto fleet = MakeFleet(3);
   const std::vector<RankRequest> requests = FixtureRequests();
   std::vector<std::future<RankResponse>> futures;
@@ -737,28 +737,20 @@ TEST_F(ShardedFleetTest, FleetStatsMergeShardReservoirs) {
   const FleetStats stats = fleet->Stats();
 
   int64_t shard_requests = 0;
-  std::vector<double> pooled;
+  Histogram pooled;
   for (const ShardStatsSnapshot& shard : stats.shards) {
     shard_requests += shard.engine.requests;
-    pooled.insert(pooled.end(), shard.engine.samples_ms.begin(),
-                  shard.engine.samples_ms.end());
+    pooled.Merge(shard.engine.latency);
   }
   EXPECT_EQ(stats.merged.requests, shard_requests);
-  EXPECT_EQ(stats.merged.samples_ms.size(), pooled.size());
-  // The merged percentiles are EXACT nearest-rank percentiles of the
-  // pooled union (the same formula ServingStats uses internally).
-  std::sort(pooled.begin(), pooled.end());
-  ASSERT_FALSE(pooled.empty());
-  const auto nearest_rank = [&pooled](double pct) {
-    const size_t rank = std::max<size_t>(
-        static_cast<size_t>(
-            std::ceil(pct / 100.0 * static_cast<double>(pooled.size()))),
-        1);
-    return pooled[rank - 1];
-  };
-  EXPECT_DOUBLE_EQ(stats.merged.p50_ms, nearest_rank(50.0));
-  EXPECT_DOUBLE_EQ(stats.merged.p95_ms, nearest_rank(95.0));
-  EXPECT_DOUBLE_EQ(stats.merged.p99_ms, nearest_rank(99.0));
+  EXPECT_EQ(stats.merged.requests, static_cast<int64_t>(requests.size()));
+  // The merged histogram is the bucket-wise sum of the shards', and the
+  // merged percentiles are that sum's nearest-rank percentiles.
+  EXPECT_EQ(pooled.count(), shard_requests);
+  EXPECT_TRUE(stats.merged.latency == pooled);
+  EXPECT_DOUBLE_EQ(stats.merged.p50_ms, pooled.Percentile(50.0));
+  EXPECT_DOUBLE_EQ(stats.merged.p95_ms, pooled.Percentile(95.0));
+  EXPECT_DOUBLE_EQ(stats.merged.p99_ms, pooled.Percentile(99.0));
   fleet->Stop();
 }
 

@@ -359,7 +359,8 @@ TEST_F(SlateServingTest, ConcurrentSlateSubmitsMatchSoloRankBitwise) {
 
 // ---------------------------------------------------------------------
 // Slate stats: counters exact, histogram partitions the slates, rerank
-// reservoir carries percentiles, MergeFrom sums into a fleet sink.
+// latency histogram carries percentiles, MergeFrom sums into a fleet
+// sink.
 // ---------------------------------------------------------------------
 
 TEST_F(SlateServingTest, SlateStatsCountExactlyAndMerge) {
@@ -387,8 +388,7 @@ TEST_F(SlateServingTest, SlateStatsCountExactlyAndMerge) {
                 snap.slates_gt50,
             snap.slates);
   // One rerank-latency sample per slate forward.
-  EXPECT_EQ(static_cast<int64_t>(snap.rerank_samples_ms.size()),
-            snap.slates);
+  EXPECT_EQ(snap.rerank_latency.count(), snap.slates);
   EXPECT_GE(snap.rerank_p99_ms, snap.rerank_p50_ms);
   EXPECT_GT(snap.rerank_p50_ms, 0.0);
 
@@ -403,8 +403,9 @@ TEST_F(SlateServingTest, SlateStatsCountExactlyAndMerge) {
   EXPECT_EQ(merged.slates_le10, 2 * snap.slates_le10);
   EXPECT_EQ(merged.slates_gt50, 2 * snap.slates_gt50);
   EXPECT_DOUBLE_EQ(merged.mean_slate_items, snap.mean_slate_items);
-  EXPECT_EQ(merged.rerank_samples_ms.size(),
-            2 * snap.rerank_samples_ms.size());
+  EXPECT_EQ(merged.rerank_latency.count(), 2 * snap.slates);
+  EXPECT_DOUBLE_EQ(merged.rerank_p50_ms, snap.rerank_p50_ms);
+  EXPECT_DOUBLE_EQ(merged.rerank_p99_ms, snap.rerank_p99_ms);
 }
 
 // ---------------------------------------------------------------------
