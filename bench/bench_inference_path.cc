@@ -1,5 +1,6 @@
-// Hot-path inference API comparison: the legacy Var-graph
-// InferenceLogits vs the workspace-based ScoreInto, per ranker, swept
+// Hot-path inference API comparison: the legacy rows run a ranker's
+// forward body on the Var graph (ForwardLogits under NoGradGuard), the
+// others on the workspace arena (Score), per ranker, swept
 // over micro-batch sizes. Reported per case:
 //   - p50_us / p99_us: manual per-iteration latency percentiles
 //     (steady_clock around ONLY the model call);
@@ -176,10 +177,12 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
     model->EncodeSessionInto(batch, workspace.get(), enc_rows);
     encoding = SessionEncoding{enc_rows.data(), batch_size, enc_width};
   }
+  // The legacy rows record no graph.
+  const NoGradGuard no_grad;
   // Warm-up: materialise workspace slabs outside measurement.
   switch (path) {
     case Path::kLegacy:
-      benchmark::DoNotOptimize(model->InferenceLogits(batch));
+      benchmark::DoNotOptimize(model->ForwardLogits(batch));
       break;
     case Path::kEncodeSession:
       model->EncodeSessionInto(batch, workspace.get(), enc_rows);
@@ -207,7 +210,7 @@ void RunInference(benchmark::State& state, Ranker* model, Path path,
     const auto start = std::chrono::steady_clock::now();
     switch (path) {
       case Path::kLegacy: {
-        Matrix logits = model->InferenceLogits(batch);
+        Var logits = model->ForwardLogits(batch);
         benchmark::DoNotOptimize(logits);
         break;
       }

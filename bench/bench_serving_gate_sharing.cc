@@ -294,12 +294,13 @@ BENCHMARK(BM_AsyncSubmit_ClosedLoopReplicas)
 /// (1-row gate batch). The ratio is the §III-F resource saving.
 void BM_GatePath_PerItem(benchmark::State& state) {
   ServingFixture& fixture = ServingFixture::Get();
+  const NoGradGuard no_grad;
   size_t i = 0;
   for (auto _ : state) {
     const auto& session = fixture.sessions[i % fixture.sessions.size()];
     Batch batch = CollateBatch(session, fixture.data.meta,
                                &fixture.standardizer);
-    Matrix gate = fixture.model->InferenceGate(batch);
+    Var gate = fixture.model->GateRepresentation(batch);
     benchmark::DoNotOptimize(gate);
     ++i;
   }
@@ -308,12 +309,13 @@ BENCHMARK(BM_GatePath_PerItem)->Unit(benchmark::kMillisecond);
 
 void BM_GatePath_SharedOncePerSession(benchmark::State& state) {
   ServingFixture& fixture = ServingFixture::Get();
+  const NoGradGuard no_grad;
   size_t i = 0;
   for (auto _ : state) {
     const auto& session = fixture.sessions[i % fixture.sessions.size()];
     Batch probe =
         CollateBatch({session[0]}, fixture.data.meta, &fixture.standardizer);
-    Matrix gate = fixture.model->InferenceGate(probe);
+    Var gate = fixture.model->GateRepresentation(probe);
     benchmark::DoNotOptimize(gate);
     ++i;
   }

@@ -35,14 +35,26 @@ class AwMoeRanker : public Ranker {
  public:
   AwMoeRanker(const DatasetMeta& meta, const AwMoeConfig& config, Rng* rng);
 
-  struct ForwardResult {
-    Var logits;         // [B, 1] (Eq. 9, pre-sigmoid).
-    Var gate;           // [B, K] gate activations g.
-    Var expert_scores;  // [B, K] expert scores S.
+  /// What the forward body yields on executor X.
+  template <class X>
+  struct Pass {
+    MatOf<X> logits;         // [B, 1] (Eq. 9, pre-sigmoid).
+    InOf<X> gate;            // [B, K] gate activations g.
+    MatOf<X> expert_scores;  // [B, K] expert scores S.
   };
 
-  /// One full forward pass (Algorithm 1 steps 1-4).
-  ForwardResult Forward(const Batch& batch);
+  /// The graph pass plus the expert-disagreement penalty, which the
+  /// trainer adds to the loss (undefined when diversity_weight == 0).
+  struct ForwardResult : Pass<GraphExec> {
+    Var aux_loss;
+  };
+
+  /// One full forward pass (Algorithm 1 steps 1-4) on the graph, plus
+  /// the disagreement penalty. `gate`, when given, replaces the gate
+  /// network (§III-F: one gate evaluation serves every target item of a
+  /// session): [B, K], or [1, K] broadcast to every row. It enters the
+  /// graph as a constant, so no gradient flows into it.
+  ForwardResult Forward(const Batch& batch, const Matrix* gate = nullptr);
 
   Var ForwardLogits(const Batch& batch) override;
 
@@ -51,33 +63,13 @@ class AwMoeRanker : public Ranker {
   /// Cheaper than Forward because experts are skipped.
   Var GateRepresentation(const Batch& batch) override;
 
-  /// Serving-path forward with a precomputed gate (§III-F): when the gate
-  /// reads only user and query features, one gate evaluation serves every
-  /// target item in the session. `gate` is [1, K] (or [B, K]); row 0 is
-  /// broadcast when a single row is given.
-  Var ForwardLogitsWithGate(const Batch& batch, const Var& gate);
-
-  /// Inference-only forward: logits without building a graph or touching
-  /// the pending auxiliary loss, so concurrent serving threads observe no
-  /// state mutation on the expert/gate path.
-  Matrix InferenceLogits(const Batch& batch) override;
-
-  /// Gate activations [B, K] for serving, graph-free. One row per batch
-  /// row; in search mode every row of a session is identical, which is
-  /// what the serving engine's per-session gate cache exploits.
-  Matrix InferenceGate(const Batch& batch);
-
-  /// Expert path with an externally supplied [B, K] gate matrix (rows
-  /// typically replicated from cached per-session gates), graph-free.
-  Matrix InferenceLogitsWithGate(const Batch& batch, const Matrix& gate);
-
   // --- Workspace-based hot path (see models/ranker.h). ---
 
-  /// Allocation-free inference: expert path + gate network, or expert
-  /// path under a precomputed SessionGate (§III-F), with the
+  /// The forward body on the arena: expert path + gate network, or
+  /// expert path under a precomputed SessionGate (§III-F), with the
   /// candidate-independent blocks replayed from a SessionEncoding when
-  /// one is given. Bitwise-identical to InferenceLogits /
-  /// InferenceLogitsWithGate respectively.
+  /// one is given. Bitwise-identical to ForwardLogits / Forward(batch,
+  /// &gate) at the reference tier.
   void Score(const ScoreCall& call) override;
 
   /// The §III-F precondition: in search mode the gate reads only the
@@ -89,7 +81,7 @@ class AwMoeRanker : public Ranker {
   ServingTraits Traits(const DatasetMeta& meta) const override;
 
   /// Graph- and allocation-free gate rows [B, K]; bitwise-identical to
-  /// InferenceGate.
+  /// GateRepresentation.
   void GateInto(const Batch& batch, InferenceWorkspace* workspace,
                 std::span<float> out) override;
 
@@ -98,10 +90,6 @@ class AwMoeRanker : public Ranker {
   /// Score reproduces the fused Score exactly.
   void EncodeSessionInto(const Batch& batch, InferenceWorkspace* workspace,
                          std::span<float> out) override;
-
-  /// Expert-disagreement penalty for the most recent Forward /
-  /// ForwardLogits call (undefined Var when diversity_weight == 0).
-  Var PendingAuxiliaryLoss() const { return pending_aux_loss_; }
 
   std::vector<Var> Parameters() const override;
   std::string name() const override { return config_.name; }
@@ -113,13 +101,19 @@ class AwMoeRanker : public Ranker {
   const AwMoeConfig& config() const { return config_; }
 
  private:
+  /// The forward body, on either executor: input network (replaying
+  /// `encoding` when given), expert scores, the gate network or the
+  /// supplied `gate`, then their row-wise dot into `out`.
+  template <class X>
+  Pass<X> Run(const X& x, const Batch& batch, const SessionGate* gate,
+              const SessionEncoding* encoding, DstOf<X> out) const;
+
   DatasetMeta meta_;
   AwMoeConfig config_;
   EmbeddingSet embeddings_;
   InputNetwork input_network_;
   ExpertBank experts_;
   GateNetwork gate_network_;
-  Var pending_aux_loss_;
 };
 
 }  // namespace awmoe

@@ -31,11 +31,12 @@ Var BuildTrainingLoss(Ranker* model, const Batch& batch,
   // anchor: take both from one pass instead of running the gate network
   // a second time.
   auto* aw = dynamic_cast<AwMoeRanker*>(model);
-  Var logits, gate;
+  Var logits, gate, aux;
   if (aw != nullptr) {
     AwMoeRanker::ForwardResult forward = aw->Forward(batch);
     logits = forward.logits;
     gate = forward.gate;
+    aux = forward.aux_loss;
   } else {
     logits = model->ForwardLogits(batch);
   }
@@ -76,12 +77,8 @@ Var BuildTrainingLoss(Ranker* model, const Batch& batch,
                    ag::Scale(cl_loss, static_cast<float>(config.cl.weight)));
   }
 
-  // Model-specific auxiliary losses (the expert-disagreement
-  // regulariser) attach to the most recent forward pass.
-  if (aw != nullptr) {
-    Var aux = aw->PendingAuxiliaryLoss();
-    if (aux.defined()) loss = ag::Add(loss, aux);
-  }
+  // The expert-disagreement regulariser, from the same forward pass.
+  if (aux.defined()) loss = ag::Add(loss, aux);
   return loss;
 }
 

@@ -50,7 +50,7 @@ struct BatchLossTerms {
 ///   L_total = L_rank + lambda * L_cl (+ model auxiliary losses)
 /// — the BCE ranking loss, the InfoNCE contrastive term when
 /// `augmenter` is non-null and `config.contrastive` is set, and any
-/// model-specific auxiliary loss attached to the forward pass (the
+/// model-specific auxiliary loss the forward pass returns (the
 /// AW-MoE expert-disagreement regulariser). Shared by the serial
 /// `Trainer` and the data-parallel `ParallelTrainer`
 /// (core/parallel_trainer.h) so both optimise the exact same objective;

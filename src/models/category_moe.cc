@@ -1,7 +1,5 @@
 #include "models/category_moe.h"
 
-#include "autograd/ops.h"
-
 namespace awmoe {
 
 CategoryMoeRanker::CategoryMoeRanker(const DatasetMeta& meta,
@@ -29,10 +27,31 @@ Var CategoryMoeRanker::GateRepresentation(const Batch& batch) {
   return GateRows(GraphExec(), batch, {});
 }
 
+template <class X>
+MatOf<X> CategoryMoeRanker::Run(const X& x, const Batch& batch,
+                                const SessionGate* gate,
+                                DstOf<X> out) const {
+  const int64_t b = batch.size;
+  const int64_t k = dims_.num_experts;
+  const MatOf<X> v_imp = input_network_.Run(
+      x, batch, /*encoding=*/nullptr, x.Alloc(b, input_network_.output_dim()));
+  const MatOf<X> scores = experts_.Run(x, v_imp, x.Alloc(b, k));
+  InOf<X> g;
+  if (gate != nullptr) {
+    g = x.Input(ResolveSessionGate(*gate, b, k));
+  } else {
+    g = GateRows(x, batch, x.Alloc(b, k));
+  }
+  return x.DotRows(scores, g, out);
+}
+
+template Var CategoryMoeRanker::Run(const GraphExec&, const Batch&,
+                                    const SessionGate*, GraphExec::Dst) const;
+template MatView CategoryMoeRanker::Run(const ArenaExec&, const Batch&,
+                                        const SessionGate*, MatView) const;
+
 Var CategoryMoeRanker::ForwardLogits(const Batch& batch) {
-  Var scores = experts_.ForwardAll(input_network_.Forward(batch));
-  Var gate = GateRepresentation(batch);
-  return ag::DotRows(scores, gate);
+  return Run(GraphExec(), batch, /*gate=*/nullptr, {});
 }
 
 std::vector<Var> CategoryMoeRanker::Parameters() const {
@@ -46,24 +65,10 @@ std::vector<Var> CategoryMoeRanker::Parameters() const {
 
 void CategoryMoeRanker::Score(const ScoreCall& call) {
   CheckScoreCall(*this, call);
-  const Batch& batch = call.batch;
   InferenceArena* arena = call.workspace->arena();
   arena->Reset();
-  const int64_t k = dims_.num_experts;
-  // Same op order as ForwardLogits: experts on the impression vector,
-  // then the gate, then the row-wise weighted sum.
-  const ArenaExec x(arena);
-  MatView v_imp = arena->Alloc(batch.size, input_network_.output_dim());
-  input_network_.Run(x, batch, /*encoding=*/nullptr, v_imp);
-  MatView scores = arena->Alloc(batch.size, k);
-  experts_.Run(x, v_imp, scores);
-  ConstMatView gate_view;
-  if (call.gate != nullptr) {
-    gate_view = ResolveSessionGate(*call.gate, batch.size, k);
-  } else {
-    gate_view = GateRows(x, batch, arena->Alloc(batch.size, k));
-  }
-  DotRowsInto(scores, gate_view, MatView{call.out.data(), batch.size, 1, 1});
+  Run(ArenaExec(arena), call.batch, call.gate,
+      MatView{call.out.data(), call.batch.size, 1, 1});
 }
 
 ServingTraits CategoryMoeRanker::Traits(const DatasetMeta& meta) const {
@@ -74,16 +79,9 @@ ServingTraits CategoryMoeRanker::Traits(const DatasetMeta& meta) const {
 void CategoryMoeRanker::GateInto(const Batch& batch,
                                  InferenceWorkspace* workspace,
                                  std::span<float> out) {
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  AWMOE_CHECK(static_cast<int64_t>(out.size()) >=
-              batch.size * dims_.num_experts)
-      << "GateInto: out span " << out.size() << " for " << batch.size
-      << "x" << dims_.num_experts;
-  InferenceArena* arena = workspace->arena();
-  arena->Reset();
-  GateRows(ArenaExec(arena), batch,
-           MatView{out.data(), batch.size, dims_.num_experts,
-                   dims_.num_experts});
+  const MatView rows =
+      SessionRowsOut(batch, workspace, out, dims_.num_experts);
+  GateRows(ArenaExec(workspace->arena()), batch, rows);
 }
 
 std::unique_ptr<Ranker> CategoryMoeRanker::Clone() const {

@@ -54,6 +54,13 @@ class CategoryMoeRanker : public Ranker {
   template <class X>
   MatOf<X> GateRows(const X& x, const Batch& batch, DstOf<X> out) const;
 
+  /// The forward body, on either executor: input network, expert
+  /// scores, GateRows or the supplied `gate`, then their row-wise dot
+  /// into `out`.
+  template <class X>
+  MatOf<X> Run(const X& x, const Batch& batch, const SessionGate* gate,
+               DstOf<X> out) const;
+
   DatasetMeta meta_;
   ModelDims dims_;
   EmbeddingSet embeddings_;

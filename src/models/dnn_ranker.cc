@@ -15,8 +15,22 @@ std::string FfnRanker::name() const {
   return pooling_ == UserPooling::kSumPool ? "DNN" : "DIN";
 }
 
+template <class X>
+MatOf<X> FfnRanker::Run(const X& x, const Batch& batch,
+                        const SessionEncoding* encoding,
+                        DstOf<X> out) const {
+  const MatOf<X> v_imp = input_network_.Run(
+      x, batch, encoding, x.Alloc(batch.size, input_network_.output_dim()));
+  return ffn_.Run(x, v_imp, out);
+}
+
+template Var FfnRanker::Run(const GraphExec&, const Batch&,
+                            const SessionEncoding*, GraphExec::Dst) const;
+template MatView FfnRanker::Run(const ArenaExec&, const Batch&,
+                                const SessionEncoding*, MatView) const;
+
 Var FfnRanker::ForwardLogits(const Batch& batch) {
-  return ffn_.Forward(input_network_.Forward(batch));
+  return Run(GraphExec(), batch, /*encoding=*/nullptr, {});
 }
 
 std::unique_ptr<Ranker> FfnRanker::Clone() const {
@@ -35,23 +49,10 @@ std::unique_ptr<Ranker> FfnRanker::Clone() const {
 
 void FfnRanker::Score(const ScoreCall& call) {
   CheckScoreCall(*this, call);
-  const Batch& batch = call.batch;
   InferenceArena* arena = call.workspace->arena();
   arena->Reset();
-  // Input network -> single FFN. An encoding replays the candidate-
-  // independent blocks from the session feature store instead of
-  // recomputing them; the op sequence on values is identical either
-  // way (bitwise contract).
-  const ArenaExec x(arena);
-  MatView v_imp = arena->Alloc(batch.size, input_network_.output_dim());
-  ConstMatView encoding;
-  if (call.encoding != nullptr) {
-    encoding = ResolveSessionEncoding(*call.encoding, batch.size,
-                                      input_network_.session_encoding_dim());
-  }
-  input_network_.Run(x, batch, call.encoding != nullptr ? &encoding : nullptr,
-                     v_imp);
-  ffn_.Run(x, v_imp, MatView{call.out.data(), batch.size, 1, 1});
+  Run(ArenaExec(arena), call.batch, call.encoding,
+      MatView{call.out.data(), call.batch.size, 1, 1});
 }
 
 ServingTraits FfnRanker::Traits(const DatasetMeta& meta) const {
@@ -63,15 +64,7 @@ ServingTraits FfnRanker::Traits(const DatasetMeta& meta) const {
 void FfnRanker::EncodeSessionInto(const Batch& batch,
                                   InferenceWorkspace* workspace,
                                   std::span<float> out) {
-  CheckScoreIntoArgs(batch, workspace, out.size());
-  const int64_t w = input_network_.session_encoding_dim();
-  AWMOE_CHECK(static_cast<int64_t>(out.size()) >= batch.size * w)
-      << "EncodeSessionInto: out span " << out.size() << " for "
-      << batch.size << "x" << w;
-  InferenceArena* arena = workspace->arena();
-  arena->Reset();
-  input_network_.EncodeSessionInto(batch, arena,
-                                   MatView{out.data(), batch.size, w, w});
+  input_network_.EncodeSessionInto(batch, workspace, out);
 }
 
 std::vector<Var> FfnRanker::Parameters() const {

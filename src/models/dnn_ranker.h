@@ -44,6 +44,12 @@ class FfnRanker : public Ranker {
             UserPooling pooling, Rng* rng);
 
  private:
+  /// The forward body, on either executor: the input network
+  /// (replaying `encoding` when given), then the FFN into `out`.
+  template <class X>
+  MatOf<X> Run(const X& x, const Batch& batch,
+               const SessionEncoding* encoding, DstOf<X> out) const;
+
   DatasetMeta meta_;
   ModelDims dims_;
   UserPooling pooling_;

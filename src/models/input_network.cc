@@ -35,14 +35,13 @@ int64_t InputNetwork::session_encoding_dim() const {
 
 template <class X>
 MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
-                           const ConstMatView* encoding, DstOf<X> out) const {
+                           const SessionEncoding* encoding,
+                           DstOf<X> out) const {
   const int64_t b = batch.size;
   const int64_t h = dims_.hidden_dim();
+  ConstMatView blob;
   if (encoding != nullptr) {
-    AWMOE_CHECK(encoding->rows == b &&
-                encoding->cols == session_encoding_dim())
-        << "InputNetwork: encoding " << encoding->rows << "x"
-        << encoding->cols;
+    blob = ResolveSessionEncoding(*encoding, b, session_encoding_dim());
     // The blob layout is indexed by padded position, so the pad width
     // must be the snapshot-constant one the width was derived from.
     AWMOE_CHECK(batch.seq_len == meta_.max_seq_len)
@@ -62,7 +61,7 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
   MatOf<X> v_user;
   if (encoding != nullptr && pooling_ == UserPooling::kSumPool) {
     // The blob carries the pooled vector itself; nothing to weigh.
-    v_user = x.Constant(encoding->ColBlock(0, h), x.ColBlock(out, 0, h));
+    v_user = x.Constant(blob.ColBlock(0, h), x.ColBlock(out, 0, h));
   } else {
     const typename X::Scope scope(x);
     const typename X::RowList list =
@@ -74,7 +73,7 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
     const DstOf<X> h_b_out = x.Alloc(rows.size(), h);
     const MatOf<X> h_b =
         encoding != nullptr
-            ? x.Constant(encoding->ColBlock(0, batch.seq_len * h), rows,
+            ? x.Constant(blob.ColBlock(0, batch.seq_len * h), rows,
                          h_b_out)
             : BehaviorHidden(x, *embeddings_, item_tower_, batch, rows,
                              h_b_out);
@@ -102,7 +101,7 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
   }
   MatOf<X> h_query;
   if (encoding != nullptr) {
-    h_query = x.Constant(encoding->ColBlock(query_offset(), h),
+    h_query = x.Constant(blob.ColBlock(query_offset(), h),
                          x.ColBlock(out, 2 * h, h));
   } else {
     const typename X::Scope scope(x);
@@ -113,19 +112,18 @@ MatOf<X> InputNetwork::Run(const X& x, const Batch& batch,
 }
 
 template Var InputNetwork::Run(const GraphExec&, const Batch&,
-                               const ConstMatView*, GraphExec::Dst) const;
+                               const SessionEncoding*, GraphExec::Dst) const;
 template MatView InputNetwork::Run(const ArenaExec&, const Batch&,
-                                   const ConstMatView*, MatView) const;
+                                   const SessionEncoding*, MatView) const;
 
 void InputNetwork::EncodeSessionInto(const Batch& batch,
-                                     InferenceArena* arena,
-                                     MatView out) const {
-  const ArenaExec x(arena);
+                                     InferenceWorkspace* workspace,
+                                     std::span<float> out_span) const {
+  const MatView out =
+      SessionRowsOut(batch, workspace, out_span, session_encoding_dim());
+  const ArenaExec x(workspace->arena());
   const int64_t b = batch.size;
   const int64_t h = dims_.hidden_dim();
-  AWMOE_CHECK(out.rows == b && out.cols == session_encoding_dim())
-      << "InputNetwork::EncodeSessionInto: out " << out.rows << "x"
-      << out.cols;
   AWMOE_CHECK(batch.seq_len == meta_.max_seq_len)
       << "InputNetwork::EncodeSessionInto: seq_len " << batch.seq_len
       << " vs meta " << meta_.max_seq_len;

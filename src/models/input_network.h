@@ -8,6 +8,7 @@
 #include "models/attention_unit.h"
 #include "models/embedding_set.h"
 #include "models/model_dims.h"
+#include "models/ranker.h"
 #include "nn/exec.h"
 #include "nn/mlp.h"
 #include "nn/module.h"
@@ -48,17 +49,18 @@ class InputNetwork : public Module {
   /// Impression representation [B, output_dim()], on either executor.
   /// On the arena each tower writes its slice of `out` directly.
   ///
-  /// `encoding` (arena only; null on the graph) is an EncodeSessionInto
-  /// blob, [B, session_encoding_dim()] (stride 0 broadcasts one cached
-  /// session row): the candidate-independent blocks are replayed from
+  /// `encoding`, when not null, is what EncodeSessionInto wrote, one
+  /// row per batch row or one row broadcast to all (ResolveSessionEncoding
+  /// checks it): the candidate-independent blocks are replayed from
   /// it instead of recomputed, and only the candidate-dependent tail
   /// (target tower, attention weighting + pooling, profile tower) runs.
-  /// Replayed rows are first copied into arena storage, so every kernel
-  /// still reads aligned arena views; the result is bitwise-identical
-  /// to the fused forward.
+  /// Replayed rows are first copied into the executor's own storage
+  /// (arena views, or graph constants), so every kernel still reads
+  /// aligned rows; the result is bitwise-identical to the fused
+  /// forward.
   template <class X>
-  MatOf<X> Run(const X& x, const Batch& batch, const ConstMatView* encoding,
-               DstOf<X> out) const;
+  MatOf<X> Run(const X& x, const Batch& batch,
+               const SessionEncoding* encoding, DstOf<X> out) const;
 
   Var Forward(const Batch& batch) const {
     return Run(GraphExec(), batch, nullptr, {});
@@ -78,8 +80,9 @@ class InputNetwork : public Module {
   /// arena storage, and the stack's row blocks are copied into the
   /// blob's column blocks; Run replays only its batch's real rows out
   /// of it, so the replay reproduces the fused forward bit for bit.
-  void EncodeSessionInto(const Batch& batch, InferenceArena* arena,
-                         MatView out) const;
+  /// Implements Ranker::EncodeSessionInto for the rankers built on it.
+  void EncodeSessionInto(const Batch& batch, InferenceWorkspace* workspace,
+                         std::span<float> out) const;
 
   /// Width of the impression vector v_imp.
   int64_t output_dim() const;

@@ -48,6 +48,16 @@ void CheckScoreIntoArgs(const Batch& batch,
       << "Score: out span " << out_size << " < batch " << batch.size;
 }
 
+MatView SessionRowsOut(const Batch& batch, InferenceWorkspace* workspace,
+                       std::span<float> out, int64_t width) {
+  CheckScoreIntoArgs(batch, workspace, out.size());
+  AWMOE_CHECK(static_cast<int64_t>(out.size()) >= batch.size * width)
+      << "session rows: out span " << out.size() << " for " << batch.size
+      << "x" << width;
+  workspace->arena()->Reset();
+  return MatView{out.data(), batch.size, width, width};
+}
+
 ConstMatView ResolveSessionGate(const SessionGate& gate, int64_t batch_size,
                                 int64_t width) {
   AWMOE_CHECK(gate.data != nullptr) << "SessionGate: null data";
@@ -55,9 +65,8 @@ ConstMatView ResolveSessionGate(const SessionGate& gate, int64_t batch_size,
       << "SessionGate: width " << gate.width << " vs model " << width;
   AWMOE_CHECK(gate.rows == batch_size || gate.rows == 1)
       << "SessionGate: rows " << gate.rows << " vs batch " << batch_size;
-  // A single row broadcasts via stride 0 — every candidate reads the
-  // same gate, matching the GatherRows row-0 replication of the legacy
-  // ForwardLogitsWithGate path.
+  // A single row broadcasts via stride 0: every candidate reads the
+  // same gate.
   const int64_t stride = gate.rows == 1 ? 0 : width;
   return ConstMatView(gate.data, batch_size, width, stride);
 }

@@ -95,7 +95,13 @@ class Ranker {
   virtual ~Ranker() = default;
 
   /// Ranking logits [B, 1] for a batch. Builds an autograd graph unless a
-  /// NoGradGuard is active.
+  /// NoGradGuard is active. Under one it is the graph reference the
+  /// Score regression tests compare against bitwise: a pointwise ranker
+  /// runs one forward body on both executors (nn/exec.h). The batch may
+  /// micro-batch candidates from several sessions; implementations must
+  /// keep per-row results independent of batch composition (row-wise
+  /// kernels, fixed sequence padding), which is what lets the serving
+  /// engine fuse sessions without changing scores.
   virtual Var ForwardLogits(const Batch& batch) = 0;
 
   /// All trainable parameters.
@@ -110,20 +116,6 @@ class Ranker {
   virtual Var GateRepresentation(const Batch& batch) {
     (void)batch;
     return Var();
-  }
-
-  /// Ranking logits [B, 1] with autograd recording disabled. Still walks
-  /// the Var op graph machinery (one heap-allocated node and value
-  /// matrix per op), so the serving hot path uses Score instead;
-  /// InferenceLogits stays the independent reference the Score
-  /// regression tests compare against bitwise. The batch may
-  /// micro-batch candidates from several sessions; implementations must
-  /// keep per-row results independent of batch composition (row-wise
-  /// kernels, fixed sequence padding), which is what lets the serving
-  /// engine fuse sessions without changing scores.
-  virtual Matrix InferenceLogits(const Batch& batch) {
-    NoGradGuard guard;
-    return ForwardLogits(batch).value();
   }
 
   // --- The workspace-based inference API (the serving hot path). ---
@@ -152,7 +144,7 @@ class Ranker {
   ///  - `encoding` (encoding_width > 0): the candidate-independent
   ///    session encoding from EncodeSessionInto; only the
   ///    candidate-dependent tail runs. EncodeSessionInto + Score with
-  ///    the encoding == Score without it == InferenceLogits, bitwise
+  ///    the encoding == Score without it == ForwardLogits, bitwise
   ///    (regression-tested).
   ///  - `slate_starts` (max_slate_items > 0): slate boundaries.
   ///    Attention runs strictly within each slate, so a slate's scores
@@ -188,9 +180,9 @@ class Ranker {
   /// so the copy can run forwards concurrently with (and be retired
   /// independently of) the original. This is what lets the serving
   /// ModelPool materialise a replica set from one loaded ranker.
-  /// Implementations must guarantee bitwise-identical InferenceLogits;
-  /// models without clone support return nullptr (the pool then serves
-  /// them single-replica).
+  /// Implementations must guarantee bitwise-identical ForwardLogits and
+  /// Score; models without clone support return nullptr (the pool then
+  /// serves them single-replica).
   virtual std::unique_ptr<Ranker> Clone() const { return nullptr; }
 
   /// Total scalar parameter count.
@@ -260,6 +252,13 @@ void CheckScoreCall(const Ranker& model, const ScoreCall& call);
 void CheckScoreIntoArgs(const Batch& batch,
                         const InferenceWorkspace* workspace,
                         size_t out_size);
+
+/// The GateInto / EncodeSessionInto prologue: CHECKs the
+/// CheckScoreIntoArgs preconditions and room for [batch.size, width]
+/// in `out`, resets the workspace arena, and returns `out` as that
+/// row-major view.
+MatView SessionRowsOut(const Batch& batch, InferenceWorkspace* workspace,
+                       std::span<float> out, int64_t width);
 
 /// Validates a SessionGate against the batch and the model's gate width
 /// and returns it as a [batch_size, width] read view (a 1-row gate

@@ -18,10 +18,12 @@ namespace awmoe {
 // Every AW-MoE module (Linear, Mlp, the product-path AttentionUnit,
 // ExpertBank, the EmbeddingSet tower inputs, InputNetwork, GateNetwork)
 // writes its forward once, as a template over an executor X, and
-// explicitly instantiates it for the two executors below:
+// explicitly instantiates it for the two executors below, and so does
+// every pointwise ranker (AwMoeRanker, FfnRanker, CategoryMoeRanker):
 //
-//  - GraphExec builds autograd Var nodes (training, and the
-//    InferenceLogits references the bitwise suites compare against).
+//  - GraphExec builds autograd Var nodes (training, and under a
+//    NoGradGuard the ForwardLogits references the bitwise suites
+//    compare Score against).
 //  - ArenaExec runs the graph-free kernels of nn/inference.h over views
 //    bump-allocated from an InferenceArena (the Ranker::Score hot
 //    path). Each op materialises one buffer per graph op, so at the
@@ -32,7 +34,10 @@ namespace awmoe {
 // writes the result (a caller's view, a column block of one, or a fresh
 // x.Alloc); the graph executor ignores it. X::Scope marks the arena on
 // construction and rewinds it on destruction; on the graph it does
-// nothing. A new fused kernel goes into an ArenaExec op.
+// nothing. A read-only operand supplied from outside the body (a
+// precomputed gate) enters as x.Input, of type X::In: a Constant on the
+// graph, read where it lies on the arena. A new fused kernel goes into
+// an ArenaExec op.
 //
 // THE BEHAVIOUR STACK: the per-item units (the item tower, the §III-C
 // activation unit, the §III-F gate unit) run once over the real
@@ -63,11 +68,14 @@ template <class X>
 using MatOf = typename X::Mat;
 template <class X>
 using DstOf = typename X::Dst;
+template <class X>
+using InOf = typename X::In;
 
 class GraphExec {
  public:
   using Mat = Var;
   struct Dst {};
+  using In = Var;
   /// Operands of Concat.
   using Parts = std::vector<Var>;
   struct Scope {
@@ -122,6 +130,10 @@ class GraphExec {
   Var Pool(const Var& stack, const Var* w, const StackRows& rows,
            Dst) const;
   Var SoftmaxRows(const Var& a) const { return ag::SoftmaxRows(a); }
+  /// Row-wise dot products [B, 1] of row-aligned a and b.
+  Var DotRows(const Var& a, const Var& b, Dst) const {
+    return ag::DotRows(a, b);
+  }
   /// Keeps each row's k largest entries, zeroes the rest.
   Var TopK(const Var& a, int64_t k) const;
   /// Row i is table row ids[i], i < count.
@@ -135,6 +147,8 @@ class GraphExec {
   Var Constant(const ConstMatView& value, Dst) const {
     return Var(ToMatrix(value));
   }
+  /// A read-only operand supplied from outside the body.
+  Var Input(const ConstMatView& value) const { return Constant(value, {}); }
   /// Listed row i is column block `position` (value.cols / seq_len
   /// wide) of value's row `example`.
   Var Constant(const ConstMatView& value, const StackRows& rows, Dst) const;
@@ -149,6 +163,7 @@ class ArenaExec {
  public:
   using Mat = MatView;
   using Dst = MatView;
+  using In = ConstMatView;
   /// Concat's operands already sit in column blocks of its Dst.
   struct Parts {
     Parts() = default;
@@ -214,6 +229,11 @@ class ArenaExec {
     SoftmaxRowsInPlace(a);
     return a;
   }
+  MatView DotRows(const ConstMatView& a, const ConstMatView& b,
+                  MatView out) const {
+    DotRowsInto(a, b, out);
+    return out;
+  }
   MatView TopK(const MatView& a, int64_t k) const {
     TopKMulInPlace(a, k, arena_);
     return a;
@@ -231,6 +251,8 @@ class ArenaExec {
   }
   MatView Constant(const ConstMatView& value, const StackRows& rows,
                    MatView out) const;
+  /// Read where it lies: no copy into the arena.
+  ConstMatView Input(const ConstMatView& value) const { return value; }
   MatView Concat(const Parts&, MatView out) const { return out; }
 
  private:

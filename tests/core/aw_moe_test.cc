@@ -4,6 +4,7 @@
 
 #include "autograd/ops.h"
 #include "data/batcher.h"
+#include "mat/kernel_tier.h"
 #include "mat/kernels.h"
 #include "util/rng.h"
 
@@ -112,9 +113,10 @@ TEST(AwMoeTest, GateRepresentationMatchesForwardGate) {
   EXPECT_TRUE(AllClose(result.gate.value(), gate_only.value(), 1e-6f));
 }
 
-TEST(AwMoeTest, ForwardLogitsWithGateMatchesFullForwardInSearchMode) {
+TEST(AwMoeTest, SharedSessionGateMatchesFullForwardInSearchMode) {
   // §III-F: sharing the session gate must be exact, not approximate,
   // because the gate ignores the target item in search mode.
+  ScopedKernelTier tier(KernelTier::kReference);
   Rng rng(5);
   DatasetMeta meta = TestMeta();
   AwMoeRanker model(meta, TinyConfig(), &rng);
@@ -135,26 +137,28 @@ TEST(AwMoeTest, ForwardLogitsWithGateMatchesFullForwardInSearchMode) {
 
   Matrix full = model.ForwardLogits(batch).value();
   Batch probe = CollateBatch({ptrs[0]}, meta, nullptr);
-  Var shared_gate = model.GateRepresentation(probe);
-  Matrix shared = model.ForwardLogitsWithGate(batch, shared_gate).value();
-  EXPECT_TRUE(AllClose(full, shared, 1e-5f));
+  const Matrix shared_gate = model.GateRepresentation(probe).value();
+  Matrix shared = model.Forward(batch, &shared_gate).logits.value();
+  ASSERT_EQ(shared.rows(), full.rows());
+  for (int64_t i = 0; i < full.rows(); ++i) {
+    EXPECT_EQ(shared(i, 0), full(i, 0)) << "row " << i;
+  }
 }
 
 TEST(AwMoeTest, DiversityPenaltyDefinedOnlyWhenConfigured) {
   Rng rng(6);
   AwMoeRanker plain(TestMeta(), TinyConfig(), &rng);
   Batch batch = MakeBatch(TestMeta(), {2});
-  plain.Forward(batch);
-  EXPECT_FALSE(plain.PendingAuxiliaryLoss().defined());
+  EXPECT_FALSE(plain.Forward(batch).aux_loss.defined());
 
   AwMoeConfig config = TinyConfig();
   config.diversity_weight = 0.1;
   Rng rng2(6);
   AwMoeRanker regularised(TestMeta(), config, &rng2);
-  regularised.Forward(batch);
-  ASSERT_TRUE(regularised.PendingAuxiliaryLoss().defined());
+  const Var aux = regularised.Forward(batch).aux_loss;
+  ASSERT_TRUE(aux.defined());
   // Penalty is -w * variance <= 0.
-  EXPECT_LE(regularised.PendingAuxiliaryLoss().value()(0, 0), 0.0f);
+  EXPECT_LE(aux.value()(0, 0), 0.0f);
 }
 
 TEST(AwMoeTest, NameReflectsConfig) {

@@ -83,7 +83,7 @@ void ForEachNode(const Var& root,
 }
 
 /// Score (fused and replaying the batch's own encoding), GateInto and
-/// InferenceLogits, concatenated.
+/// ForwardLogits, concatenated.
 std::vector<float> ServedOutputs(AwMoeRanker* model, const Batch& batch) {
   auto workspace = model->CreateInferenceWorkspace(batch.size);
   const ServingTraits traits = model->Traits(DatasetMeta{});
@@ -103,7 +103,8 @@ std::vector<float> ServedOutputs(AwMoeRanker* model, const Batch& batch) {
                 .out = scores,
                 .encoding = &session});
   out.insert(out.end(), scores.begin(), scores.end());
-  const Matrix logits = model->InferenceLogits(batch);
+  NoGradGuard guard;
+  const Matrix logits = model->ForwardLogits(batch).value();
   out.insert(out.end(), logits.data(), logits.data() + logits.size());
   return out;
 }
@@ -157,7 +158,7 @@ JdDataset* PaddingInvarianceTest::data_ = nullptr;
 TEST_P(PaddingInvarianceTest, ServedOutputsIgnorePaddedPositions) {
   ExpectBitwise(ServedOutputs(model_.get(), batch_),
                 ServedOutputs(model_.get(), rewritten_),
-                "Score, GateInto, replayed Score, InferenceLogits");
+                "Score, GateInto, replayed Score, ForwardLogits");
 }
 
 TEST_P(PaddingInvarianceTest, TrainingGradientsIgnorePaddedPositions) {

@@ -170,6 +170,20 @@ TEST_F(TrainerTest, AuxiliaryDiversityLossIsApplied) {
   // Must run without error and keep training stable.
   auto history = trainer.Train(data_->train, data_->meta, standardizer_);
   EXPECT_TRUE(std::isfinite(history[0].mean_rank_loss));
+
+  // The term reaches the loss: on one batch the training loss is the
+  // rank loss plus the forward's non-zero aux_loss.
+  BatchIterator it(&data_->train, data_->meta, config.batch_size,
+                   standardizer_, /*rng=*/nullptr);
+  Batch batch;
+  ASSERT_TRUE(it.Next(&batch));
+  BatchLossTerms terms;
+  const float loss =
+      BuildTrainingLoss(&model, batch, config, /*augmenter=*/nullptr, &terms)
+          .value()(0, 0);
+  const float aux = model.Forward(batch).aux_loss.value()(0, 0);
+  ASSERT_NE(aux, 0.0f);
+  EXPECT_EQ(loss, static_cast<float>(terms.rank_loss) + aux);
 }
 
 // Pins what training produces across commits: a few seeded steps at

@@ -131,8 +131,9 @@ std::string Hash(const Matrix& m) {
 /// in a fixed order: fused Score, GateInto, EncodeSessionInto, Score
 /// replaying a per-row gate and encoding, Score replaying the first
 /// session's one-row gate and encoding over that session's own
-/// candidates (the broadcast the engine serves), InferenceLogits and
-/// InferenceGate. A slate-scoring model gets the sessions as slates.
+/// candidates (the broadcast the engine serves), ForwardLogits and
+/// AW-MoE's GateRepresentation on the graph. A slate-scoring model gets
+/// the sessions as slates.
 std::vector<std::string> ForwardHashes(
     Ranker* model, const std::vector<std::vector<Example>>& sessions,
     const DatasetMeta& meta) {
@@ -181,9 +182,10 @@ std::vector<std::string> ForwardHashes(
       hashes.push_back(Hash(out));
     }
   }
-  hashes.push_back(Hash(model->InferenceLogits(batch)));
+  NoGradGuard guard;
+  hashes.push_back(Hash(model->ForwardLogits(batch).value()));
   if (auto* aw = dynamic_cast<AwMoeRanker*>(model)) {
-    hashes.push_back(Hash(aw->InferenceGate(batch)));
+    hashes.push_back(Hash(aw->GateRepresentation(batch).value()));
   }
   return hashes;
 }

@@ -1,6 +1,7 @@
 // Regression + property suite for the workspace-based inference API
-// (Ranker::ScoreInto / GateInto): the kernel path must reproduce the
-// autograd-backed InferenceLogits BIT FOR BIT for all four rankers and
+// (Ranker::Score / GateInto): the arena executor of each ranker's
+// forward body must reproduce its graph executor (ForwardLogits under a
+// NoGradGuard) BIT FOR BIT for all four rankers and
 // every gate configuration, and both paths must keep per-row results
 // independent of micro-batch composition (shuffled session fusion,
 // varying padding) — the invariant that lets the serving engine fuse
@@ -28,8 +29,8 @@
 namespace awmoe {
 namespace {
 
-// This whole suite compares ScoreInto against the autograd-backed
-// InferenceLogits BITWISE, so it must run on the reference kernel tier
+// This whole suite compares Score against the autograd-backed
+// ForwardLogits BITWISE, so it must run on the reference kernel tier
 // regardless of what the host CPU offers. The fast tier's
 // epsilon-bounded agreement is covered by kernel_tier_test.cc.
 const bool kPinnedReferenceTier = [] {
@@ -176,12 +177,24 @@ std::vector<float> ScoreIntoVector(Ranker* model, const Batch& batch,
   return out;
 }
 
+/// The forward body on the graph executor, recording no graph.
+Matrix GraphLogits(Ranker* model, const Batch& batch) {
+  NoGradGuard guard;
+  return model->ForwardLogits(batch).value();
+}
+
+/// The gate step of the body on the graph executor.
+Matrix GraphGate(Ranker* model, const Batch& batch) {
+  NoGradGuard guard;
+  return model->GateRepresentation(batch).value();
+}
+
 class InferencePathTest : public ::testing::TestWithParam<bool> {};
 
-// The acceptance gate: ScoreInto == InferenceLogits, bit for bit, for
-// every ranker in both dataset modes, across batch sizes sharing one
+// The acceptance gate: Score == ForwardLogits, bit for bit, for every
+// ranker in both dataset modes, across batch sizes sharing one
 // workspace (buffers must not carry state between batches).
-TEST_P(InferencePathTest, ScoreIntoMatchesInferenceLogitsBitwise) {
+TEST_P(InferencePathTest, ScoreMatchesForwardLogitsBitwise) {
   const DatasetMeta meta = TestMeta(GetParam());
   auto sessions = MakeSessions(/*seed=*/500);
   auto flat = Flatten(sessions);
@@ -198,7 +211,7 @@ TEST_P(InferencePathTest, ScoreIntoMatchesInferenceLogitsBitwise) {
     };
     for (const auto& slice : slices) {
       Batch batch = Collate(slice, meta);
-      Matrix want = ranker.model->InferenceLogits(batch);
+      Matrix want = GraphLogits(ranker.model.get(), batch);
       std::vector<float> got =
           ScoreIntoVector(ranker.model.get(), batch, nullptr,
                           workspace.get());
@@ -220,17 +233,17 @@ TEST_P(InferencePathTest, RowsIndependentOfBatchCompositionBothPaths) {
   for (NamedRanker& ranker : MakeRankers(meta)) {
     auto workspace = ranker.model->CreateInferenceWorkspace(64);
     // Reference: each session scored alone.
-    std::vector<std::vector<float>> solo_legacy, solo_kernel;
+    std::vector<std::vector<float>> solo_graph, solo_kernel;
     for (const auto& session : sessions) {
       std::vector<const Example*> items;
       for (const Example& ex : session) items.push_back(&ex);
       Batch batch = Collate(items, meta);
-      Matrix logits = ranker.model->InferenceLogits(batch);
-      std::vector<float> legacy(static_cast<size_t>(batch.size));
+      Matrix logits = GraphLogits(ranker.model.get(), batch);
+      std::vector<float> graph(static_cast<size_t>(batch.size));
       for (int64_t i = 0; i < batch.size; ++i) {
-        legacy[static_cast<size_t>(i)] = logits(i, 0);
+        graph[static_cast<size_t>(i)] = logits(i, 0);
       }
-      solo_legacy.push_back(std::move(legacy));
+      solo_graph.push_back(std::move(graph));
       solo_kernel.push_back(
           ScoreIntoVector(ranker.model.get(), batch, nullptr,
                           workspace.get()));
@@ -248,14 +261,14 @@ TEST_P(InferencePathTest, RowsIndependentOfBatchCompositionBothPaths) {
         }
       }
       Batch batch = Collate(fused, meta);
-      Matrix legacy = ranker.model->InferenceLogits(batch);
+      Matrix graph = GraphLogits(ranker.model.get(), batch);
       std::vector<float> kernel =
           ScoreIntoVector(ranker.model.get(), batch, nullptr,
                           workspace.get());
       for (size_t r = 0; r < row_map.size(); ++r) {
         const auto [s, i] = row_map[r];
-        EXPECT_EQ(legacy(static_cast<int64_t>(r), 0), solo_legacy[s][i])
-            << ranker.label << " legacy row " << r << " round " << round;
+        EXPECT_EQ(graph(static_cast<int64_t>(r), 0), solo_graph[s][i])
+            << ranker.label << " graph row " << r << " round " << round;
         EXPECT_EQ(kernel[r], solo_kernel[s][i])
             << ranker.label << " kernel row " << r << " round " << round;
       }
@@ -265,10 +278,12 @@ TEST_P(InferencePathTest, RowsIndependentOfBatchCompositionBothPaths) {
   }
 }
 
-// The §III-F gate argument: ScoreInto with an externally supplied gate
-// must reproduce the legacy InferenceLogitsWithGate bitwise — full
-// per-row gates and the broadcast single-row form.
-TEST(InferencePathGateTest, SessionGateMatchesLegacyWithGateBitwise) {
+// The §III-F gate argument: Score with a supplied gate must reproduce
+// the graph body under the same gate, Forward(batch, &gate), bitwise:
+// a full [B, K] gate and its one-row broadcast. The gate is not the
+// model's own and differs per row, so a Score that ignored it, or read
+// only its first row, fails.
+TEST(InferencePathGateTest, SuppliedGateMatchesGraphForwardBitwise) {
   const DatasetMeta meta = TestMeta(false);
   Rng rng(21);
   AwMoeConfig config;
@@ -282,37 +297,45 @@ TEST(InferencePathGateTest, SessionGateMatchesLegacyWithGateBitwise) {
   Batch batch = CollateBatch(items, meta, nullptr);
   auto workspace = model.CreateInferenceWorkspace(16);
 
-  // Gate rows from the kernel path must equal InferenceGate bitwise.
+  // Gate rows from the kernel path must equal GateRepresentation
+  // bitwise.
   const int64_t k = model.Traits(meta).gate_width;
-  Matrix gate = model.InferenceGate(batch);
+  const Matrix own_gate = GraphGate(&model, batch);
   std::vector<float> gate_rows(static_cast<size_t>(batch.size * k));
   model.GateInto(batch, workspace.get(), gate_rows);
   for (int64_t i = 0; i < batch.size; ++i) {
     for (int64_t c = 0; c < k; ++c) {
-      EXPECT_EQ(gate_rows[static_cast<size_t>(i * k + c)], gate(i, c))
+      EXPECT_EQ(gate_rows[static_cast<size_t>(i * k + c)], own_gate(i, c))
           << "gate row " << i << " col " << c;
     }
   }
+  const std::vector<float> own =
+      ScoreIntoVector(&model, batch, nullptr, workspace.get());
 
-  // Full [B, K] gate.
-  Matrix want = model.InferenceLogitsWithGate(batch, gate);
-  SessionGate full{gate_rows.data(), batch.size, k};
-  std::vector<float> got =
-      ScoreIntoVector(&model, batch, &full, workspace.get());
+  Matrix foreign(batch.size, k);
   for (int64_t i = 0; i < batch.size; ++i) {
-    EXPECT_EQ(got[static_cast<size_t>(i)], want(i, 0)) << "row " << i;
+    for (int64_t c = 0; c < k; ++c) {
+      foreign(i, c) = (c % 2 == 0 ? 0.3f : -0.2f) * static_cast<float>(i + 1) +
+                      0.1f * static_cast<float>(c);
+    }
   }
+  Matrix foreign_row0(1, k);
+  std::copy_n(foreign.row(0), k, foreign_row0.data());
 
-  // Broadcast single row (session-constant gate: row 0 serves all).
-  Matrix row0(1, k);
-  std::copy_n(gate.row(0), k, row0.data());
-  Matrix want_broadcast = model.InferenceLogitsWithGate(batch, row0);
-  SessionGate broadcast{gate_rows.data(), 1, k};
-  std::vector<float> got_broadcast =
-      ScoreIntoVector(&model, batch, &broadcast, workspace.get());
-  for (int64_t i = 0; i < batch.size; ++i) {
-    EXPECT_EQ(got_broadcast[static_cast<size_t>(i)], want_broadcast(i, 0))
-        << "broadcast row " << i;
+  NoGradGuard guard;
+  for (const Matrix* gate : {&foreign, &foreign_row0}) {
+    const Matrix want = model.Forward(batch, gate).logits.value();
+    SessionGate supplied{gate->data(), gate->rows(), k};
+    const std::vector<float> got =
+        ScoreIntoVector(&model, batch, &supplied, workspace.get());
+    bool differs_from_own = false;
+    for (int64_t i = 0; i < batch.size; ++i) {
+      const size_t r = static_cast<size_t>(i);
+      EXPECT_EQ(got[r], want(i, 0))
+          << gate->rows() << "-row gate, row " << i;
+      differs_from_own = differs_from_own || got[r] != own[r];
+    }
+    EXPECT_TRUE(differs_from_own) << gate->rows() << "-row gate";
   }
 }
 
@@ -407,7 +430,7 @@ TEST_P(InferencePathTest, GateConfigVariantsMatchBitwise) {
     AwMoeRanker model(meta, config, &rng);
     auto workspace =
         model.CreateInferenceWorkspace(static_cast<int64_t>(flat.size()));
-    Matrix want = model.InferenceLogits(batch);
+    Matrix want = GraphLogits(&model, batch);
     std::vector<float> got =
         ScoreIntoVector(&model, batch, nullptr, workspace.get());
     for (int64_t i = 0; i < batch.size; ++i) {
@@ -415,7 +438,7 @@ TEST_P(InferencePathTest, GateConfigVariantsMatchBitwise) {
           << c.label << " row " << i;
     }
     const int64_t k = config.dims.num_experts;
-    const Matrix want_gate = model.InferenceGate(batch);
+    const Matrix want_gate = GraphGate(&model, batch);
     std::vector<float> gate_rows(static_cast<size_t>(batch.size * k));
     model.GateInto(batch, workspace.get(), gate_rows);
     for (int64_t i = 0; i < batch.size; ++i) {
@@ -430,8 +453,8 @@ TEST_P(InferencePathTest, GateConfigVariantsMatchBitwise) {
 
 // ---------------------------------------------------------------------
 // The session feature store split (level-2 cache contract):
-// EncodeSessionInto + ScoreWithSessionInto == fused ScoreInto ==
-// InferenceLogits, bit for bit.
+// EncodeSessionInto + Score with the encoding == fused Score ==
+// ForwardLogits, bit for bit.
 // ---------------------------------------------------------------------
 
 // Acceptance gate of the split path for every encoding-reusing ranker
@@ -458,7 +481,7 @@ TEST_P(InferencePathTest, SplitEncodeScoreMatchesFusedBitwise) {
     };
     for (const auto& slice : slices) {
       Batch batch = Collate(slice, meta);
-      Matrix want = ranker.model->InferenceLogits(batch);
+      Matrix want = GraphLogits(ranker.model.get(), batch);
       std::vector<float> fused =
           ScoreIntoVector(ranker.model.get(), batch, nullptr,
                           workspace.get());
@@ -472,7 +495,7 @@ TEST_P(InferencePathTest, SplitEncodeScoreMatchesFusedBitwise) {
                            .encoding = &enc});
       for (int64_t i = 0; i < batch.size; ++i) {
         EXPECT_EQ(split[static_cast<size_t>(i)], want(i, 0))
-            << ranker.label << " split-vs-legacy row " << i << " of "
+            << ranker.label << " split-vs-graph row " << i << " of "
             << batch.size;
         EXPECT_EQ(split[static_cast<size_t>(i)],
                   fused[static_cast<size_t>(i)])

@@ -334,7 +334,7 @@ TEST(KernelDispatchTest, TableMetadata) {
 }
 
 // The forced-scalar path is the non-AVX2 fallback: dispatching through
-// the reference table must reproduce the legacy Var-graph forward
+// the reference table must reproduce the Var-graph forward
 // BITWISE (not just within epsilon) — the same guarantee the direct
 // kernels gave before the dispatch layer existed.
 TEST(KernelDispatchTest, ForcedScalarDispatchIsBitwiseReference) {
@@ -348,7 +348,11 @@ TEST(KernelDispatchTest, ForcedScalarDispatchIsBitwiseReference) {
       for (const Example& ex : session) items.push_back(&ex);
       Batch batch = CollateBatch(items, meta, nullptr);
       auto workspace = ranker.model->CreateInferenceWorkspace(8);
-      Matrix want = ranker.model->InferenceLogits(batch);
+      Matrix want;
+      {
+        NoGradGuard guard;
+        want = ranker.model->ForwardLogits(batch).value();
+      }
       std::vector<float> got(static_cast<size_t>(batch.size));
       ranker.model->Score({.batch = batch,
                            .workspace = workspace.get(),

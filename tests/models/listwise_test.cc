@@ -1,6 +1,6 @@
 // The listwise reranker's acceptance suite: the workspace slate path
 // (ScoreSlateInto) must reproduce the autograd-backed graph path
-// (InferenceLogits) BIT FOR BIT on the reference kernel tier, a slate's
+// (ForwardLogits) BIT FOR BIT on the reference kernel tier, a slate's
 // scores must not depend on what else shares its micro-batch, Clone
 // must produce an identical model, and the ListNet loss must train
 // through both Trainer and ParallelTrainer with session-grouped
@@ -133,6 +133,12 @@ std::vector<const Example*> Flatten(
   return flat;
 }
 
+/// The graph path, recording no graph.
+Matrix GraphLogits(Ranker* model, const Batch& batch) {
+  NoGradGuard guard;
+  return model->ForwardLogits(batch).value();
+}
+
 std::unique_ptr<ListwiseReranker> MakeModel(uint64_t seed) {
   Rng rng(seed);
   return std::make_unique<ListwiseReranker>(TestMeta(), TinyDims(),
@@ -160,10 +166,10 @@ TEST(ListwiseRerankerTest, SlateStartsFromBatchFindsSessionRuns) {
   EXPECT_EQ(starts, (std::vector<int64_t>{0, 3, 4, 9, 11}));
 }
 
-// The acceptance gate: ScoreSlateInto == InferenceLogits, bit for bit,
+// The acceptance gate: ScoreSlateInto == ForwardLogits, bit for bit,
 // across multi-slate and single-slate batches sharing one workspace
 // (stale buffer contents from a bigger batch would show up).
-TEST(ListwiseRerankerTest, ScoreSlateIntoMatchesInferenceLogitsBitwise) {
+TEST(ListwiseRerankerTest, ScoreSlateIntoMatchesForwardLogitsBitwise) {
   const DatasetMeta meta = TestMeta();
   auto sessions = MakeSessions(/*seed=*/910);
   auto model = MakeModel(31);
@@ -181,7 +187,7 @@ TEST(ListwiseRerankerTest, ScoreSlateIntoMatchesInferenceLogitsBitwise) {
 
   for (const auto& slice : slices) {
     Batch batch = CollateBatch(slice, meta, nullptr);
-    Matrix want = model->InferenceLogits(batch);
+    Matrix want = GraphLogits(model.get(), batch);
     std::vector<float> got = ScoreSlates(model.get(), batch, workspace.get());
     for (int64_t i = 0; i < batch.size; ++i) {
       ASSERT_EQ(got[static_cast<size_t>(i)], want(i, 0))
@@ -227,7 +233,7 @@ TEST(ListwiseRerankerTest, RejectsSlateLongerThanMaxSlateLen) {
   for (const Example& ex : session) items.push_back(&ex);
   Batch batch = CollateBatch(items, TestMeta(), nullptr);
   auto model = MakeModel(33);
-  EXPECT_DEATH((void)model->InferenceLogits(batch), "max_slate_len");
+  EXPECT_DEATH((void)GraphLogits(model.get(), batch), "max_slate_len");
 }
 
 TEST(ListwiseRerankerTest, CloneProducesIdenticalScores) {
@@ -239,8 +245,8 @@ TEST(ListwiseRerankerTest, CloneProducesIdenticalScores) {
   EXPECT_TRUE(clone->Traits(meta).slate_scoring());
 
   Batch batch = CollateBatch(Flatten(sessions), meta, nullptr);
-  Matrix want = model->InferenceLogits(batch);
-  Matrix got = clone->InferenceLogits(batch);
+  Matrix want = GraphLogits(model.get(), batch);
+  Matrix got = GraphLogits(clone.get(), batch);
   for (int64_t i = 0; i < batch.size; ++i) {
     ASSERT_EQ(got(i, 0), want(i, 0)) << "row " << i;
   }
@@ -312,13 +318,13 @@ TEST(ListwiseRerankerTest, ExplicitSlateStartsKeepSameIdSlatesDistinct) {
 
   Batch batch = CollateBatch(joint, meta, nullptr);
   batch.slate_starts = {0, 4};
-  Matrix got = model->InferenceLogits(batch);
+  Matrix got = GraphLogits(model.get(), batch);
 
   // Reference: each slate scored alone.
   std::vector<const Example*> only_a(joint.begin(), joint.begin() + 4);
   std::vector<const Example*> only_b(joint.begin() + 4, joint.end());
-  Matrix want_a = model->InferenceLogits(CollateBatch(only_a, meta, nullptr));
-  Matrix want_b = model->InferenceLogits(CollateBatch(only_b, meta, nullptr));
+  Matrix want_a = GraphLogits(model.get(), CollateBatch(only_a, meta, nullptr));
+  Matrix want_b = GraphLogits(model.get(), CollateBatch(only_b, meta, nullptr));
   for (int64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(got(i, 0), want_a(i, 0)) << "slate a row " << i;
   }
@@ -339,7 +345,7 @@ TEST(ListwiseRerankerTest, ExplicitSlateStartsKeepSameIdSlatesDistinct) {
   // Without the explicit starts the runs merge into one 7-row slate —
   // a different attention context, hence different scores.
   Batch merged = CollateBatch(joint, meta, nullptr);
-  Matrix fallback = model->InferenceLogits(merged);
+  Matrix fallback = GraphLogits(model.get(), merged);
   bool differs = false;
   for (int64_t i = 0; i < batch.size && !differs; ++i) {
     differs = fallback(i, 0) != got(i, 0);

@@ -314,8 +314,9 @@ void CheckCloneIndependence(Ranker* original, const DatasetMeta& meta) {
   EXPECT_EQ(clone->NumParameters(), original->NumParameters());
 
   Batch batch = MakeBatch(meta, 4, /*min_history=*/1);
-  Matrix want = original->InferenceLogits(batch);
-  Matrix got = clone->InferenceLogits(batch);
+  NoGradGuard guard;
+  Matrix want = original->ForwardLogits(batch).value();
+  Matrix got = clone->ForwardLogits(batch).value();
   ASSERT_EQ(got.rows(), want.rows());
   for (int64_t r = 0; r < want.rows(); ++r) {
     EXPECT_EQ(got(r, 0), want(r, 0)) << "row " << r;
@@ -340,7 +341,7 @@ void CheckCloneIndependence(Ranker* original, const DatasetMeta& meta) {
   const float before = clone_params[0].value().data()[0];
   orig_params[0].mutable_value().data()[0] += 1.0f;
   EXPECT_EQ(clone_params[0].value().data()[0], before);
-  Matrix after = clone->InferenceLogits(batch);
+  Matrix after = clone->ForwardLogits(batch).value();
   for (int64_t r = 0; r < want.rows(); ++r) {
     EXPECT_EQ(after(r, 0), want(r, 0)) << "clone drifted at row " << r;
   }
@@ -393,8 +394,9 @@ TEST(RankerCloneTest, AwMoeCloneSharesGateEligibilityAndConfig) {
   ASSERT_NE(aw_clone, nullptr);
   // The §III-F serving path must agree bitwise across replicas too.
   Batch batch = MakeBatch(meta, 3, /*min_history=*/1);
-  Matrix gate_a = model.InferenceGate(batch);
-  Matrix gate_b = aw_clone->InferenceGate(batch);
+  NoGradGuard guard;
+  Matrix gate_a = model.GateRepresentation(batch).value();
+  Matrix gate_b = aw_clone->GateRepresentation(batch).value();
   for (int64_t r = 0; r < gate_a.rows(); ++r) {
     for (int64_t c = 0; c < gate_a.cols(); ++c) {
       EXPECT_EQ(gate_a(r, c), gate_b(r, c));

@@ -108,9 +108,9 @@ class AsyncServingTest : public ::testing::Test {
     NoGradGuard guard;
     Batch batch = CollateBatch(session, data_->meta, standardizer_);
     Batch probe = CollateBatch({session[0]}, data_->meta, standardizer_);
-    const Matrix probs = Sigmoid(
-        model_->ForwardLogitsWithGate(batch, model_->GateRepresentation(probe))
-            .value());
+    const Matrix gate = model_->GateRepresentation(probe).value();
+    const Matrix probs =
+        Sigmoid(model_->Forward(batch, &gate).logits.value());
     std::vector<double> scores(static_cast<size_t>(probs.rows()));
     for (int64_t i = 0; i < probs.rows(); ++i) {
       scores[static_cast<size_t>(i)] = probs(i, 0);

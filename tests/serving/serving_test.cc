@@ -117,8 +117,8 @@ class ServingTest : public ::testing::Test {
     Var logits;
     if (share_gate) {
       Batch probe = CollateBatch({session[0]}, data_->meta, standardizer_);
-      logits = model_->ForwardLogitsWithGate(
-          batch, model_->GateRepresentation(probe));
+      const Matrix gate = model_->GateRepresentation(probe).value();
+      logits = model_->Forward(batch, &gate).logits;
     } else {
       logits = model_->ForwardLogits(batch);
     }
